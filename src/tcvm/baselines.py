@@ -30,7 +30,9 @@ import numpy as np
 
 from .normal import cdf, pdf, quantile
 from .statistic import (
-    _batch_standardize,
+    _sample_matrix,
+    _standardize_sorted,
+    _tstar_and_untruncated_from_sorted_std,
     _tstar_from_sorted_std,
     _untruncated_from_sorted_std,
     as_sample,
@@ -235,15 +237,23 @@ def batch_statistics(
     """Evaluate several test statistics on a (replications, n) matrix.
 
     Sorting and standardization are shared across kinds, which is also what
-    makes common-random-number power comparisons cheap.
+    makes common-random-number power comparisons cheap.  TCVM and CVM
+    requested together share one evaluation of psi and H.
     """
     kinds = list(kinds)
-    x_sorted = np.sort(np.asarray(samples, dtype=float), axis=1)
+    x_sorted = np.sort(_sample_matrix(samples), axis=1)
     out: Dict[BaselineKind, np.ndarray] = {}
     need_std = {BaselineKind.TCVM, BaselineKind.CVM, BaselineKind.AD} & set(kinds)
-    y_sorted = _batch_standardize(x_sorted) if need_std else None
+    y_sorted = _standardize_sorted(x_sorted) if need_std else None
+    shared: Dict[BaselineKind, np.ndarray] = {}
+    if {BaselineKind.TCVM, BaselineKind.CVM} <= need_std:
+        shared[BaselineKind.TCVM], shared[BaselineKind.CVM] = (
+            _tstar_and_untruncated_from_sorted_std(y_sorted)
+        )
     for kind in kinds:
-        if kind is BaselineKind.TCVM:
+        if kind in shared:
+            out[kind] = shared[kind]
+        elif kind is BaselineKind.TCVM:
             out[kind] = _tstar_from_sorted_std(y_sorted)
         elif kind is BaselineKind.CVM:
             out[kind] = _untruncated_from_sorted_std(y_sorted)

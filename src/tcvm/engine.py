@@ -54,10 +54,35 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
 def _draw_block(
     spec: AlternativeSpec, n: int, seed: int, start: int, count: int
 ) -> np.ndarray:
+    """Rows for replications start .. start + count - 1.
+
+    Row i equals ``draw(spec, n, replication_rng(seed, start + i))`` bit for
+    bit.  One Philox serves the whole block: before each row its key becomes
+    (seed, start + i) and its counter, buffer and cached 32-bit half return
+    to their freshly built values, which is cheaper than a new generator.
+    """
+    bit_gen = np.random.Philox(key=np.array([seed & (2**64 - 1), 0], dtype=np.uint64))
+    rng = np.random.Generator(bit_gen)
+    fresh = bit_gen.state  # holds copies; the setter copies them back in
+    key = fresh["state"]["key"]
     out = np.empty((count, n))
     for i in range(count):
-        out[i] = draw(spec, n, replication_rng(seed, start + i))
+        key[1] = (start + i) & (2**64 - 1)
+        bit_gen.state = fresh
+        out[i] = draw(spec, n, rng)
     return out
+
+
+def _check_run(reps: int, workers: int, min_reps: int) -> None:
+    if reps < min_reps:
+        raise ValueError(f"need reps >= {min_reps:,}, got {reps}")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
 
 
 def _run_blocks(
@@ -127,8 +152,9 @@ def estimate_critical_values(
     order statistics at index ceil((1-alpha)*reps), together with the
     deterministic a_n and C_n columns.
     """
-    if reps < 100:
-        raise ValueError(f"need at least 100 replications, got {reps}")
+    _check_run(reps, workers, min_reps=100)
+    for a in alphas:
+        _check_alpha(a)
     stats = _null_statistics([BaselineKind.TCVM], NULL_SPEC, n, reps, seed, workers)
     s = np.sort(stats[BaselineKind.TCVM])
     crits = {float(a): _critical_from_sorted(s, a, "upper") for a in alphas}
@@ -165,6 +191,8 @@ def estimate_null_critical_values(
     workers: int = 1,
 ) -> Dict[BaselineKind, float]:
     """Simulated critical value for every test kind, from shared null draws."""
+    _check_run(reps, workers, min_reps=100)
+    _check_alpha(alpha)
     stats = _null_statistics(list(kinds), NULL_SPEC, n, reps, seed, workers)
     return {
         kind: _critical_from_sorted(np.sort(values), alpha, REJECTION_TAIL[kind])
@@ -202,6 +230,8 @@ def estimate_power(
     so the per-kind rates are positively coupled exactly as in a paired
     comparison.
     """
+    _check_run(reps, workers, min_reps=1)
+    _check_alpha(alpha)
     kinds = list(kinds)
     missing = [k for k in kinds if k not in critical_values]
     if missing:
@@ -256,8 +286,7 @@ class ConstantCEstimate:
 def estimate_constant_c(
     n: int, reps: int = 1000, seed: int = 0, workers: int = 1
 ) -> ConstantCEstimate:
-    if reps < 100:
-        raise ValueError(f"need at least 100 replications, got {reps}")
+    _check_run(reps, workers, min_reps=100)
     if n < 100:
         raise ValueError(f"the centred-statistic study needs n >= 100, got {n}")
     centred = np.empty(reps)
@@ -300,8 +329,7 @@ def verify_fourth_moments(
     All points share the same simulated samples (the checks are correlated,
     but each z-score is individually valid).
     """
-    if reps < 10_000:
-        raise ValueError(f"need at least 10,000 replications, got {reps}")
+    _check_run(reps, workers, min_reps=10_000)
     pts = [(float(x), float(y)) for x, y in points]
     n_blocks = (reps + _BLOCK - 1) // _BLOCK
     # one slot per (point, block); reduced in fixed order after all blocks

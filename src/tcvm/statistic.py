@@ -40,6 +40,7 @@ from .normal import (
     int_cdf_over_pdf,
     int_recip_pdf,
     pdf,
+    recip_and_cdf_over_pdf_antiderivatives,
     recip_pdf_antiderivative,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
@@ -198,12 +199,8 @@ def compute_tstar_direct(
     return total
 
 
-def _batch_standardize(samples: np.ndarray) -> np.ndarray:
-    """Rowwise sorted standardized values for a (R, n) sample matrix.
-
-    Sorts first and reduces over the sorted rows, so every caller feeding
-    the same multiset of values per row gets bit-identical output.
-    """
+def _sample_matrix(samples: np.ndarray) -> np.ndarray:
+    """Validate a (R, n) sample matrix: n >= 3 and every value finite."""
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a (replications, n) matrix, got shape {x.shape}")
@@ -211,25 +208,45 @@ def _batch_standardize(samples: np.ndarray) -> np.ndarray:
         raise ValueError("samples need at least 3 observations")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples contain non-finite values")
-    x = np.sort(x, axis=1)
-    mean = x.mean(axis=1, keepdims=True)
-    s = x.std(axis=1, keepdims=True)
+    return x
+
+
+def _standardize_sorted(x_sorted: np.ndarray) -> np.ndarray:
+    """Rowwise standardized values of a matrix whose rows are ascending.
+
+    Reduces over the sorted rows, so every caller feeding the same multiset
+    of values per row gets bit-identical output.
+    """
+    mean = x_sorted.mean(axis=1, keepdims=True)
+    s = x_sorted.std(axis=1, keepdims=True)
     if np.any(s == 0.0):
         raise DegenerateSampleError("at least one sample is constant")
-    return (x - mean) / s
+    return (x_sorted - mean) / s
 
 
-def _tstar_from_sorted_std(y: np.ndarray) -> np.ndarray:
-    """Statistic kernel; rows must be standardized and ascending."""
-    n = y.shape[1]
-    a = endpoint(n).a_n
-    y = np.clip(y, -a, a)
-    psi = recip_pdf_antiderivative(y)
-    h = cdf_over_pdf_antiderivative(y)
+def _batch_standardize(samples: np.ndarray) -> np.ndarray:
+    """Rowwise sorted standardized values for a (R, n) sample matrix."""
+    return _standardize_sorted(np.sort(_sample_matrix(samples), axis=1))
+
+
+def _tstar_from_psi_h(psi: np.ndarray, h: np.ndarray, a: float) -> np.ndarray:
+    """Statistic from psi and H of the ascending rows clipped to [-a_n, a_n]."""
+    n = psi.shape[1]
     odd = 2.0 * np.arange(1, n + 1) - 1.0
     sum_a = n * n * recip_pdf_antiderivative(a) - psi @ odd
     sum_b = n * cdf_over_pdf_antiderivative(a) - h.sum(axis=1)
     return sum_a / n - 2.0 * sum_b + c_n(n)
+
+
+def _tstar_from_sorted_std(y: np.ndarray) -> np.ndarray:
+    """Statistic kernel; rows must be standardized and ascending.
+
+    Clips before evaluating psi and H, so it works for any n: unclipped
+    values reach sqrt(n - 1), where erfi overflows and Q is not fitted.
+    """
+    a = endpoint(y.shape[1]).a_n
+    psi, h = recip_and_cdf_over_pdf_antiderivatives(np.clip(y, -a, a))
+    return _tstar_from_psi_h(psi, h, a)
 
 
 def compute_tstar_batch(samples: np.ndarray) -> np.ndarray:
@@ -243,9 +260,7 @@ def compute_tstar_batch(samples: np.ndarray) -> np.ndarray:
     return _tstar_from_sorted_std(_batch_standardize(samples))
 
 
-def _untruncated_from_sorted_std(y: np.ndarray) -> np.ndarray:
-    """Whole-line kernel; rows must be standardized and ascending."""
-    n = y.shape[1]
+def _check_whole_line_range(y: np.ndarray) -> None:
     zmax = float(np.max(np.abs(y))) / math.sqrt(2.0)
     if zmax > _MAX_ABS_Z:
         raise ValueError(
@@ -253,8 +268,10 @@ def _untruncated_from_sorted_std(y: np.ndarray) -> np.ndarray:
             "the whole-line statistic would overflow double precision"
         )
 
-    psi = recip_pdf_antiderivative(y)
-    h = cdf_over_pdf_antiderivative(y)
+
+def _untruncated_from_psi_h(y: np.ndarray, psi: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Whole-line statistic from psi and H of the unclipped ascending rows."""
+    n = y.shape[1]
     odd = 2.0 * np.arange(1, n) - 1.0
     sum_a = (n - 1) ** 2 * psi[:, -1] - psi[:, :-1] @ odd
     sum_b = (n - 1) * h[:, -1] - h[:, :-1].sum(axis=1)
@@ -269,6 +286,30 @@ def _untruncated_from_sorted_std(y: np.ndarray) -> np.ndarray:
     return sum_a / n - 2.0 * sum_b + total_sq
 
 
+def _untruncated_from_sorted_std(y: np.ndarray) -> np.ndarray:
+    """Whole-line kernel; rows must be standardized and ascending."""
+    _check_whole_line_range(y)
+    return _untruncated_from_psi_h(y, *recip_and_cdf_over_pdf_antiderivatives(y))
+
+
+def _tstar_and_untruncated_from_sorted_std(
+    y: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Both kernels from one evaluation of psi and H on the unclipped rows.
+
+    Entries at or beyond +-a_n take psi(+-a_n) and H(+-a_n), which is what
+    clipping first gives, so each result equals its own kernel bit for bit.
+    """
+    _check_whole_line_range(y)
+    a = endpoint(y.shape[1]).a_n
+    psi, h = recip_and_cdf_over_pdf_antiderivatives(y)
+    psi_end, h_end = recip_and_cdf_over_pdf_antiderivatives(np.array([-a, a]))
+    below, above = y <= -a, y >= a
+    psi_clip = np.where(below, psi_end[0], np.where(above, psi_end[1], psi))
+    h_clip = np.where(below, h_end[0], np.where(above, h_end[1], h))
+    return _tstar_from_psi_h(psi_clip, h_clip, a), _untruncated_from_psi_h(y, psi, h)
+
+
 def compute_untruncated_batch(samples: np.ndarray) -> np.ndarray:
     """Vectorised whole-line variant of the statistic.
 
@@ -279,9 +320,7 @@ def compute_untruncated_batch(samples: np.ndarray) -> np.ndarray:
     return _untruncated_from_sorted_std(_batch_standardize(samples))
 
 
-def compute_untruncated(
-    values: Sequence[float], config: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def compute_untruncated(values: Sequence[float]) -> float:
     """Whole-line statistic for a single sample."""
     x = as_sample(values)
     return float(compute_untruncated_batch(x[np.newaxis, :])[0])

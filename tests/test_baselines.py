@@ -16,7 +16,7 @@ from tcvm.baselines import (
     _bcmr_weights,
 )
 from tcvm.quadrature import integrate
-from tcvm.statistic import compute_tstar, compute_untruncated
+from tcvm.statistic import _batch_standardize, compute_tstar, compute_untruncated
 
 
 def _edf_integral(x, weight: str) -> float:
@@ -179,6 +179,28 @@ class TestBatchStatistics:
             for i in range(block.shape[0]):
                 assert stats[kind][i] == pytest.approx(fn(block[i]), rel=1e-8), kind
 
+    def test_tcvm_and_cvm_together_equal_each_alone(self, rng):
+        # together they share psi and H of the unclipped rows; alone, TCVM
+        # clips first.  Rows reach beyond +-a_n and hit it exactly.
+        n = 50
+        a = nk.endpoint(n).a_n
+        block = np.vstack(
+            [
+                rng.standard_t(3, size=(40, n)),
+                _row_standardizing_to(a, n, rng),
+                _row_standardizing_to(-a, n, rng),
+            ]
+        )
+        y = _batch_standardize(block)
+        assert np.any(y > a) and np.any(y < -a)
+        assert np.any(y == a) and np.any(y == -a)
+        tcvm, cvm = BaselineKind.TCVM, BaselineKind.CVM
+        alone = {k: batch_statistics(block, [k])[k] for k in (tcvm, cvm)}
+        for kinds in ([tcvm, cvm], [cvm, tcvm], list(BaselineKind)):
+            together = batch_statistics(block, kinds)
+            for k in (tcvm, cvm):
+                np.testing.assert_array_equal(together[k], alone[k])
+
     def test_tails_registry_complete(self):
         assert set(REJECTION_TAIL) == set(BaselineKind)
         assert REJECTION_TAIL[BaselineKind.SW] == "lower"
@@ -188,6 +210,35 @@ class TestBatchStatistics:
         assert BaselineKind.parse(" SW ") is BaselineKind.SW
         with pytest.raises(ValueError, match="unknown test kind"):
             BaselineKind.parse("banana")
+
+
+def _row_standardizing_to(target: float, n: int, rng) -> np.ndarray:
+    """A sample whose standardized sorted row holds ``target`` exactly.
+
+    Bisects the last observation t until its standardized value brackets
+    the target between adjacent doubles, then scans the neighbouring
+    doubles for an exact hit; draws a new base sample if none hits.
+    """
+
+    def y_of(t):
+        row = base.copy()
+        row[-1] = t
+        y = _batch_standardize(row[np.newaxis, :])[0]
+        return y[-1] if target > 0 else y[0]
+
+    for _ in range(20):
+        base = rng.standard_normal(n)
+        lo, hi = (0.0, 50.0) if target > 0 else (-50.0, 0.0)
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if y_of(mid) < target else (lo, mid)
+        t = lo
+        for _ in range(40):
+            if y_of(t) == target:
+                base[-1] = t
+                return base
+            t = np.nextafter(t, np.inf)
+    raise AssertionError(f"no sample standardizes exactly to {target}")
 
 
 def test_null_quantiles_match_published_tables(rng):

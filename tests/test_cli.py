@@ -177,6 +177,15 @@ class TestCritvals:
         code, _ = run_cli(["critvals", "--n-range", "12..4"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "extra", [["--alphas", "0.0"], ["--alphas", "0.05,1"], ["--workers", "-3"]]
+    )
+    def test_invalid_run_exit_2(self, extra, capsys):
+        code, text = run_cli(["critvals", "--n", "10", "--reps", "200"] + extra)
+        assert code == 2
+        assert text == ""
+        assert "tcvm: error:" in capsys.readouterr().err
+
 
 class TestPower:
     def test_csv_layout(self):
@@ -208,6 +217,24 @@ class TestPower:
     def test_unknown_family_exit(self):
         code, _ = run_cli(["power", "--alt", "Nope(1)", "--reps", "100"])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--reps", "0"], "need reps >= 1"),
+            (["--cv-reps", "10"], "need reps >= 100"),
+            (["--workers", "-3"], "need workers >= 1"),
+            (["--alpha", "0.0"], "alpha"),
+            (["--alpha", "1.5"], "alpha"),
+        ],
+    )
+    def test_invalid_run_exit_2(self, extra, message, capsys):
+        argv = ["power", "--alt", "Normal(0,1)", "--n", "12", "--reps", "100",
+                "--cv-reps", "200"]
+        code, text = run_cli(argv + extra)
+        assert code == 2
+        assert text == ""
+        assert message in capsys.readouterr().err
 
 
 class TestOtherCommands:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from tcvm import normal as nk
-from tcvm.alternatives import parse_spec
+from tcvm.alternatives import TABLE1_ALTERNATIVES, draw, parse_spec
 from tcvm.baselines import BaselineKind
 from tcvm.engine import (
     NULL_SPEC,
+    _draw_block,
     _upper_index,
     estimate_constant_c,
     estimate_critical_values,
@@ -32,6 +33,17 @@ class TestStreams:
         a = replication_rng(123, 7).standard_normal(10)
         b = replication_rng(123, 8).standard_normal(10)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("text", sorted({t for _, _, t in TABLE1_ALTERNATIVES}))
+    def test_block_rows_equal_per_replication_draws(self, text):
+        # the block reuses one bit generator; each row must still be the
+        # draw of a freshly built (seed, rep) stream
+        spec = parse_spec(text)
+        seed, start = 2**64 - 3, 4093
+        block = _draw_block(spec, 13, seed, start, 6)
+        for i, row in enumerate(block):
+            ref = draw(spec, 13, replication_rng(seed, start + i))
+            np.testing.assert_array_equal(row, ref)
 
 
 class TestQuantileIndex:
@@ -81,6 +93,24 @@ class TestCriticalValues:
         with pytest.raises(ValueError):
             estimate_critical_values(10, reps=50, seed=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            estimate_critical_values(10, alphas=(0.05, alpha), reps=200, seed=0)
+
+    def test_null_critical_values_min_reps(self):
+        with pytest.raises(ValueError, match="reps >= 100"):
+            estimate_null_critical_values([BaselineKind.TCVM], 10, 0.05, reps=10)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers >= 1"):
+            estimate_critical_values(10, reps=200, seed=0, workers=workers)
+        with pytest.raises(ValueError, match="workers >= 1"):
+            estimate_null_critical_values(
+                [BaselineKind.TCVM], 10, 0.05, reps=200, workers=workers
+            )
+
 
 @pytest.fixture(scope="module")
 def crits():
@@ -128,6 +158,16 @@ class TestPower:
         assert report.stderr[BaselineKind.AD] == pytest.approx(
             math.sqrt(r * (1 - r) / 1000), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{"reps": 0}, {"reps": -5}, {"alpha": 0.0}, {"alpha": 1.0}, {"workers": -3}],
+    )
+    def test_rejects_invalid_run(self, crits, kw):
+        args = dict(alpha=0.05, reps=100, seed=0, critical_values=crits, workers=1)
+        args.update(kw)
+        with pytest.raises(ValueError):
+            estimate_power([BaselineKind.TCVM], NULL_SPEC, 20, **args)
 
     def test_missing_critical_values(self):
         with pytest.raises(ValueError, match="missing critical values"):

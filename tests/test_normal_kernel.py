@@ -247,3 +247,47 @@ class TestAntiderivatives:
             )
         assert a_vec[4] == 0.0
         assert b_vec[4] == 0.0
+
+
+class TestChoppedSeries:
+    """The Q and Q2 fits are chopped at import (Aurentz & Trefethen)."""
+
+    def test_term_counts(self):
+        assert nk._Q_LO_COEF.size == 30
+        assert nk._Q2_COEF.size == 52
+        assert nk._Q_HI_COEF.size == 386
+
+    def test_matches_unchopped_fits(self, monkeypatch):
+        from numpy.polynomial import chebyshev as cheb
+
+        u = np.linspace(0.0, 40.0, 400_001)
+        q, q2 = nk._q(u), nk._q2(u)
+        lo = nk._chebyshev_antiderivative(nk._dawsn_scaled, 0.0, nk._Q_BREAK, 96)
+        mid = nk._chebyshev_antiderivative(nk._q2_integrand, 0.0, nk._Q2_MAX, 192)
+        monkeypatch.setattr(nk, "_Q_LO_COEF", lo)
+        monkeypatch.setattr(nk, "_Q_AT_BREAK", float(cheb.chebval(1.0, lo)))
+        monkeypatch.setattr(nk, "_Q2_COEF", mid)
+        monkeypatch.setattr(nk, "_Q2_AT_MAX", float(cheb.chebval(1.0, mid)))
+        monkeypatch.setattr(nk, "_Q_AT_Q2_MAX", float(nk._q(np.array([nk._Q2_MAX]))[0]))
+        assert np.max(np.abs(q - nk._q(u))) <= 1e-15
+        assert np.max(np.abs(q2 - nk._q2(u))) <= 1e-15
+
+    def test_chop_keeps_short_or_plateau_free_series(self):
+        short = np.array([1.0, 0.5, 0.25])
+        assert nk._chop(short) is short
+        slow = 1.0 / np.arange(1.0, 60.0)  # never reaches eps
+        assert nk._chop(slow).size == slow.size
+
+
+def test_shared_erfi_pair_is_bit_identical():
+    from scipy import special
+
+    x = np.concatenate([np.linspace(-9.0, 9.0, 2001), [0.0, -4.25, 4.25, 30.0]])
+    psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(x)
+    z = x / math.sqrt(2.0)
+    separate_h = 0.5 * math.pi * special.erfi(z) * special.erfc(-z) - math.sqrt(
+        math.pi
+    ) * nk._q(np.abs(z))
+    np.testing.assert_array_equal(psi, nk.recip_pdf_antiderivative(x))
+    np.testing.assert_array_equal(h, separate_h)
+    np.testing.assert_array_equal(h, nk.cdf_over_pdf_antiderivative(x))
