@@ -2,16 +2,21 @@
 
 Usage, from the root of a tcvm checkout:
 
-    python3 scripts/time_blocks.py [--src DIR]
+    python3 scripts/time_blocks.py [--src DIR] [--repeat K]
 
 Imports tcvm from DIR (default: ``src`` of this checkout), so the same
-script can time another checkout.  A block is the engine's 4096 rows at
-n = 50, as in one power-row call.  Reports the best of 5 runs, in
+script can time another checkout.  A block is the engine's 4096 rows, as in
+one power-row call.  Reports the best of K runs (default 10), in
 milliseconds per block, of:
 
-* ``draw``: ``engine._draw_block`` for LoConN(0.5,4) rows;
-* ``kernels_all``: ``batch_statistics`` with all five kinds on that block;
-* ``kernel_<kind>``: ``batch_statistics`` with that kind alone.
+* ``draw_<spec>_n<n>``: ``engine._draw_block`` for the null at n = 50 and
+  n = 20 and for each of the seven power rows of the ``power_n50``
+  benchmark workload at n = 50;
+* ``psi_H``: ``normal.recip_and_cdf_over_pdf_antiderivatives`` on a
+  standardized null block at n = 50, and ``q``: ``normal._q`` alone on
+  |z| of that block, z = y/sqrt(2);
+* ``kernels_all``: ``batch_statistics`` with all five kinds on a
+  LoConN(0.5,4) block at n = 50, and ``kernel_<kind>``: each kind alone.
 
 Prints one JSON object with the timings, the block shape and the versions.
 """
@@ -20,13 +25,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-N, ROWS, REPEAT, SEED = 50, 4096, 5, 11
+ROWS, SEED = 4096, 11
+POWER_ROWS = (
+    "LoConN(0.5,4)",
+    "SB(0,0.707)",
+    "Logistic(0,1)",
+    "ScConN(0.2,3)",
+    "Beta(2,1)",
+    "HalfN(0,1)",
+    "LoConN(0.1,5)",
+)
 
 
 def best_ms(fn, repeat: int) -> float:
@@ -41,38 +56,50 @@ def best_ms(fn, repeat: int) -> float:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
+    parser.add_argument("--repeat", type=int, default=10)
     args = parser.parse_args()
 
     sys.path.insert(0, os.path.abspath(args.src))
-    import numpy
+    import numpy as np
     import scipy
-    from tcvm import engine
+    from tcvm import engine, normal
     from tcvm.alternatives import parse_spec
     from tcvm.baselines import BaselineKind, batch_statistics
 
-    spec = parse_spec("LoConN(0.5,4)")
-    block = engine._draw_block(spec, N, SEED, 0, ROWS)
+    def draw_ms(text: str, n: int) -> float:
+        spec = parse_spec(text)
+        return best_ms(lambda: engine._draw_block(spec, n, SEED, 0, ROWS), args.repeat)
+
+    timings = {"draw_null_n50": draw_ms("Normal(0,1)", 50)}
+    for text in POWER_ROWS:
+        timings[f"draw_{text}_n50"] = draw_ms(text, 50)
+    timings["draw_null_n20"] = draw_ms("Normal(0,1)", 20)
+
+    null = engine._draw_block(engine.NULL_SPEC, 50, SEED, 0, ROWS)
+    y = (null - null.mean(axis=1, keepdims=True)) / null.std(axis=1, keepdims=True)
+    absz = np.abs(y) / math.sqrt(2.0)
+    timings["psi_H"] = best_ms(
+        lambda: normal.recip_and_cdf_over_pdf_antiderivatives(y), args.repeat
+    )
+    timings["q"] = best_ms(lambda: normal._q(absz), args.repeat)
+
+    block = engine._draw_block(parse_spec("LoConN(0.5,4)"), 50, SEED, 0, ROWS)
     kinds = list(BaselineKind)
     batch_statistics(block, kinds)  # fills the per-n caches (a_n, C_n, weights)
-
-    timings = {
-        "draw": best_ms(lambda: engine._draw_block(spec, N, SEED, 0, ROWS), REPEAT),
-        "kernels_all": best_ms(lambda: batch_statistics(block, kinds), REPEAT),
-    }
+    timings["kernels_all"] = best_ms(lambda: batch_statistics(block, kinds), args.repeat)
     for kind in kinds:
         timings[f"kernel_{kind.value}"] = best_ms(
-            lambda: batch_statistics(block, [kind]), REPEAT
+            lambda: batch_statistics(block, [kind]), args.repeat
         )
     record = {
-        "n": N,
         "rows": ROWS,
-        "repeat": REPEAT,
+        "repeat": args.repeat,
         "ms_per_block": {k: round(v, 2) for k, v in timings.items()},
         "machine": platform.machine(),
         "processor": platform.processor(),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "scipy": scipy.__version__,
     }
     json.dump(record, sys.stdout, indent=2)

@@ -18,6 +18,11 @@ Sampling is inverse-CDF based wherever the family has a closed quantile;
 the rest use transforms of normal draws or the generator's dedicated
 methods.  Every draw consumes a caller-provided ``numpy.random.Generator``,
 so identical (spec, n, seed) triples reproduce bit-identical samples.
+
+Each family declares its raw generator calls, in order, and an elementwise
+transform of their arrays.  ``sampler`` hands out both, so the engine can
+fill many rows of raw draws, each from its own stream, and transform them
+in one pass with the same bits as ``draw`` gives row by row.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +46,8 @@ __all__ = [
     "parse_spec",
     "sample",
     "draw",
+    "Sampler",
+    "sampler",
     "quantile_fn",
     "support_interval",
     "TABLE1_ALTERNATIVES",
@@ -89,18 +96,34 @@ def _tukey_quantile(u: np.ndarray, lam: float) -> np.ndarray:
     return (u**lam - (1.0 - u) ** lam) / lam
 
 
-def _triangle1_quantile(u: np.ndarray, a: float) -> np.ndarray:
+def _triangle1_quantile(u, p):
+    u, a = np.asarray(u, float), p[0]
     lower = a * (np.sqrt(2.0 * u) - 1.0)
     upper = a * (1.0 - np.sqrt(2.0 * (1.0 - u)))
     return np.where(u < 0.5, lower, upper)
 
 
+# A raw call names a Generator method and the indices of the parameters it
+# takes before the size: ("beta", (0, 1)) draws rng.beta(p[0], p[1], n).
+_RawCall = Tuple[str, Tuple[int, ...]]
+_U: _RawCall = ("random", ())
+_Z: _RawCall = ("standard_normal", ())
+_FILLS_IN_PLACE = frozenset({"random", "standard_normal"})  # accept out=
+
+
 @dataclass(frozen=True)
 class _Family:
+    """A family's raw generator calls, in order, and their transform.
+
+    ``transform(raw, params)`` maps the arrays of the raw calls to the
+    sample elementwise, so it gives the same bits on one row or on many.
+    """
+
     name: str
     arity: int
     validate: Callable[[Tuple[float, ...]], Optional[str]]
-    drawer: Callable[[np.random.Generator, int, Tuple[float, ...]], np.ndarray]
+    raw: Tuple[_RawCall, ...]
+    transform: Callable[[Sequence[np.ndarray], Tuple[float, ...]], np.ndarray]
     quantile: Optional[Callable[[np.ndarray, Tuple[float, ...]], np.ndarray]] = None
     support: Optional[Callable[[Tuple[float, ...]], Tuple[float, float]]] = None
 
@@ -147,28 +170,40 @@ def _ordered(i: int, j: int):
     return check
 
 
-def _mix_draw(shift: bool):
-    def drawer(rng, n, params):
-        p, a = params
-        pick = rng.random(n) < p
-        z = rng.standard_normal(n)
-        if shift:
-            return z + np.where(pick, a, 0.0)
-        return z * np.where(pick, math.sqrt(a), 1.0)
-
-    return drawer
+def _inverse_cdf(quantile_of):
+    """Transform of one uniform draw through the family's quantile."""
+    return lambda raw, p: quantile_of(raw[0], p)
 
 
-def _truncn_draw(rng, n, params):
-    a, b = params
-    lo, hi = cdf(a), cdf(b)
-    return quantile(_open_unit(lo + rng.random(n) * (hi - lo)))
+def _as_drawn(raw, _params):
+    return raw[0]
 
 
 def _truncn_quantile(u, params):
     a, b = params
     lo, hi = cdf(a), cdf(b)
     return quantile(_open_unit(lo + u * (hi - lo)))
+
+
+def _triangle2(u, p):
+    return p[0] * (1.0 - np.sqrt(1.0 - np.asarray(u, float)))
+
+
+def _unif(u, p):
+    return p[0] + (p[1] - p[0]) * np.asarray(u, float)
+
+
+def _logistic(u, p):
+    return p[0] + p[1] * _tukey_quantile(np.asarray(u, float), 0.0)
+
+
+def _laplace_quantile(u, p):
+    u = _open_unit(np.asarray(u, float)) - 0.5
+    return p[0] - p[1] * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+def _tukey(u, p):
+    return _tukey_quantile(np.asarray(u, float), p[0])
 
 
 _FAMILIES: Dict[str, _Family] = {}
@@ -183,7 +218,8 @@ _register(
         "LoConN",
         2,
         _prob(0, "mixing probability"),
-        _mix_draw(shift=True),
+        (_U, _Z),
+        lambda raw, p: raw[1] + np.where(raw[0] < p[0], p[1], 0.0),
     )
 )
 _register(
@@ -191,7 +227,8 @@ _register(
         "ScConN",
         2,
         _all(_prob(0, "mixing probability"), _positive(1, "contaminating variance")),
-        _mix_draw(shift=False),
+        (_U, _Z),
+        lambda raw, p: raw[1] * np.where(raw[0] < p[0], math.sqrt(p[1]), 1.0),
     )
 )
 _register(
@@ -199,7 +236,8 @@ _register(
         "TruncN",
         2,
         _ordered(0, 1),
-        _truncn_draw,
+        (_U,),
+        _inverse_cdf(_truncn_quantile),
         quantile=_truncn_quantile,
         support=lambda p: (p[0], p[1]),
     )
@@ -209,7 +247,8 @@ _register(
         "SB",
         2,
         _positive(1, "Johnson delta"),
-        lambda rng, n, p: 1.0 / (1.0 + np.exp(-(rng.standard_normal(n) - p[0]) / p[1])),
+        (_Z,),
+        lambda raw, p: 1.0 / (1.0 + np.exp(-(raw[0] - p[0]) / p[1])),
         quantile=lambda u, p: 1.0
         / (1.0 + np.exp(-(quantile(_open_unit(u)) - p[0]) / p[1])),
         support=lambda p: (0.0, 1.0),
@@ -220,7 +259,8 @@ _register(
         "SU",
         2,
         _positive(1, "Johnson delta"),
-        lambda rng, n, p: np.sinh((rng.standard_normal(n) - p[0]) / p[1]),
+        (_Z,),
+        lambda raw, p: np.sinh((raw[0] - p[0]) / p[1]),
         quantile=lambda u, p: np.sinh((quantile(_open_unit(u)) - p[0]) / p[1]),
     )
 )
@@ -229,8 +269,9 @@ _register(
         "TriangleI",
         1,
         _positive(0, "half-width"),
-        lambda rng, n, p: _triangle1_quantile(rng.random(n), p[0]),
-        quantile=lambda u, p: _triangle1_quantile(np.asarray(u, float), p[0]),
+        (_U,),
+        _inverse_cdf(_triangle1_quantile),
+        quantile=_triangle1_quantile,
         support=lambda p: (-p[0], p[0]),
     )
 )
@@ -239,8 +280,9 @@ _register(
         "TriangleII",
         1,
         _positive(0, "width"),
-        lambda rng, n, p: p[0] * (1.0 - np.sqrt(1.0 - rng.random(n))),
-        quantile=lambda u, p: p[0] * (1.0 - np.sqrt(1.0 - np.asarray(u, float))),
+        (_U,),
+        _inverse_cdf(_triangle2),
+        quantile=_triangle2,
         support=lambda p: (0.0, p[0]),
     )
 )
@@ -249,8 +291,9 @@ _register(
         "Unif",
         2,
         _ordered(0, 1),
-        lambda rng, n, p: p[0] + (p[1] - p[0]) * rng.random(n),
-        quantile=lambda u, p: p[0] + (p[1] - p[0]) * np.asarray(u, float),
+        (_U,),
+        _inverse_cdf(_unif),
+        quantile=_unif,
         support=lambda p: (p[0], p[1]),
     )
 )
@@ -259,7 +302,8 @@ _register(
         "Beta",
         2,
         _all(_positive(0, "alpha"), _positive(1, "beta")),
-        lambda rng, n, p: rng.beta(p[0], p[1], n),
+        (("beta", (0, 1)),),
+        _as_drawn,
         support=lambda p: (0.0, 1.0),
     )
 )
@@ -268,7 +312,8 @@ _register(
         "StudentT",
         1,
         _positive(0, "degrees of freedom"),
-        lambda rng, n, p: rng.standard_t(p[0], n),
+        (("standard_t", (0,)),),
+        _as_drawn,
     )
 )
 _register(
@@ -276,23 +321,18 @@ _register(
         "Logistic",
         2,
         _positive(1, "scale"),
-        lambda rng, n, p: p[0] + p[1] * _tukey_quantile(rng.random(n), 0.0),
-        quantile=lambda u, p: p[0] + p[1] * _tukey_quantile(np.asarray(u, float), 0.0),
+        (_U,),
+        _inverse_cdf(_logistic),
+        quantile=_logistic,
     )
 )
-
-
-def _laplace_quantile(u, p):
-    u = _open_unit(np.asarray(u, float)) - 0.5
-    return p[0] - p[1] * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-
-
 _register(
     _Family(
         "Laplace",
         2,
         _positive(1, "scale"),
-        lambda rng, n, p: _laplace_quantile(rng.random(n), p),
+        (_U,),
+        _inverse_cdf(_laplace_quantile),
         quantile=_laplace_quantile,
     )
 )
@@ -301,7 +341,9 @@ _register(
         "Weibull",
         1,
         _positive(0, "shape"),
-        lambda rng, n, p: (-np.log1p(-rng.random(n))) ** (1.0 / p[0]),
+        (_U,),
+        # not the quantile below: draws in [0, 1) are used unclipped
+        lambda raw, p: (-np.log1p(-raw[0])) ** (1.0 / p[0]),
         quantile=lambda u, p: (-np.log1p(-_open_unit(np.asarray(u, float))))
         ** (1.0 / p[0]),
         support=lambda p: (0.0, math.inf),
@@ -312,7 +354,8 @@ _register(
         "HalfN",
         2,
         _positive(1, "scale"),
-        lambda rng, n, p: p[0] + p[1] * np.abs(rng.standard_normal(n)),
+        (_Z,),
+        lambda raw, p: p[0] + p[1] * np.abs(raw[0]),
         quantile=lambda u, p: p[0]
         + p[1] * quantile(0.5 * (1.0 + _open_unit(np.asarray(u, float)))),
         support=lambda p: (p[0], math.inf),
@@ -323,7 +366,8 @@ _register(
         "ChiSq",
         1,
         _positive(0, "degrees of freedom"),
-        lambda rng, n, p: rng.chisquare(p[0], n),
+        (("chisquare", (0,)),),
+        _as_drawn,
         support=lambda p: (0.0, math.inf),
     )
 )
@@ -332,7 +376,8 @@ _register(
         "Lognormal",
         2,
         _positive(1, "log-scale sigma"),
-        lambda rng, n, p: np.exp(p[0] + p[1] * rng.standard_normal(n)),
+        (_Z,),
+        lambda raw, p: np.exp(p[0] + p[1] * raw[0]),
         quantile=lambda u, p: np.exp(p[0] + p[1] * quantile(_open_unit(np.asarray(u, float)))),
         support=lambda p: (0.0, math.inf),
     )
@@ -342,8 +387,9 @@ _register(
         "Tukey",
         1,
         _ok,
-        lambda rng, n, p: _tukey_quantile(rng.random(n), p[0]),
-        quantile=lambda u, p: _tukey_quantile(np.asarray(u, float), p[0]),
+        (_U,),
+        _inverse_cdf(_tukey),
+        quantile=_tukey,
     )
 )
 _register(
@@ -351,7 +397,8 @@ _register(
         "Normal",
         2,
         _positive(1, "standard deviation"),
-        lambda rng, n, p: p[0] + p[1] * rng.standard_normal(n),
+        (_Z,),
+        lambda raw, p: p[0] + p[1] * raw[0],
         quantile=lambda u, p: p[0] + p[1] * quantile(_open_unit(np.asarray(u, float))),
     )
 )
@@ -407,15 +454,64 @@ def _family(spec: AlternativeSpec) -> _Family:
     return fam
 
 
-def draw(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n iid draws using the supplied generator."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
+@dataclass(frozen=True)
+class Sampler:
+    """A validated spec as raw generator calls plus an elementwise transform.
+
+    ``draw(spec, n, rng)`` is ``transform`` applied to the arrays of
+    ``rng.<method>(*args, n)`` for each ``(method, args)`` in ``calls``, in
+    order.  The transform works elementwise, so callers may fill many rows
+    of raw draws, each from its own stream, and transform them at once.
+    """
+
+    calls: Tuple[Tuple[str, Tuple[float, ...]], ...]
+    transform: Callable[[Sequence[np.ndarray]], np.ndarray]
+
+    def row_fillers(self, rng: np.random.Generator) -> List[Callable[[np.ndarray], None]]:
+        """One callable per raw call, filling a 1-d row in place from ``rng``."""
+        fillers = []
+        for method, args in self.calls:
+            fn = getattr(rng, method)
+            if method in _FILLS_IN_PLACE:
+                fillers.append(lambda row, fn=fn: fn(out=row))
+            else:
+
+                def fill(row, fn=fn, args=args):
+                    row[...] = fn(*args, row.size)
+
+                fillers.append(fill)
+        return fillers
+
+
+def _checked(spec: AlternativeSpec) -> _Family:
     fam = _family(spec)
     msg = fam.validate(spec.params)
     if msg:
         raise ParamDomainError(f"{fam.name}: {msg}")
-    return fam.drawer(rng, n, spec.params)
+    return fam
+
+
+def sampler(spec: AlternativeSpec) -> Sampler:
+    """The raw calls and transform of a spec, with its parameters checked."""
+    fam = _checked(spec)
+    params = spec.params
+    return Sampler(
+        calls=tuple((method, tuple(params[i] for i in idx)) for method, idx in fam.raw),
+        transform=lambda raw: fam.transform(raw, params),
+    )
+
+
+def draw(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n iid draws using the supplied generator."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 draws, got {n}")
+    fam = _checked(spec)
+    p = spec.params
+    raw = []
+    for method, idx in fam.raw:
+        args = [p[i] for i in idx] if idx else ()
+        raw.append(getattr(rng, method)(*args, n))
+    return fam.transform(raw, p)
 
 
 def sample(spec: AlternativeSpec, n: int, seed: int) -> np.ndarray:

@@ -378,6 +378,14 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except (TableCoverageError, SpecError, ValueError) as exc:
         print(f"tcvm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        detail = str(exc).splitlines()[0] if str(exc) else "allocation failed"
+        print(
+            f"tcvm: error: out of memory ({detail}); try a smaller --n or "
+            "fewer --workers",
+            file=sys.stderr,
+        )
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .alternatives import AlternativeSpec, draw
+from .alternatives import AlternativeSpec, sampler
 from .baselines import REJECTION_TAIL, BaselineKind, batch_statistics
-from .normal import c_n, cdf, d_n, endpoint
+from .normal import MAX_ENDPOINT_N, c_n, cdf, d_n, endpoint
 from .process import MomentPoint, fourth_moment_exact
 from .table import ALPHA_LEVELS, CriticalValueRow, CriticalValueTable
 from .statistic import compute_tstar_batch
@@ -43,6 +43,7 @@ NULL_SPEC = AlternativeSpec("Normal", (0.0, 1.0))
 
 _BLOCK = 4096  # replications per work block; fixed so results never depend
 # on the worker count
+_CHUNK_ELEMS = 1 << 16  # values per transform pass inside a block
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
@@ -60,20 +61,32 @@ def _draw_block(
     bit.  One Philox serves the whole block: before each row its key becomes
     (seed, start + i) and its counter, buffer and cached 32-bit half return
     to their freshly built values, which is cheaper than a new generator.
+    Each row only fills the family's raw draws; the elementwise transform
+    runs once per chunk of at most ``_CHUNK_ELEMS`` values.
     """
+    sam = sampler(spec)
     bit_gen = np.random.Philox(key=np.array([seed & (2**64 - 1), 0], dtype=np.uint64))
-    rng = np.random.Generator(bit_gen)
     fresh = bit_gen.state  # holds copies; the setter copies them back in
     key = fresh["state"]["key"]
+    fillers = sam.row_fillers(np.random.Generator(bit_gen))
+    rows = max(1, min(count, _CHUNK_ELEMS // n))
+    raw = [np.empty((rows, n)) for _ in fillers]
     out = np.empty((count, n))
-    for i in range(count):
-        key[1] = (start + i) & (2**64 - 1)
-        bit_gen.state = fresh
-        out[i] = draw(spec, n, rng)
+    for first in range(0, count, rows):
+        m = min(rows, count - first)
+        for i in range(m):
+            key[1] = (start + first + i) & (2**64 - 1)
+            bit_gen.state = fresh
+            for fill, buf in zip(fillers, raw):
+                fill(buf[i])
+        out[first : first + m] = sam.transform([buf[:m] for buf in raw])
     return out
 
 
-def _check_run(reps: int, workers: int, min_reps: int) -> None:
+def _check_run(n: int, reps: int, workers: int, min_reps: int) -> None:
+    # before anything is drawn: a block holds up to _BLOCK rows of n values
+    if not 1 <= n <= MAX_ENDPOINT_N:
+        raise ValueError(f"need 1 <= n <= {MAX_ENDPOINT_N:,}, got {n}")
     if reps < min_reps:
         raise ValueError(f"need reps >= {min_reps:,}, got {reps}")
     if workers < 1:
@@ -152,7 +165,7 @@ def estimate_critical_values(
     order statistics at index ceil((1-alpha)*reps), together with the
     deterministic a_n and C_n columns.
     """
-    _check_run(reps, workers, min_reps=100)
+    _check_run(n, reps, workers, min_reps=100)
     for a in alphas:
         _check_alpha(a)
     stats = _null_statistics([BaselineKind.TCVM], NULL_SPEC, n, reps, seed, workers)
@@ -191,7 +204,7 @@ def estimate_null_critical_values(
     workers: int = 1,
 ) -> Dict[BaselineKind, float]:
     """Simulated critical value for every test kind, from shared null draws."""
-    _check_run(reps, workers, min_reps=100)
+    _check_run(n, reps, workers, min_reps=100)
     _check_alpha(alpha)
     stats = _null_statistics(list(kinds), NULL_SPEC, n, reps, seed, workers)
     return {
@@ -230,7 +243,7 @@ def estimate_power(
     so the per-kind rates are positively coupled exactly as in a paired
     comparison.
     """
-    _check_run(reps, workers, min_reps=1)
+    _check_run(n, reps, workers, min_reps=1)
     _check_alpha(alpha)
     kinds = list(kinds)
     missing = [k for k in kinds if k not in critical_values]
@@ -286,7 +299,7 @@ class ConstantCEstimate:
 def estimate_constant_c(
     n: int, reps: int = 1000, seed: int = 0, workers: int = 1
 ) -> ConstantCEstimate:
-    _check_run(reps, workers, min_reps=100)
+    _check_run(n, reps, workers, min_reps=100)
     if n < 100:
         raise ValueError(f"the centred-statistic study needs n >= 100, got {n}")
     centred = np.empty(reps)
@@ -329,7 +342,7 @@ def verify_fourth_moments(
     All points share the same simulated samples (the checks are correlated,
     but each z-score is individually valid).
     """
-    _check_run(reps, workers, min_reps=10_000)
+    _check_run(n, reps, workers, min_reps=10_000)
     pts = [(float(x), float(y)) for x, y in points]
     n_blocks = (reps + _BLOCK - 1) // _BLOCK
     # one slot per (point, block); reduced in fixed order after all blocks

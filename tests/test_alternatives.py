@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from tcvm.alternatives import (
     SpecError,
     UnknownFamilyError,
     UnsupportedFamilyError,
+    _FAMILIES,
+    draw,
     parse_spec,
     quantile_fn,
     sample,
@@ -72,6 +75,49 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         spec = parse_spec("Unif(0,1)")
         assert not np.array_equal(sample(spec, 100, 1), sample(spec, 100, 2))
+
+
+# sha256 of draw(spec, 50, replication_rng(7, r)).tobytes() for r = 0..3,
+# recorded before the families were split into raw calls and transforms;
+# any change to a family's generator calls or arithmetic shows here.
+PINNED_DRAWS = {
+    "LoConN(0.3,2.5)": "e28b0448c3a3c4ebf9263816960b1dc44987eb13fe6bd209fc6bbbd0881ea516",
+    "ScConN(0.3,4)": "38e5680eee5ed292eff285456d787c3d7b3ff684e5a7e50e57abd486e99d288d",
+    "TruncN(-1.5,0.5)": "c7901ee55b9afe2d594bcb0a8713a639a74ecca5a362cf7f712c5c90d18d8317",
+    "SB(0.5,0.707)": "d83d3c0460abfba1b078e9a1af2117a8a91f6cfa8f9f29d2806ace4b62eed1eb",
+    "SU(0.5,2)": "8ba606cb82875d3780ff96c6f93fb64dbbbc14f41f8d97ec2567cf04c4695f23",
+    "TriangleI(1.5)": "2d402c115af327e5f3e39b5f846c6263bcfbf14a1a060305b5c6272b34316cf9",
+    "TriangleII(2)": "5b3a3889a8d519454ef47d3ff877a9dbbc5761b4c2c6ea252d8cae8171510c65",
+    "Unif(-1,3)": "bfe0eaae79b215fc9d1a446e9e64fcc2d9c05c61e6947f438eef10cf39543322",
+    "Beta(2,3)": "37f0f88e1683b6d13254c18ae9a6aff01435356e4aed4df43968771eaebe722f",
+    "t(4)": "8c252e9f43b635c0d0ce5e165ddf840f854ed2cc9dccfa97da7568796f45bb17",
+    "Logistic(1,2)": "ad1a4ac806cd183e33bd4a54ca66ecbf9cfa9d15ec594f1b0432a900cbbb893c",
+    "Laplace(1,2)": "8cbf0e1d49f5d6bc2158f44d246423a376fb9271fee1e75d9bf3e27f9a7adcdb",
+    "Weibull(1.5)": "181c1fea5abfe50326cec7961e9d989e1b49defbe050a21da79d8ed8687c8c1b",
+    "HalfN(1,2)": "cb48a010557ee922a78b8eafc1ce5d0b0b0f7314cb930e5446dfd3a751c7345c",
+    "ChiSq(3)": "ca62404a16632e967c7dce0fde51a02e54bf9378c633f3405610c219b600b2d4",
+    "Lognormal(0.5,1)": "a19b8b0f1471303c3ef5336412f810006adf245baed37ecd515551f1c2e95952",
+    "Tukey(0.14)": "9d0b6f4ba996d8c60ba1f816e9ce8470e922a6b9663e7b704c4c0cb20c2cd82a",
+    "Normal(1,2)": "bd070aa00418ce14d5a805d152e11227fc3aa4d066d485c2737b2a4a101e625e",
+}
+
+
+def test_every_family_is_pinned():
+    pinned = {parse_spec(text).family for text in PINNED_DRAWS}
+    assert pinned == {fam.name for fam in _FAMILIES.values()}
+
+
+@pytest.mark.parametrize("text", sorted(PINNED_DRAWS))
+def test_draws_match_pinned_digest(text):
+    from tcvm.engine import _draw_block, replication_rng
+
+    spec = parse_spec(text)
+    digest = hashlib.sha256()
+    for r in range(4):
+        digest.update(draw(spec, 50, replication_rng(7, r)).tobytes())
+    assert digest.hexdigest() == PINNED_DRAWS[text]
+    block = _draw_block(spec, 50, 7, 0, 4)
+    assert hashlib.sha256(block.tobytes()).hexdigest() == PINNED_DRAWS[text]
 
 
 SUPPORTED_FAMILIES = [

@@ -237,6 +237,37 @@ class TestPower:
         assert message in capsys.readouterr().err
 
 
+    def test_oversized_n_exit_2(self, monkeypatch, capsys):
+        from tcvm import engine
+
+        def refuse(*args):
+            raise AssertionError("drew a block for an invalid n")
+
+        monkeypatch.setattr(engine, "_draw_block", refuse)
+        code, text = run_cli(
+            ["power", "--alt", "Normal(0,1)", "--n", "20000000", "--reps", "1",
+             "--cv-reps", "100"]
+        )
+        assert (code, text) == (2, "")
+        assert "n <= 10,000,000" in capsys.readouterr().err
+
+    def test_out_of_memory_exit_3(self, monkeypatch, capsys):
+        from tcvm import engine
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 14.9 GiB for an array")
+
+        monkeypatch.setattr(engine, "_draw_block", no_memory)
+        code, text = run_cli(
+            ["power", "--alt", "Normal(0,1)", "--n", "10000000", "--reps", "1",
+             "--cv-reps", "100"]
+        )
+        assert (code, text) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("tcvm: error: out of memory (Unable to allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestOtherCommands:
     def test_constant_c_runs(self):
         code, text = run_cli(

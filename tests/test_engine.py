@@ -112,6 +112,37 @@ class TestCriticalValues:
             )
 
 
+class TestSampleSizeBound:
+    """Entry points reject n outside 1..MAX_ENDPOINT_N before drawing."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        from tcvm import engine
+
+        def refuse(*args):
+            raise AssertionError("drew a block for an invalid n")
+
+        monkeypatch.setattr(engine, "_draw_block", refuse)
+
+    @pytest.mark.parametrize("n", [0, nk.MAX_ENDPOINT_N + 1, 20_000_000])
+    def test_every_entry_point(self, n):
+        kinds = [BaselineKind.TCVM]
+        calls = [
+            lambda: estimate_critical_values(n, reps=100),
+            lambda: simulate_table([n], reps=100),
+            lambda: estimate_null_critical_values(kinds, n, 0.05, reps=100),
+            lambda: estimate_power(
+                kinds, NULL_SPEC, n, 0.05, 1, 0, {BaselineKind.TCVM: 1.0}
+            ),
+            lambda: estimate_constant_c(n, reps=100),
+            lambda: verify_fourth_moments([(0.0, 0.0)], n, reps=10_000),
+            lambda: verify_fourth_moment(0.0, 0.0, n, reps=10_000),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="n <= 10,000,000"):
+                call()
+
+
 @pytest.fixture(scope="module")
 def crits():
     return estimate_null_critical_values(

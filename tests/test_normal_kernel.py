@@ -257,20 +257,42 @@ class TestChoppedSeries:
         assert nk._Q2_COEF.size == 52
         assert nk._Q_HI_COEF.size == 386
 
-    def test_matches_unchopped_fits(self, monkeypatch):
+    def test_matches_unchopped_fits(self):
+        # the unchopped fits are evaluated here with chebval: _q reads a
+        # table built from the chopped fit at import, which patching the
+        # coefficients would not reach
         from numpy.polynomial import chebyshev as cheb
 
-        u = np.linspace(0.0, 40.0, 400_001)
-        q, q2 = nk._q(u), nk._q2(u)
         lo = nk._chebyshev_antiderivative(nk._dawsn_scaled, 0.0, nk._Q_BREAK, 96)
         mid = nk._chebyshev_antiderivative(nk._q2_integrand, 0.0, nk._Q2_MAX, 192)
-        monkeypatch.setattr(nk, "_Q_LO_COEF", lo)
-        monkeypatch.setattr(nk, "_Q_AT_BREAK", float(cheb.chebval(1.0, lo)))
-        monkeypatch.setattr(nk, "_Q2_COEF", mid)
-        monkeypatch.setattr(nk, "_Q2_AT_MAX", float(cheb.chebval(1.0, mid)))
-        monkeypatch.setattr(nk, "_Q_AT_Q2_MAX", float(nk._q(np.array([nk._Q2_MAX]))[0]))
-        assert np.max(np.abs(q - nk._q(u))) <= 1e-15
-        assert np.max(np.abs(q2 - nk._q2(u))) <= 1e-15
+
+        def q_ref(u):
+            out = np.empty_like(u)
+            hi = u > nk._Q_BREAK
+            out[~hi] = cheb.chebval(2.0 * u[~hi] / nk._Q_BREAK - 1.0, lo)
+            v = (2.0 * u[hi] - (nk._Q_MAX + nk._Q_BREAK)) / (nk._Q_MAX - nk._Q_BREAK)
+            out[hi] = cheb.chebval(1.0, lo) + cheb.chebval(v, nk._Q_HI_COEF)
+            return out
+
+        def q2_ref(u):
+            out = np.empty_like(u)
+            far = u > nk._Q2_MAX
+            out[~far] = cheb.chebval(2.0 * u[~far] / nk._Q2_MAX - 1.0, mid)
+            at_max = q_ref(np.array([nk._Q2_MAX]))[0]
+            out[far] = cheb.chebval(1.0, mid) + q_ref(u[far]) - at_max
+            return out
+
+        grid = np.arange(385) / 128.0  # the Taylor table's points on [0, 3]
+        u = np.concatenate(
+            [
+                np.linspace(0.0, 40.0, 400_001),
+                grid,
+                grid[:-1] + 1.0 / 256.0,  # midpoints: the farthest from a point
+                [np.nextafter(3.0, 0.0), 3.0, np.nextafter(3.0, 4.0), 3.0 + 2**-20],
+            ]
+        )
+        assert np.max(np.abs(nk._q(u) - q_ref(u))) <= 1e-15
+        assert np.max(np.abs(nk._q2(u) - q2_ref(u))) <= 1e-15
 
     def test_chop_keeps_short_or_plateau_free_series(self):
         short = np.array([1.0, 0.5, 0.25])
