@@ -2,12 +2,12 @@
 
 Usage, from the root of a tcvm checkout:
 
-    python3 scripts/time_blocks.py [--src DIR] [--repeat K]
+    python3 scripts/time_blocks.py [--src DIR]
 
 Imports tcvm from DIR (default: ``src`` of this checkout), so the same
 script can time another checkout.  A block is the engine's 4096 rows, as in
-one power-row call.  Reports the best of K runs (default 10), in
-milliseconds per block, of:
+one power-row call.  Reports the best of 10 runs, in milliseconds per
+block, of:
 
 * ``draw_<spec>_n<n>``: ``engine._draw_block`` for the null at n = 50 and
   n = 20 and for each of the seven power rows of the ``power_n50``
@@ -32,7 +32,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ROWS, SEED = 4096, 11
+ROWS, REPEAT, SEED = 4096, 10, 11
 POWER_ROWS = (
     "LoConN(0.5,4)",
     "SB(0,0.707)",
@@ -44,9 +44,9 @@ POWER_ROWS = (
 )
 
 
-def best_ms(fn, repeat: int) -> float:
+def best_ms(fn) -> float:
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -56,7 +56,6 @@ def best_ms(fn, repeat: int) -> float:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
-    parser.add_argument("--repeat", type=int, default=10)
     args = parser.parse_args()
 
     sys.path.insert(0, os.path.abspath(args.src))
@@ -68,7 +67,7 @@ def main() -> int:
 
     def draw_ms(text: str, n: int) -> float:
         spec = parse_spec(text)
-        return best_ms(lambda: engine._draw_block(spec, n, SEED, 0, ROWS), args.repeat)
+        return best_ms(lambda: engine._draw_block(spec, n, SEED, 0, ROWS))
 
     timings = {"draw_null_n50": draw_ms("Normal(0,1)", 50)}
     for text in POWER_ROWS:
@@ -78,22 +77,18 @@ def main() -> int:
     null = engine._draw_block(engine.NULL_SPEC, 50, SEED, 0, ROWS)
     y = (null - null.mean(axis=1, keepdims=True)) / null.std(axis=1, keepdims=True)
     absz = np.abs(y) / math.sqrt(2.0)
-    timings["psi_H"] = best_ms(
-        lambda: normal.recip_and_cdf_over_pdf_antiderivatives(y), args.repeat
-    )
-    timings["q"] = best_ms(lambda: normal._q(absz), args.repeat)
+    timings["psi_H"] = best_ms(lambda: normal.recip_and_cdf_over_pdf_antiderivatives(y))
+    timings["q"] = best_ms(lambda: normal._q(absz))
 
     block = engine._draw_block(parse_spec("LoConN(0.5,4)"), 50, SEED, 0, ROWS)
     kinds = list(BaselineKind)
     batch_statistics(block, kinds)  # fills the per-n caches (a_n, C_n, weights)
-    timings["kernels_all"] = best_ms(lambda: batch_statistics(block, kinds), args.repeat)
+    timings["kernels_all"] = best_ms(lambda: batch_statistics(block, kinds))
     for kind in kinds:
-        timings[f"kernel_{kind.value}"] = best_ms(
-            lambda: batch_statistics(block, [kind]), args.repeat
-        )
+        timings[f"kernel_{kind.value}"] = best_ms(lambda: batch_statistics(block, [kind]))
     record = {
         "rows": ROWS,
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "ms_per_block": {k: round(v, 2) for k, v in timings.items()},
         "machine": platform.machine(),
         "processor": platform.processor(),

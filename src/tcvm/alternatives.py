@@ -20,7 +20,7 @@ methods.  Every draw consumes a caller-provided ``numpy.random.Generator``,
 so identical (spec, n, seed) triples reproduce bit-identical samples.
 
 Each family declares its raw generator calls, in order, and an elementwise
-transform of their arrays.  ``sampler`` hands out both, so the engine can
+transform of their arrays.  ``_sampler`` hands out both, so the engine can
 fill many rows of raw draws, each from its own stream, and transform them
 in one pass with the same bits as ``draw`` gives row by row.
 """
@@ -46,8 +46,6 @@ __all__ = [
     "parse_spec",
     "sample",
     "draw",
-    "Sampler",
-    "sampler",
     "quantile_fn",
     "support_interval",
     "TABLE1_ALTERNATIVES",
@@ -455,7 +453,7 @@ def _family(spec: AlternativeSpec) -> _Family:
 
 
 @dataclass(frozen=True)
-class Sampler:
+class _Sampler:
     """A validated spec as raw generator calls plus an elementwise transform.
 
     ``draw(spec, n, rng)`` is ``transform`` applied to the arrays of
@@ -483,19 +481,14 @@ class Sampler:
         return fillers
 
 
-def _checked(spec: AlternativeSpec) -> _Family:
+def _sampler(spec: AlternativeSpec) -> _Sampler:
+    """The raw calls and transform of a spec, with its parameters checked."""
     fam = _family(spec)
-    msg = fam.validate(spec.params)
+    params = spec.params
+    msg = fam.validate(params)
     if msg:
         raise ParamDomainError(f"{fam.name}: {msg}")
-    return fam
-
-
-def sampler(spec: AlternativeSpec) -> Sampler:
-    """The raw calls and transform of a spec, with its parameters checked."""
-    fam = _checked(spec)
-    params = spec.params
-    return Sampler(
+    return _Sampler(
         calls=tuple((method, tuple(params[i] for i in idx)) for method, idx in fam.raw),
         transform=lambda raw: fam.transform(raw, params),
     )
@@ -505,13 +498,8 @@ def draw(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n iid draws using the supplied generator."""
     if n < 1:
         raise ValueError(f"need n >= 1 draws, got {n}")
-    fam = _checked(spec)
-    p = spec.params
-    raw = []
-    for method, idx in fam.raw:
-        args = [p[i] for i in idx] if idx else ()
-        raw.append(getattr(rng, method)(*args, n))
-    return fam.transform(raw, p)
+    s = _sampler(spec)
+    return s.transform([getattr(rng, method)(*args, n) for method, args in s.calls])
 
 
 def sample(spec: AlternativeSpec, n: int, seed: int) -> np.ndarray:

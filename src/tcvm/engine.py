@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .alternatives import AlternativeSpec, sampler
+from .alternatives import AlternativeSpec, _sampler
 from .baselines import REJECTION_TAIL, BaselineKind, batch_statistics
 from .normal import MAX_ENDPOINT_N, c_n, cdf, d_n, endpoint
 from .process import MomentPoint, fourth_moment_exact
@@ -64,7 +64,7 @@ def _draw_block(
     Each row only fills the family's raw draws; the elementwise transform
     runs once per chunk of at most ``_CHUNK_ELEMS`` values.
     """
-    sam = sampler(spec)
+    sam = _sampler(spec)
     bit_gen = np.random.Philox(key=np.array([seed & (2**64 - 1), 0], dtype=np.uint64))
     fresh = bit_gen.state  # holds copies; the setter copies them back in
     key = fresh["state"]["key"]

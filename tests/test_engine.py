@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tcvm import engine
 from tcvm import normal as nk
 from tcvm.alternatives import TABLE1_ALTERNATIVES, draw, parse_spec
 from tcvm.baselines import BaselineKind
@@ -43,6 +44,18 @@ class TestStreams:
         block = _draw_block(spec, 13, seed, start, 6)
         for i, row in enumerate(block):
             ref = draw(spec, 13, replication_rng(seed, start + i))
+            np.testing.assert_array_equal(row, ref)
+
+    @pytest.mark.parametrize("text", sorted({t for _, _, t in TABLE1_ALTERNATIVES}))
+    def test_block_spanning_transform_chunks(self, text):
+        # n = 2**14 + 1 gives chunks of 3 rows: 7 rows run as 3, 3 and 1,
+        # reusing the raw buffers across chunks
+        spec = parse_spec(text)
+        n, seed, start = 2**14 + 1, 2**64 - 3, 4093
+        assert engine._CHUNK_ELEMS // n == 3
+        block = _draw_block(spec, n, seed, start, 7)
+        for i, row in enumerate(block):
+            ref = draw(spec, n, replication_rng(seed, start + i))
             np.testing.assert_array_equal(row, ref)
 
 
@@ -117,8 +130,6 @@ class TestSampleSizeBound:
 
     @pytest.fixture(autouse=True)
     def no_draws(self, monkeypatch):
-        from tcvm import engine
-
         def refuse(*args):
             raise AssertionError("drew a block for an invalid n")
 
