@@ -11,8 +11,8 @@ Five test kinds enter the comparison harness:
 * ``AD``   - Anderson-Darling with estimated parameters (upper tail);
 * ``SW``   - the normal-scores correlation statistic with plain m/||m||
   weights (lower tail), which is the variant the published power column
-  tracks.  The Royston-corrected coefficients are available separately as
-  :func:`shapiro_wilk`.
+  tracks.  Royston's W is available separately as :func:`shapiro_wilk`,
+  which calls ``scipy.stats.shapiro``.
 
 All statistics are location-scale invariant, and all critical values are
 obtained by simulation (never from published asymptotic tables), so the
@@ -30,6 +30,7 @@ import numpy as np
 
 from .normal import cdf, pdf, quantile
 from .statistic import (
+    DegenerateSampleError,
     _sample_matrix,
     _standardize_sorted,
     _tstar_and_untruncated_from_sorted_std,
@@ -116,46 +117,9 @@ def cramer_von_mises(values: Sequence[float]) -> float:
 
 
 @lru_cache(maxsize=None)
-def _normal_scores(n: int) -> np.ndarray:
-    return quantile((np.arange(1, n + 1) - 0.375) / (n + 0.25))
-
-
-@lru_cache(maxsize=None)
-def _sw_coefficients(n: int) -> np.ndarray:
-    """Royston's approximate coefficients for the W statistic."""
-    m = _normal_scores(n)
-    ssm = float(m @ m)
-    c = m / np.sqrt(ssm)
-    if n == 3:
-        return np.array([-np.sqrt(0.5), 0.0, np.sqrt(0.5)])
-    u = 1.0 / np.sqrt(n)
-    poly_n = np.polyval([-2.706056, 4.434685, -2.071190, -0.147981, 0.221157, 0.0], u)
-    a_n = c[-1] + poly_n
-    a = m.copy()
-    if n <= 5:
-        phi = (ssm - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_n**2)
-        a[1:-1] = m[1:-1] / np.sqrt(phi)
-        a[-1] = a_n
-        a[0] = -a_n
-    else:
-        poly_n1 = np.polyval(
-            [-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0], u
-        )
-        a_n1 = c[-2] + poly_n1
-        phi = (ssm - 2.0 * m[-1] ** 2 - 2.0 * m[-2] ** 2) / (
-            1.0 - 2.0 * a_n**2 - 2.0 * a_n1**2
-        )
-        a[2:-2] = m[2:-2] / np.sqrt(phi)
-        a[-1] = a_n
-        a[0] = -a_n
-        a[-2] = a_n1
-        a[1] = -a_n1
-    return a
-
-
-@lru_cache(maxsize=None)
 def _sf_weights(n: int) -> np.ndarray:
-    m = _normal_scores(n)
+    """Normal scores m_i = quantile((i - 3/8)/(n + 1/4)), scaled to unit length."""
+    m = quantile((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     return m / np.sqrt(float(m @ m))
 
 
@@ -170,26 +134,29 @@ def _bcmr_weights(n: int) -> np.ndarray:
     return w
 
 
-def _w_statistic(x: np.ndarray, coeffs: np.ndarray) -> float:
-    xs = np.sort(x)
-    ssq = float(np.sum((xs - xs.mean()) ** 2))
-    if ssq == 0.0:
-        raise ValueError("sample is constant")
-    return float((coeffs @ xs) ** 2 / ssq)
+def _sorted_row(values: Sequence[float]) -> np.ndarray:
+    """A validated, non-constant sample as one ascending row, shape (1, n)."""
+    xs = np.sort(as_sample(values))
+    if xs[0] == xs[-1]:
+        raise DegenerateSampleError("sample is constant")
+    return xs[np.newaxis, :]
 
 
 def shapiro_wilk(values: Sequence[float]) -> float:
-    """W statistic with Royston's corrected coefficients (3 <= n <= 5000)."""
-    x = as_sample(values)
-    if x.size > 5000:
-        raise ValueError(f"n = {x.size} exceeds the supported range for W (<= 5000)")
-    return _w_statistic(x, _sw_coefficients(x.size))
+    """Royston's W (3 <= n <= 5000), by ``scipy.stats.shapiro`` (AS R94)."""
+    row = _sorted_row(values)
+    if row.shape[1] > 5000:
+        raise ValueError(f"n = {row.shape[1]} exceeds the supported range for W (<= 5000)")
+    # imported here: at module level scipy.stats would more than double the
+    # time and memory that ``import tcvm`` takes
+    from scipy.stats import shapiro
+
+    return float(shapiro(row[0]).statistic)
 
 
 def shapiro_francia(values: Sequence[float]) -> float:
     """W' statistic: squared correlation with plain normalized normal scores."""
-    x = as_sample(values)
-    return _w_statistic(x, _sf_weights(x.size))
+    return float(_batch_sw_like(_sorted_row(values))[0])
 
 
 def bcmr(values: Sequence[float]) -> float:
@@ -199,10 +166,7 @@ def bcmr(values: Sequence[float]) -> float:
     normal quantile as weights; 0 <= R <= 1 and small values indicate a
     nearly normal quantile profile.
     """
-    x = as_sample(values)
-    std = standardize(x)
-    w = _bcmr_weights(x.size)
-    return float(1.0 - (w @ np.sort(x)) ** 2 / (std.s_n**2))
+    return float(_batch_bcmr(_sorted_row(values))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +182,11 @@ def _batch_ad(y_sorted: np.ndarray) -> np.ndarray:
     return -n - s / n
 
 
-def _batch_sw_like(x_sorted: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _batch_sw_like(x_sorted: np.ndarray) -> np.ndarray:
     ssq = np.sum(
         (x_sorted - x_sorted.mean(axis=1, keepdims=True)) ** 2, axis=1
     )
-    return (x_sorted @ coeffs) ** 2 / ssq
+    return (x_sorted @ _sf_weights(x_sorted.shape[1])) ** 2 / ssq
 
 
 def _batch_bcmr(x_sorted: np.ndarray) -> np.ndarray:
@@ -260,7 +224,7 @@ def batch_statistics(
         elif kind is BaselineKind.AD:
             out[kind] = _batch_ad(y_sorted)
         elif kind is BaselineKind.SW:
-            out[kind] = _batch_sw_like(x_sorted, _sf_weights(x_sorted.shape[1]))
+            out[kind] = _batch_sw_like(x_sorted)
         elif kind is BaselineKind.BCMR:
             out[kind] = _batch_bcmr(x_sorted)
         else:  # pragma: no cover - enum is exhaustive

@@ -32,8 +32,7 @@ from .engine import (
     simulate_table,
     verify_fourth_moments,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-from .statistic import DegenerateSampleError, compute_tstar, decide
+from .statistic import compute_tstar, decide
 from .table import ALPHA_LEVELS, CriticalValueTable, TableCoverageError, embedded_table
 
 EXIT_OK = 0
@@ -149,17 +148,10 @@ def _load_table(path: Optional[str]) -> CriticalValueTable:
 
 def cmd_test(args: argparse.Namespace, out) -> int:
     data = read_sample_file(args.data)
-    config = (
-        QuadratureConfig(rel_tol=args.rel_tol)
-        if args.rel_tol is not None
-        else DEFAULT_CONFIG
-    )
     table = _load_table(args.table)
     try:
-        result = compute_tstar(data, config)
-    except DegenerateSampleError as exc:
-        raise DataError(f"{args.data}: {exc}") from exc
-    except ValueError as exc:
+        result = compute_tstar(data)
+    except ValueError as exc:  # DegenerateSampleError included
         raise DataError(f"{args.data}: {exc}") from exc
     try:
         outcome = decide(result.t_star, result.n, args.alpha, table)
@@ -324,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="file with one value per line (optional header)")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--table", default=None, help="CSV critical-value table override")
-    p.add_argument("--rel-tol", type=float, default=None, help="quadrature relative tolerance")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_test)
 

@@ -166,6 +166,11 @@ def estimate_critical_values(
     deterministic a_n and C_n columns.
     """
     _check_run(n, reps, workers, min_reps=100)
+    if n < 4:  # at n = 3 all samples with |y_(2)| >= a_3 give the same value
+        raise ValueError(
+            f"critical values need n >= 4, got {n}: at n = 3 the statistic's null "
+            "law has an atom at its maximum (~41% of samples)"
+        )
     for a in alphas:
         _check_alpha(a)
     stats = _null_statistics([BaselineKind.TCVM], NULL_SPEC, n, reps, seed, workers)
@@ -344,6 +349,8 @@ def verify_fourth_moments(
     """
     _check_run(n, reps, workers, min_reps=10_000)
     pts = [(float(x), float(y)) for x, y in points]
+    if not all(math.isfinite(v) for pt in pts for v in pt):
+        raise ValueError(f"moment points must be finite, got {pts}")
     n_blocks = (reps + _BLOCK - 1) // _BLOCK
     # one slot per (point, block); reduced in fixed order after all blocks
     sums = np.zeros((len(pts), n_blocks))

@@ -9,8 +9,8 @@ Y_i = (X_i - mean)/S_n and N(x) = #{i : Y_i <= x},
 Three evaluation routes are provided and tested against each other:
 
 * ``compute_tstar``        - the stepwise form (delete, sort, grid, weight
-                             integrals by adaptive quadrature); returns all
-                             intermediates.
+                             integrals by adaptive quadrature, C_n in closed
+                             form); returns all intermediates.
 * ``compute_tstar_direct`` - direct adaptive quadrature of the defining
                              integral, split at the data points; the
                              independent cross-check for the stepwise form.
@@ -118,9 +118,7 @@ class TcvmResult:
     b: np.ndarray
 
 
-def compute_tstar(
-    values: Sequence[float], config: QuadratureConfig = DEFAULT_CONFIG
-) -> TcvmResult:
+def compute_tstar(values: Sequence[float]) -> TcvmResult:
     """Stepwise evaluation of the truncated statistic.
 
     Deletes observations at or beyond mean +- a_n * S_n, grids the retained
@@ -148,13 +146,13 @@ def compute_tstar(
     a_int = np.empty(m + 1)
     b_int = np.empty(m + 1)
     for j in range(m + 1):
-        a_int[j] = int_recip_pdf(tilde_y[j], tilde_y[j + 1], config)
-        b_int[j] = int_cdf_over_pdf(tilde_y[j], tilde_y[j + 1], config)
+        a_int[j] = int_recip_pdf(tilde_y[j], tilde_y[j + 1])
+        b_int[j] = int_cdf_over_pdf(tilde_y[j], tilde_y[j + 1])
 
     weights = np.arange(m + 1, dtype=float) + k
-    cn = c_n(n, config)
+    cn = c_n(n)
     t_star = float(weights**2 @ a_int / n - 2.0 * weights @ b_int + cn)
-    t_centered = t_star - d_n(n, config)
+    t_centered = t_star - d_n(n)
     return TcvmResult(
         t_star=t_star,
         t_centered=t_centered,
@@ -364,12 +362,11 @@ def tcvm_test(
     values: Sequence[float],
     alpha: float = 0.05,
     table: Optional[CriticalValueTable] = None,
-    config: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Tuple[TestOutcome, TcvmResult]:
     """Run the normality test on a sample at the given significance level.
 
     Returns the decision plus the full statistic breakdown.
     """
-    result = compute_tstar(values, config)
+    result = compute_tstar(values)
     outcome = decide(result.t_star, result.n, alpha, table)
     return outcome, result

@@ -83,7 +83,7 @@ class TestDeterminism:
 PINNED_DRAWS = {
     "LoConN(0.3,2.5)": "e28b0448c3a3c4ebf9263816960b1dc44987eb13fe6bd209fc6bbbd0881ea516",
     "ScConN(0.3,4)": "38e5680eee5ed292eff285456d787c3d7b3ff684e5a7e50e57abd486e99d288d",
-    "TruncN(-1.5,0.5)": "c7901ee55b9afe2d594bcb0a8713a639a74ecca5a362cf7f712c5c90d18d8317",
+    "TruncN(-1.5,0.5)": "1dfe485be20dd6fb62c5013424b07f48199303fd72bf7f5945cd8399fff199f7",
     "SB(0.5,0.707)": "d83d3c0460abfba1b078e9a1af2117a8a91f6cfa8f9f29d2806ace4b62eed1eb",
     "SU(0.5,2)": "8ba606cb82875d3780ff96c6f93fb64dbbbc14f41f8d97ec2567cf04c4695f23",
     "TriangleI(1.5)": "2d402c115af327e5f3e39b5f846c6263bcfbf14a1a060305b5c6272b34316cf9",

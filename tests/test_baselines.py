@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -256,3 +259,29 @@ def test_null_quantiles_match_published_tables(rng):
     sf_crit = np.quantile(stats[BaselineKind.SW], 0.05)
     assert ad_crit == pytest.approx(0.752, abs=0.025)
     assert sf_crit == pytest.approx(0.953, abs=0.004)
+
+
+@pytest.mark.parametrize("fn", [shapiro_wilk, shapiro_francia, bcmr])
+def test_constant_sample_raises(fn):
+    with pytest.raises(ValueError, match="constant"):
+        fn(np.full(12, 2.5))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # shapiro_wilk imports scipy.stats on first use: loading it with the
+    # package would more than double the import time and memory
+    import tcvm
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tcvm.__file__)))
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import tcvm\n"
+        "tcvm.embedded_table()\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

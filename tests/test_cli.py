@@ -126,13 +126,6 @@ class TestTest:
         assert code == 0
         assert text.strip().splitlines()[1].split(",")[8] == "true"  # reject
 
-    def test_rel_tol_override_matches_default(self, normal_file):
-        _, default = run_cli(["test", normal_file, "--format", "json"])
-        _, loose = run_cli(["test", normal_file, "--rel-tol", "1e-8", "--format", "json"])
-        t0 = json.loads(default)["t_star"]
-        t1 = json.loads(loose)["t_star"]
-        assert t1 == pytest.approx(t0, rel=1e-6)
-
     def test_multi_field_line_exit_3(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"
         path.write_text("1.0,2.0\n3.0\n4.0\n")
@@ -185,6 +178,12 @@ class TestCritvals:
         assert code == 2
         assert text == ""
         assert "tcvm: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", [["--n", "3"], ["--n-range", "3..5"]])
+    def test_n3_exit_2_names_atom(self, sizes, capsys):
+        code, text = run_cli(["critvals", "--reps", "200"] + sizes)
+        assert (code, text) == (2, "")
+        assert "atom" in capsys.readouterr().err
 
 
 class TestPower:
@@ -287,6 +286,14 @@ class TestOtherCommands:
         assert code == 0
         record = json.loads(text)
         assert abs(record["z_score"]) < 6.0
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_verify_moments_non_finite_exit_2(self, x, capsys):
+        code, text = run_cli(
+            ["verify-moments", f"--x={x}", "--y", "0.5", "--n", "10", "--reps", "20000"]
+        )
+        assert (code, text) == (2, "")
+        assert "finite" in capsys.readouterr().err
 
 
 class TestSeedHandling:

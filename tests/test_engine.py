@@ -115,6 +115,21 @@ class TestCriticalValues:
         with pytest.raises(ValueError, match="reps >= 100"):
             estimate_null_critical_values([BaselineKind.TCVM], 10, 0.05, reps=10)
 
+    def test_n3_atom_rejected_before_drawing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew a block for n = 3")
+
+        monkeypatch.setattr(engine, "_draw_block", refuse)
+        with pytest.raises(ValueError, match="atom"):
+            estimate_critical_values(3, reps=200, seed=0)
+        with pytest.raises(ValueError, match="atom"):
+            simulate_table([3, 4], reps=200, seed=0)
+
+    def test_n4_levels_separate(self):
+        row = estimate_critical_values(4, reps=4000, seed=1)
+        vals = [row.critical_values[a] for a in (0.15, 0.1, 0.075, 0.05, 0.025, 0.01, 0.001)]
+        assert all(lo < hi for lo, hi in zip(vals, vals[1:]))
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one(self, workers):
         with pytest.raises(ValueError, match="workers >= 1"):
@@ -263,3 +278,16 @@ class TestMoments:
     def test_min_reps(self):
         with pytest.raises(ValueError):
             verify_fourth_moment(0.0, 0.0, 20, reps=100, seed=0)
+
+    @pytest.mark.parametrize(
+        "point", [(math.nan, 0.0), (0.3, math.inf), (-math.inf, 1.1)]
+    )
+    def test_non_finite_point_rejected_before_drawing(self, point, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew a block for a non-finite point")
+
+        monkeypatch.setattr(engine, "_draw_block", refuse)
+        with pytest.raises(ValueError, match="finite"):
+            verify_fourth_moments([(0.0, 0.0), point], 20, reps=10_000)
+        with pytest.raises(ValueError, match="finite"):
+            verify_fourth_moment(*point, 20, reps=10_000)

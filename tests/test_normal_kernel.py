@@ -5,7 +5,7 @@ import pytest
 
 from conftest import composite_simpson
 from tcvm import normal as nk
-from tcvm.quadrature import QuadratureConfig
+from tcvm.quadrature import QuadratureConfig, integrate
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -81,6 +81,14 @@ class TestQuantile:
         x = np.linspace(-8.0, 0.0, 1601)
         assert np.max(np.abs(nk.quantile(nk.cdf(x)) - x)) <= 1e-12
 
+    def test_upper_tail_probability_relative_error(self):
+        # for p >= 1/2 the tail 1 - p is exact, so the quantile must return
+        # it to working precision, not only p itself
+        q = np.concatenate([np.logspace(-15.0, -1.0, 2000), np.linspace(0.1, 0.5, 2001)])
+        p = 1.0 - q
+        tail = 1.0 - p
+        assert np.max(np.abs(nk.cdf(-nk.quantile(p)) / tail - 1.0)) <= 1e-12
+
 
 class TestEndpoint:
     def test_values_match_table(self):
@@ -101,6 +109,10 @@ class TestEndpoint:
             nk.endpoint(10.5)
         with pytest.raises(ValueError):
             nk.endpoint(10**7 + 1)
+
+    @pytest.mark.parametrize("n", [10, 50, 10**3, 10**4, 10**5, 10**6, 10**7])
+    def test_tail_probability_is_one_over_n(self, n):
+        assert abs(n * nk.cdf(-nk.endpoint(n).a_n) - 1.0) <= 1e-14
 
     def test_bounded_by_sqrt_two_log_n(self):
         for n in np.unique(np.logspace(math.log10(3), 6, 60).astype(int)):
@@ -178,6 +190,20 @@ class TestCnDn:
             a = nk.endpoint(n).a_n
             psi_a = nk.recip_pdf_antiderivative(a)
             assert nk.c_n(n) == pytest.approx(n * (psi_a - nk.d_n(n)), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "n,d_rel",
+        [(3, 1e-12), (10, 1e-12), (50, 1e-12), (10**3, 1e-12), (10**4, 1e-12),
+         (10**5, 1e-10), (10**6, 1e-10), (10**7, 1e-10)],
+    )
+    def test_closed_forms_match_tight_quadrature(self, n, d_rel):
+        # the adaptive integrator stays the independent oracle
+        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=20000)
+        a = nk.endpoint(n).a_n
+        c_ref = n * integrate(lambda x: nk.cdf(x) ** 2 * recip_pdf(x), -a, a, cfg)
+        d_ref = integrate(lambda x: nk.cdf(x) * nk.cdf(-x) * recip_pdf(x), -a, a, cfg)
+        assert nk.c_n(n) == pytest.approx(c_ref, rel=1e-13)
+        assert nk.d_n(n) == pytest.approx(d_ref, rel=d_rel)
 
     def test_d_n_degenerate(self):
         assert nk.d_n(2) == 0.0

@@ -265,6 +265,6 @@ class TestDecision:
     def test_tight_config_matches_default(self, rng):
         x = rng.standard_normal(15)
         tight = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=4000)
-        assert compute_tstar(x, tight).t_star == pytest.approx(
-            compute_tstar(x).t_star, abs=1e-9
+        assert compute_tstar(x).t_star == pytest.approx(
+            compute_tstar_direct(x, tight), abs=1e-9
         )
