@@ -16,7 +16,9 @@ block, of:
   standardized null block at n = 50, and ``q``: ``normal._q`` alone on
   |z| of that block, z = y/sqrt(2);
 * ``kernels_all``: ``batch_statistics`` with all five kinds on a
-  LoConN(0.5,4) block at n = 50, and ``kernel_<kind>``: each kind alone.
+  LoConN(0.5,4) block at n = 50, ``kernel_<kind>``: each kind alone, and
+  ``kernel_tcvm+cvm``: the pair that one call of the folded kernel
+  evaluates.
 
 Prints one JSON object with the timings, the block shape and the versions.
 """
@@ -86,6 +88,8 @@ def main() -> int:
     timings["kernels_all"] = best_ms(lambda: batch_statistics(block, kinds))
     for kind in kinds:
         timings[f"kernel_{kind.value}"] = best_ms(lambda: batch_statistics(block, [kind]))
+    pair = [BaselineKind.TCVM, BaselineKind.CVM]
+    timings["kernel_tcvm+cvm"] = best_ms(lambda: batch_statistics(block, pair))
     record = {
         "rows": ROWS,
         "repeat": REPEAT,

@@ -42,12 +42,9 @@ __all__ = [
     "UnknownFamilyError",
     "ArityError",
     "ParamDomainError",
-    "UnsupportedFamilyError",
     "parse_spec",
     "sample",
     "draw",
-    "quantile_fn",
-    "support_interval",
     "TABLE1_ALTERNATIVES",
 ]
 
@@ -66,10 +63,6 @@ class ArityError(SpecError):
 
 class ParamDomainError(SpecError):
     pass
-
-
-class UnsupportedFamilyError(SpecError):
-    """The family has no closed-form quantile."""
 
 
 @dataclass(frozen=True)
@@ -122,8 +115,6 @@ class _Family:
     validate: Callable[[Tuple[float, ...]], Optional[str]]
     raw: Tuple[_RawCall, ...]
     transform: Callable[[Sequence[np.ndarray], Tuple[float, ...]], np.ndarray]
-    quantile: Optional[Callable[[np.ndarray, Tuple[float, ...]], np.ndarray]] = None
-    support: Optional[Callable[[Tuple[float, ...]], Tuple[float, float]]] = None
 
 
 def _ok(_params: Tuple[float, ...]) -> Optional[str]:
@@ -236,8 +227,6 @@ _register(
         _ordered(0, 1),
         (_U,),
         _inverse_cdf(_truncn_quantile),
-        quantile=_truncn_quantile,
-        support=lambda p: (p[0], p[1]),
     )
 )
 _register(
@@ -247,9 +236,6 @@ _register(
         _positive(1, "Johnson delta"),
         (_Z,),
         lambda raw, p: 1.0 / (1.0 + np.exp(-(raw[0] - p[0]) / p[1])),
-        quantile=lambda u, p: 1.0
-        / (1.0 + np.exp(-(quantile(_open_unit(u)) - p[0]) / p[1])),
-        support=lambda p: (0.0, 1.0),
     )
 )
 _register(
@@ -259,7 +245,6 @@ _register(
         _positive(1, "Johnson delta"),
         (_Z,),
         lambda raw, p: np.sinh((raw[0] - p[0]) / p[1]),
-        quantile=lambda u, p: np.sinh((quantile(_open_unit(u)) - p[0]) / p[1]),
     )
 )
 _register(
@@ -269,8 +254,6 @@ _register(
         _positive(0, "half-width"),
         (_U,),
         _inverse_cdf(_triangle1_quantile),
-        quantile=_triangle1_quantile,
-        support=lambda p: (-p[0], p[0]),
     )
 )
 _register(
@@ -280,8 +263,6 @@ _register(
         _positive(0, "width"),
         (_U,),
         _inverse_cdf(_triangle2),
-        quantile=_triangle2,
-        support=lambda p: (0.0, p[0]),
     )
 )
 _register(
@@ -291,8 +272,6 @@ _register(
         _ordered(0, 1),
         (_U,),
         _inverse_cdf(_unif),
-        quantile=_unif,
-        support=lambda p: (p[0], p[1]),
     )
 )
 _register(
@@ -302,7 +281,6 @@ _register(
         _all(_positive(0, "alpha"), _positive(1, "beta")),
         (("beta", (0, 1)),),
         _as_drawn,
-        support=lambda p: (0.0, 1.0),
     )
 )
 _register(
@@ -321,7 +299,6 @@ _register(
         _positive(1, "scale"),
         (_U,),
         _inverse_cdf(_logistic),
-        quantile=_logistic,
     )
 )
 _register(
@@ -331,7 +308,6 @@ _register(
         _positive(1, "scale"),
         (_U,),
         _inverse_cdf(_laplace_quantile),
-        quantile=_laplace_quantile,
     )
 )
 _register(
@@ -340,11 +316,8 @@ _register(
         1,
         _positive(0, "shape"),
         (_U,),
-        # not the quantile below: draws in [0, 1) are used unclipped
+        # draws in [0, 1) are used unclipped: log1p(-u) is finite there
         lambda raw, p: (-np.log1p(-raw[0])) ** (1.0 / p[0]),
-        quantile=lambda u, p: (-np.log1p(-_open_unit(np.asarray(u, float))))
-        ** (1.0 / p[0]),
-        support=lambda p: (0.0, math.inf),
     )
 )
 _register(
@@ -354,9 +327,6 @@ _register(
         _positive(1, "scale"),
         (_Z,),
         lambda raw, p: p[0] + p[1] * np.abs(raw[0]),
-        quantile=lambda u, p: p[0]
-        + p[1] * quantile(0.5 * (1.0 + _open_unit(np.asarray(u, float)))),
-        support=lambda p: (p[0], math.inf),
     )
 )
 _register(
@@ -366,7 +336,6 @@ _register(
         _positive(0, "degrees of freedom"),
         (("chisquare", (0,)),),
         _as_drawn,
-        support=lambda p: (0.0, math.inf),
     )
 )
 _register(
@@ -376,8 +345,6 @@ _register(
         _positive(1, "log-scale sigma"),
         (_Z,),
         lambda raw, p: np.exp(p[0] + p[1] * raw[0]),
-        quantile=lambda u, p: np.exp(p[0] + p[1] * quantile(_open_unit(np.asarray(u, float)))),
-        support=lambda p: (0.0, math.inf),
     )
 )
 _register(
@@ -387,7 +354,6 @@ _register(
         _ok,
         (_U,),
         _inverse_cdf(_tukey),
-        quantile=_tukey,
     )
 )
 _register(
@@ -397,7 +363,6 @@ _register(
         _positive(1, "standard deviation"),
         (_Z,),
         lambda raw, p: p[0] + p[1] * raw[0],
-        quantile=lambda u, p: p[0] + p[1] * quantile(_open_unit(np.asarray(u, float))),
     )
 )
 
@@ -506,30 +471,6 @@ def sample(spec: AlternativeSpec, n: int, seed: int) -> np.ndarray:
     """n iid draws; bit-identical for identical (spec, n, seed)."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed & (2**64 - 1), 0], dtype=np.uint64)))
     return draw(spec, n, rng)
-
-
-def quantile_fn(spec: AlternativeSpec, u) -> np.ndarray:
-    """Closed-form quantile where the family has one.
-
-    Beta, ChiSq, StudentT and the normal mixtures have no tractable inverse
-    CDF and raise UnsupportedFamilyError.
-    """
-    fam = _family(spec)
-    if fam.quantile is None:
-        raise UnsupportedFamilyError(
-            f"{fam.name} has no closed-form quantile; use sample() instead"
-        )
-    arr = np.asarray(u, dtype=float)
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
-        raise ValueError("quantile_fn requires probabilities inside (0, 1)")
-    out = fam.quantile(arr, spec.params)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def support_interval(spec: AlternativeSpec) -> Optional[Tuple[float, float]]:
-    """Closed support bounds for bounded/one-sided families, else None."""
-    fam = _family(spec)
-    return fam.support(spec.params) if fam.support else None
 
 
 # The 35 alternatives of the published n = 50 power comparison, in table

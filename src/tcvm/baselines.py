@@ -5,8 +5,7 @@ Five test kinds enter the comparison harness:
 * ``TCVM`` - the truncated weighted statistic (upper-tail rejection);
 * ``CVM``  - the same weighted functional integrated over the whole real
   line (upper tail).  This is what the published power column labelled CVM
-  measures; the classical quadratic EDF statistic with estimated parameters
-  is also provided as :func:`cramer_von_mises` for completeness;
+  measures, not the classical quadratic EDF statistic;
 * ``BCMR`` - the L2-Wasserstein distance-to-normality ratio (upper tail);
 * ``AD``   - Anderson-Darling with estimated parameters (upper tail);
 * ``SW``   - the normal-scores correlation statistic with plain m/||m||
@@ -32,10 +31,9 @@ from .normal import cdf, pdf, quantile
 from .statistic import (
     DegenerateSampleError,
     _sample_matrix,
+    _scaled,
     _standardize_sorted,
-    _tstar_and_untruncated_from_sorted_std,
-    _tstar_from_sorted_std,
-    _untruncated_from_sorted_std,
+    _weighted_cvm,
     as_sample,
     standardize,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "BaselineKind",
     "REJECTION_TAIL",
     "anderson_darling",
-    "cramer_von_mises",
     "shapiro_wilk",
     "shapiro_francia",
     "bcmr",
@@ -69,6 +66,9 @@ class BaselineKind(enum.Enum):
             valid = ", ".join(k.value for k in cls)
             raise ValueError(f"unknown test kind {name!r}; choose from {valid}") from None
 
+
+# the kinds of the folded kernel: does the integral stop at +-a_n?
+_TRUNCATED: Dict[BaselineKind, bool] = {BaselineKind.TCVM: True, BaselineKind.CVM: False}
 
 # which tail of the null distribution rejects
 REJECTION_TAIL: Dict[BaselineKind, str] = {
@@ -103,19 +103,6 @@ def anderson_darling(values: Sequence[float]) -> float:
     return float(-n - s / n)
 
 
-def cramer_von_mises(values: Sequence[float]) -> float:
-    """Classical quadratic EDF statistic W^2 with estimated parameters.
-
-    Not the "CVM" column of the power comparison (see the module docstring);
-    kept as the textbook order-statistic form 1/(12n) + sum (u_i - (2i-1)/2n)^2.
-    """
-    std = standardize(as_sample(values))
-    u = _clamped_uniforms(np.sort(std.y))
-    n = std.n
-    i = np.arange(1, n + 1)
-    return float(1.0 / (12.0 * n) + np.sum((u - (2 * i - 1) / (2.0 * n)) ** 2))
-
-
 @lru_cache(maxsize=None)
 def _sf_weights(n: int) -> np.ndarray:
     """Normal scores m_i = quantile((i - 3/8)/(n + 1/4)), scaled to unit length."""
@@ -135,11 +122,14 @@ def _bcmr_weights(n: int) -> np.ndarray:
 
 
 def _sorted_row(values: Sequence[float]) -> np.ndarray:
-    """A validated, non-constant sample as one ascending row, shape (1, n)."""
+    """A validated, non-constant sample as one ascending row, shape (1, n).
+
+    Scaled by a power of two, so that its squares cannot overflow.
+    """
     xs = np.sort(as_sample(values))
     if xs[0] == xs[-1]:
         raise DegenerateSampleError("sample is constant")
-    return xs[np.newaxis, :]
+    return _scaled(xs)[0][np.newaxis, :]
 
 
 def shapiro_wilk(values: Sequence[float]) -> float:
@@ -201,32 +191,22 @@ def batch_statistics(
     """Evaluate several test statistics on a (replications, n) matrix.
 
     Sorting and standardization are shared across kinds, which is also what
-    makes common-random-number power comparisons cheap.  TCVM and CVM
-    requested together share one evaluation of psi and H.
+    makes common-random-number power comparisons cheap.  TCVM and CVM come
+    from one call of the folded kernel, which evaluates psi and H once.
     """
     kinds = list(kinds)
     x_sorted = np.sort(_sample_matrix(samples), axis=1)
-    out: Dict[BaselineKind, np.ndarray] = {}
     need_std = {BaselineKind.TCVM, BaselineKind.CVM, BaselineKind.AD} & set(kinds)
     y_sorted = _standardize_sorted(x_sorted) if need_std else None
-    shared: Dict[BaselineKind, np.ndarray] = {}
-    if {BaselineKind.TCVM, BaselineKind.CVM} <= need_std:
-        shared[BaselineKind.TCVM], shared[BaselineKind.CVM] = (
-            _tstar_and_untruncated_from_sorted_std(y_sorted)
-        )
+    folded = [k for k in kinds if k in _TRUNCATED]
+    out: Dict[BaselineKind, np.ndarray] = {}
+    if folded:
+        out.update(zip(folded, _weighted_cvm(y_sorted, [_TRUNCATED[k] for k in folded])))
     for kind in kinds:
-        if kind in shared:
-            out[kind] = shared[kind]
-        elif kind is BaselineKind.TCVM:
-            out[kind] = _tstar_from_sorted_std(y_sorted)
-        elif kind is BaselineKind.CVM:
-            out[kind] = _untruncated_from_sorted_std(y_sorted)
-        elif kind is BaselineKind.AD:
+        if kind is BaselineKind.AD:
             out[kind] = _batch_ad(y_sorted)
         elif kind is BaselineKind.SW:
             out[kind] = _batch_sw_like(x_sorted)
         elif kind is BaselineKind.BCMR:
             out[kind] = _batch_bcmr(x_sorted)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unhandled kind {kind}")
     return out

@@ -93,6 +93,15 @@ def _check_run(n: int, reps: int, workers: int, min_reps: int) -> None:
         raise ValueError(f"need workers >= 1, got {workers}")
 
 
+def _check_atom(n: int, kinds: Sequence[BaselineKind]) -> None:
+    # at n = 3 all samples with |y_(2)| >= a_3 give the same TCVM value
+    if n < 4 and BaselineKind.TCVM in kinds:
+        raise ValueError(
+            f"TCVM needs n >= 4, got {n}: at n = 3 the statistic's null law has "
+            "an atom at its maximum (~41% of samples)"
+        )
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
@@ -166,11 +175,7 @@ def estimate_critical_values(
     deterministic a_n and C_n columns.
     """
     _check_run(n, reps, workers, min_reps=100)
-    if n < 4:  # at n = 3 all samples with |y_(2)| >= a_3 give the same value
-        raise ValueError(
-            f"critical values need n >= 4, got {n}: at n = 3 the statistic's null "
-            "law has an atom at its maximum (~41% of samples)"
-        )
+    _check_atom(n, [BaselineKind.TCVM])
     for a in alphas:
         _check_alpha(a)
     stats = _null_statistics([BaselineKind.TCVM], NULL_SPEC, n, reps, seed, workers)
@@ -209,9 +214,11 @@ def estimate_null_critical_values(
     workers: int = 1,
 ) -> Dict[BaselineKind, float]:
     """Simulated critical value for every test kind, from shared null draws."""
+    kinds = list(kinds)
     _check_run(n, reps, workers, min_reps=100)
+    _check_atom(n, kinds)
     _check_alpha(alpha)
-    stats = _null_statistics(list(kinds), NULL_SPEC, n, reps, seed, workers)
+    stats = _null_statistics(kinds, NULL_SPEC, n, reps, seed, workers)
     return {
         kind: _critical_from_sorted(np.sort(values), alpha, REJECTION_TAIL[kind])
         for kind, values in stats.items()
@@ -248,9 +255,10 @@ def estimate_power(
     so the per-kind rates are positively coupled exactly as in a paired
     comparison.
     """
-    _check_run(n, reps, workers, min_reps=1)
-    _check_alpha(alpha)
     kinds = list(kinds)
+    _check_run(n, reps, workers, min_reps=1)
+    _check_atom(n, kinds)
+    _check_alpha(alpha)
     missing = [k for k in kinds if k not in critical_values]
     if missing:
         raise ValueError(f"missing critical values for {missing}")

@@ -9,7 +9,12 @@ Phi(x)^2/phi(x).  Two routes are provided:
   the scalar statistic's interval weights and the test oracles;
 * closed-form antiderivatives built from erfi/erf plus two well-conditioned
   auxiliary integrals (``recip_pdf_antiderivative`` and friends): ``c_n``,
-  ``d_n`` and the vectorised Monte Carlo path.  Their derivations:
+  ``d_n`` and the folded kernel of the vectorised Monte Carlo path.  That
+  kernel reflects the positive half-line onto the negative one, so it
+  evaluates psi and H (the antiderivatives of 1/phi and Phi/phi, both 0 at
+  0) at non-positive points only, and G (that of Phi^2/phi) only at -a_n;
+  over the whole line, -G(-inf) = ln(2)/2 (``LN2_OVER_2``).  The
+  derivations:
 
       d/dx [ pi*erfi(x/sqrt(2)) ]                        = 1/phi(x)
       d/dx [ (pi/2)*erfi(z)(1+erf(z)) - sqrt(pi)*Q(|z|) ] = Phi(x)/phi(x)
@@ -51,7 +56,6 @@ __all__ = [
     "cdf_over_pdf_antiderivative",
     "recip_and_cdf_over_pdf_antiderivatives",
     "cdf_sq_over_pdf_antiderivative",
-    "upper_tail_sq_integral",
     "interval_weights",
 ]
 
@@ -323,13 +327,6 @@ def d_n(n: int) -> float:
     a = endpoint(n).a_n
     h = cdf_over_pdf_antiderivative(np.array([-a, a]))
     return float(h[1] - h[0]) - c_n(n) / n
-
-
-def upper_tail_sq_integral(x):
-    """int_x^{+inf} (1 - Phi(t))^2 / phi(t) dt (finite for every real x)."""
-    x = np.asarray(x, dtype=float)
-    out = cdf_sq_over_pdf_antiderivative(-x) + LN2_OVER_2
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def interval_weights(grid: np.ndarray):

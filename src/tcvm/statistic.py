@@ -17,15 +17,18 @@ Three evaluation routes are provided and tested against each other:
 * ``compute_tstar_batch``  - vectorised closed-form route for Monte Carlo
                              work (one row per sample).
 
-``compute_untruncated`` evaluates the same functional over the whole real
-line; that variant is the "CVM" column of the power study.
+The same functional over the whole real line, ``compute_untruncated``, is
+the "CVM" column of the power study: it differs only in the endpoint,
+infinity instead of a_n.  Both batch routes run one folded kernel, which
+splits the integral at 0 and reflects the right half onto the left, so
+that every observation contributes a bounded closed-form term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +36,6 @@ from .normal import (
     LN2_OVER_2,
     c_n,
     cdf,
-    cdf_over_pdf_antiderivative,
     cdf_sq_over_pdf_antiderivative,
     d_n,
     endpoint,
@@ -41,7 +43,6 @@ from .normal import (
     int_recip_pdf,
     pdf,
     recip_and_cdf_over_pdf_antiderivatives,
-    recip_pdf_antiderivative,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 from .table import CriticalValueTable, embedded_table
@@ -93,13 +94,25 @@ class StandardizedSample:
     n: int
 
 
+def _scaled(x: np.ndarray) -> Tuple[np.ndarray, int]:
+    """(x * 2**-e, e) with max|x| < 2**e <= 2 * max|x|.
+
+    The scaling is exact, so squares and sums of the result cannot overflow
+    and carry the same bits as those of x wherever those do not overflow.
+    """
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    return np.ldexp(x, -e), e
+
+
 def standardize(values: Sequence[float]) -> StandardizedSample:
-    x = as_sample(values)
+    x, e = _scaled(as_sample(values))
     mean = float(x.mean())
     s = float(x.std())  # divisor n
-    if s == 0.0 or not math.isfinite(s):
+    if s == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
-    return StandardizedSample(y=(x - mean) / s, mean=mean, s_n=s, n=x.size)
+    return StandardizedSample(
+        y=(x - mean) / s, mean=math.ldexp(mean, e), s_n=math.ldexp(s, e), n=x.size
+    )
 
 
 @dataclass(frozen=True)
@@ -227,24 +240,56 @@ def _batch_standardize(samples: np.ndarray) -> np.ndarray:
     return _standardize_sorted(np.sort(_sample_matrix(samples), axis=1))
 
 
-def _tstar_from_psi_h(psi: np.ndarray, h: np.ndarray, a: float) -> np.ndarray:
-    """Statistic from psi and H of the ascending rows clipped to [-a_n, a_n]."""
-    n = psi.shape[1]
-    odd = 2.0 * np.arange(1, n + 1) - 1.0
-    sum_a = n * n * recip_pdf_antiderivative(a) - psi @ odd
-    sum_b = n * cdf_over_pdf_antiderivative(a) - h.sum(axis=1)
-    return sum_a / n - 2.0 * sum_b + c_n(n)
+def _check_whole_line_range(y: np.ndarray) -> None:
+    zmax = float(np.max(np.abs(y))) / math.sqrt(2.0)
+    if zmax > _MAX_ABS_Z:
+        raise ValueError(
+            f"standardized observation too extreme (|y|max = {zmax * math.sqrt(2):.1f}); "
+            "the whole-line statistic would overflow double precision"
+        )
 
 
-def _tstar_from_sorted_std(y: np.ndarray) -> np.ndarray:
-    """Statistic kernel; rows must be standardized and ascending.
+def _weighted_cvm(y: np.ndarray, truncated: Sequence[bool]) -> List[np.ndarray]:
+    """The folded kernel: one statistic per flag, from one psi/H evaluation.
 
-    Clips before evaluating psi and H, so it works for any n: unclipped
-    values reach sqrt(n - 1), where erfi overflows and Q is not fitted.
+    Rows must be standardized and ascending.  A true flag integrates over
+    (-a_n, a_n) (TCVM), a false one over the whole line (CVM).  Folding at 0
+    reflects the right half onto the left: y_i goes to -|y_i|, and its
+    count there is its rank j_i among the points of its sign, counted from
+    the outside in (j_i = i for y_i < 0, n + 1 - i otherwise).  With
+    v_i = max(-|y_i|, -a) and psi, H, G anchored at 0,
+
+        T = -(1/n) sum (2 j_i - 1) psi(v_i) + 2 sum H(v_i) - 2n G(-a),
+
+    with G(-inf) = -ln(2)/2.  Each point contributes O(1), so the error
+    grows like eps * n rather than with the O(n^2) terms of the unfolded
+    sums.  When every flag truncates, psi and H are evaluated at
+    max(-|y|, -a_n), which keeps erfi and Q in range for any n; otherwise
+    at -|y|, with psi(-a_n), H(-a_n) put in below -a_n for the truncated
+    results, which is the same function.
     """
-    a = endpoint(y.shape[1]).a_n
-    psi, h = recip_and_cdf_over_pdf_antiderivatives(np.clip(y, -a, a))
-    return _tstar_from_psi_h(psi, h, a)
+    n = y.shape[1]
+    a = endpoint(n).a_n
+    v = np.abs(y)
+    clipped = all(truncated)
+    if clipped:
+        np.minimum(v, a, out=v)
+    else:
+        _check_whole_line_range(y)
+    np.negative(v, out=v)
+    psi, h = recip_and_cdf_over_pdf_antiderivatives(v)
+    i = np.arange(1, n + 1, dtype=float)
+    odd = np.where(y < 0.0, 2.0 * i - 1.0, 2.0 * (n - i) + 1.0)
+    out = []
+    for trunc in truncated:
+        p, q = psi, h
+        if trunc and not clipped:
+            psi_a, h_a = recip_and_cdf_over_pdf_antiderivatives(-a)
+            beyond = v < -a
+            p, q = np.where(beyond, psi_a, psi), np.where(beyond, h_a, h)
+        g = cdf_sq_over_pdf_antiderivative(-a) if trunc else -LN2_OVER_2
+        out.append(2.0 * q.sum(axis=1) - np.einsum("ij,ij->i", odd, p) / n - 2.0 * n * g)
+    return out
 
 
 def compute_tstar_batch(samples: np.ndarray) -> np.ndarray:
@@ -255,67 +300,16 @@ def compute_tstar_batch(samples: np.ndarray) -> np.ndarray:
     step because the zero-width end intervals contribute nothing while the
     interior weights still count the collapsed points.
     """
-    return _tstar_from_sorted_std(_batch_standardize(samples))
-
-
-def _check_whole_line_range(y: np.ndarray) -> None:
-    zmax = float(np.max(np.abs(y))) / math.sqrt(2.0)
-    if zmax > _MAX_ABS_Z:
-        raise ValueError(
-            f"standardized observation too extreme (|y|max = {zmax * math.sqrt(2):.1f}); "
-            "the whole-line statistic would overflow double precision"
-        )
-
-
-def _untruncated_from_psi_h(y: np.ndarray, psi: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Whole-line statistic from psi and H of the unclipped ascending rows."""
-    n = y.shape[1]
-    odd = 2.0 * np.arange(1, n) - 1.0
-    sum_a = (n - 1) ** 2 * psi[:, -1] - psi[:, :-1] @ odd
-    sum_b = (n - 1) * h[:, -1] - h[:, :-1].sum(axis=1)
-    # Phi^2 pieces: interior n*(G(y_n) - G(y_1)) plus the finite tails
-    # n*(G(y_1) + ln2/2) and n*(G(-y_n) + ln2/2) collapse to
-    # n*(G(y_n) + G(-y_n) + ln 2)
-    total_sq = n * (
-        cdf_sq_over_pdf_antiderivative(y[:, -1])
-        + cdf_sq_over_pdf_antiderivative(-y[:, -1])
-        + 2.0 * LN2_OVER_2
-    )
-    return sum_a / n - 2.0 * sum_b + total_sq
-
-
-def _untruncated_from_sorted_std(y: np.ndarray) -> np.ndarray:
-    """Whole-line kernel; rows must be standardized and ascending."""
-    _check_whole_line_range(y)
-    return _untruncated_from_psi_h(y, *recip_and_cdf_over_pdf_antiderivatives(y))
-
-
-def _tstar_and_untruncated_from_sorted_std(
-    y: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Both kernels from one evaluation of psi and H on the unclipped rows.
-
-    Entries at or beyond +-a_n take psi(+-a_n) and H(+-a_n), which is what
-    clipping first gives, so each result equals its own kernel bit for bit.
-    """
-    _check_whole_line_range(y)
-    a = endpoint(y.shape[1]).a_n
-    psi, h = recip_and_cdf_over_pdf_antiderivatives(y)
-    psi_end, h_end = recip_and_cdf_over_pdf_antiderivatives(np.array([-a, a]))
-    below, above = y <= -a, y >= a
-    psi_clip = np.where(below, psi_end[0], np.where(above, psi_end[1], psi))
-    h_clip = np.where(below, h_end[0], np.where(above, h_end[1], h))
-    return _tstar_from_psi_h(psi_clip, h_clip, a), _untruncated_from_psi_h(y, psi, h)
+    return _weighted_cvm(_batch_standardize(samples), [True])[0]
 
 
 def compute_untruncated_batch(samples: np.ndarray) -> np.ndarray:
     """Vectorised whole-line variant of the statistic.
 
-    Integrates (N(x) - n*Phi(x))^2/(n*phi(x)) over all of R: interior
-    intervals use the closed-form antiderivatives, the two unbounded end
-    pieces reduce to n * int Phi^2/phi tail integrals (each finite).
+    Integrates (N(x) - n*Phi(x))^2/(n*phi(x)) over all of R; folded, the
+    two unbounded end pieces leave the constant n*ln(2).
     """
-    return _untruncated_from_sorted_std(_batch_standardize(samples))
+    return _weighted_cvm(_batch_standardize(samples), [False])[0]
 
 
 def compute_untruncated(values: Sequence[float]) -> float:

@@ -236,6 +236,16 @@ class TestPower:
         assert message in capsys.readouterr().err
 
 
+    def test_n3_exit_2_with_tcvm(self, capsys):
+        argv = ["power", "--alt", "Normal(0,1)", "--n", "3", "--reps", "200",
+                "--cv-reps", "200"]
+        code, text = run_cli(argv + ["--tests", "tcvm,ad"])
+        assert (code, text) == (2, "")
+        assert "atom" in capsys.readouterr().err
+        code, text = run_cli(argv + ["--tests", "ad"])
+        assert code == 0
+        assert text.splitlines()[0] == "alternative,ad"
+
     def test_oversized_n_exit_2(self, monkeypatch, capsys):
         from tcvm import engine
 

@@ -124,6 +124,11 @@ class TestCriticalValues:
             estimate_critical_values(3, reps=200, seed=0)
         with pytest.raises(ValueError, match="atom"):
             simulate_table([3, 4], reps=200, seed=0)
+        kinds = [BaselineKind.AD, BaselineKind.TCVM]
+        with pytest.raises(ValueError, match="atom"):
+            estimate_null_critical_values(kinds, 3, 0.05, reps=200)
+        with pytest.raises(ValueError, match="atom"):
+            estimate_power(kinds, NULL_SPEC, 3, 0.05, 200, 0, {k: 1.0 for k in kinds})
 
     def test_n4_levels_separate(self):
         row = estimate_critical_values(4, reps=4000, seed=1)

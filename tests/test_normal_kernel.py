@@ -241,24 +241,28 @@ class TestAntiderivatives:
         )
         assert nk.cdf_sq_over_pdf_antiderivative(x) == pytest.approx(oracle, rel=1e-9)
 
-    def test_upper_tail_sq_at_zero(self):
-        # int_0^inf (1-Phi)^2/pdf = ln(2)/2
-        assert nk.upper_tail_sq_integral(0.0) == pytest.approx(
-            0.5 * math.log(2.0), rel=1e-14
-        )
-
-    def test_upper_tail_sq_matches_quadrature(self):
+    @staticmethod
+    def _upper_tail_sq(x: float) -> float:
+        """int_x^inf (1-Phi)^2/phi by Simpson, stable in the far tail."""
         from scipy import special
 
+        return composite_simpson(
+            lambda t: nk.pdf(t) * (0.5 * SQRT_2PI * special.erfcx(t / math.sqrt(2.0))) ** 2,
+            x,
+            40.0,
+            panels=2**19,
+        )
+
+    def test_upper_tail_sq_at_zero(self):
+        # int_0^inf (1-Phi)^2/phi = int_{-inf}^0 Phi^2/phi: the whole-line
+        # constant of the folded kernel
+        assert nk.LN2_OVER_2 == pytest.approx(self._upper_tail_sq(0.0), rel=1e-9)
+
+    def test_upper_tail_sq_matches_quadrature(self):
+        # reflected, the tail is int_{-inf}^{-x} Phi^2/phi = G(-x) + ln(2)/2
         for x in (-2.0, 0.5, 3.0):
-            ref = composite_simpson(
-                lambda t: nk.pdf(t)
-                * (0.5 * SQRT_2PI * special.erfcx(t / math.sqrt(2.0))) ** 2,
-                x,
-                40.0,
-                panels=2**19,
-            )
-            assert nk.upper_tail_sq_integral(x) == pytest.approx(ref, rel=1e-9)
+            tail = nk.cdf_sq_over_pdf_antiderivative(-x) + nk.LN2_OVER_2
+            assert tail == pytest.approx(self._upper_tail_sq(x), rel=1e-9)
 
     def test_interval_weights_match_scalar_ops(self, rng):
         grid = np.sort(rng.uniform(-2.0, 2.0, size=12))

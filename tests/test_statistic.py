@@ -161,6 +161,14 @@ class TestBatch:
                 compute_tstar(x).t_star, rel=1e-8, abs=1e-8
             ), (trial, n)
 
+    def test_matches_direct_at_large_n(self, rng):
+        # each point adds a bounded term, so the error grows like eps * n
+        # rather than with C_n ~ n^2
+        x = rng.standard_normal(200_000)
+        assert compute_tstar_batch(x[np.newaxis, :])[0] == pytest.approx(
+            compute_tstar_direct(x), rel=1e-9
+        )
+
     def test_large_n_smoke(self, rng):
         # the truncation endpoint grows like sqrt(2 ln n); exp(a^2/2) must
         # stay representable and the statistic finite up to very large n
@@ -203,6 +211,13 @@ class TestUntruncated:
             x = maker()
             assert compute_untruncated(x) == pytest.approx(
                 _untruncated_direct(x), rel=1e-9
+            )
+
+    def test_matches_direct_quadrature_at_n2000(self, rng):
+        for _ in range(3):
+            x = rng.standard_t(6, 2000)
+            assert compute_untruncated(x) == pytest.approx(
+                _untruncated_direct(x), rel=1e-12
             )
 
     def test_affine_invariance(self, rng):
