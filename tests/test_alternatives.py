@@ -197,9 +197,12 @@ class TestMoments:
 
 
 def quantile_fn(text: str, u) -> np.ndarray:
-    """The quantile a family's sampler applies: its transform of one uniform
-    draw, or of the normal quantile of u for a family drawn from one
-    standard normal through a monotone transform."""
+    """Quantile of a family at u, as its sampler applies it.
+
+    That is the transform of one uniform draw u, or, for a family drawn
+    from one standard normal through a monotone transform, the transform of
+    the normal quantile of u.
+    """
     spec = parse_spec(text)
     fam = _FAMILIES[spec.family.lower()]
     u = np.asarray(u, dtype=float)
@@ -244,7 +247,9 @@ def test_quantile_based_sampling_matches_quantile_fn():
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     u = rng.random(50)
     expected = np.log(u / (1.0 - u))  # standard logistic quantile
-    np.testing.assert_allclose(sample(parse_spec("Logistic(0,1)"), 50, seed), expected, rtol=1e-12)
+    drawn = sample(parse_spec("Logistic(0,1)"), 50, seed)
+    np.testing.assert_allclose(drawn, expected, rtol=1e-12)
+    np.testing.assert_allclose(quantile_fn("Logistic(0,1)", u), expected, rtol=1e-12)
 
 
 def test_table1_catalogue_parses():
