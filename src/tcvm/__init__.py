@@ -54,7 +54,6 @@ from .normal import (
     quantile,
 )
 from .process import MomentPoint, b_hat_n, b_n, cov_b2, ebb2, fourth_moment_exact
-from .quadrature import ConvergenceError, QuadratureConfig, QuadratureError
 from .statistic import (
     DegenerateSampleError,
     StandardizedSample,
@@ -86,7 +85,6 @@ __all__ = [
     "ArityError",
     "BaselineKind",
     "ConstantCEstimate",
-    "ConvergenceError",
     "CriticalValueRow",
     "CriticalValueTable",
     "DegenerateSampleError",
@@ -95,8 +93,6 @@ __all__ = [
     "MomentPoint",
     "ParamDomainError",
     "PowerReport",
-    "QuadratureConfig",
-    "QuadratureError",
     "REJECTION_TAIL",
     "SpecError",
     "StandardizedSample",

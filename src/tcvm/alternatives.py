@@ -187,7 +187,9 @@ def _logistic(u, p):
 
 
 def _laplace_quantile(u, p):
-    u = _open_unit(np.asarray(u, float)) - 0.5
+    # 2^-53 is the smallest nonzero draw; a smaller floor would round
+    # u - 0.5 to -0.5 and give log1p(-1) = -inf at u = 0
+    u = np.clip(np.asarray(u, float), 2.0**-53, 1.0 - 2.0**-53) - 0.5
     return p[0] - p[1] * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 

@@ -3,33 +3,34 @@ endpoint, and the weight integrals against 1/phi.
 
 The quantile and a_n come from ``scipy.special.ndtri``.  Everything
 downstream integrates combinations of 1/phi(x), Phi(x)/phi(x) and
-Phi(x)^2/phi(x).  Two routes are provided:
+Phi(x)^2/phi(x), in closed form: antiderivatives built from erfi/erf plus
+two well-conditioned auxiliary integrals (``recip_pdf_antiderivative`` and
+friends) give ``c_n``, ``d_n`` and the folded kernel of the vectorised
+Monte Carlo path.  Only the stepwise weights of the scalar statistic
+(``int_recip_pdf``, ``int_cdf_over_pdf``) still come from quadrature: a
+private fixed-tolerance Gauss-Kronrod integrator, ``_integrate``.
 
-* adaptive Gauss-Kronrod quadrature (``int_recip_pdf``, ``int_cdf_over_pdf``):
-  the scalar statistic's interval weights and the test oracles;
-* closed-form antiderivatives built from erfi/erf plus two well-conditioned
-  auxiliary integrals (``recip_pdf_antiderivative`` and friends): ``c_n``,
-  ``d_n`` and the folded kernel of the vectorised Monte Carlo path.  That
-  kernel reflects the positive half-line onto the negative one, so it
-  evaluates psi and H (the antiderivatives of 1/phi and Phi/phi, both 0 at
-  0) at non-positive points only, and G (that of Phi^2/phi) only at -a_n;
-  over the whole line, -G(-inf) = ln(2)/2 (``LN2_OVER_2``).  The
-  derivations:
+The folded kernel reflects the positive half-line onto the negative one, so
+it evaluates psi and H (the antiderivatives of 1/phi and Phi/phi, both 0 at
+0) at non-positive points only, and G (that of Phi^2/phi) only at -a_n;
+over the whole line, -G(-inf) = ln(2)/2 (``LN2_OVER_2``).  The
+derivations:
 
-      d/dx [ pi*erfi(x/sqrt(2)) ]                        = 1/phi(x)
-      d/dx [ (pi/2)*erfi(z)(1+erf(z)) - sqrt(pi)*Q(|z|) ] = Phi(x)/phi(x)
-      d/dx [ (pi/4)*erfi(z)(1+erf(z))^2
-             - sqrt(pi)*(Q(|z|) + sgn(z)*Q2(|z|)) ]      = Phi(x)^2/phi(x)
+    d/dx [ pi*erfi(x/sqrt(2)) ]                        = 1/phi(x)
+    d/dx [ (pi/2)*erfi(z)(1+erf(z)) - sqrt(pi)*Q(|z|) ] = Phi(x)/phi(x)
+    d/dx [ (pi/4)*erfi(z)(1+erf(z))^2
+           - sqrt(pi)*(Q(|z|) + sgn(z)*Q2(|z|)) ]      = Phi(x)^2/phi(x)
 
-  with z = x/sqrt(2), Q(u) = int_0^u exp(-t^2) erfi(t) dt and
-  Q2(u) = int_0^u erf(t) erfi(t) exp(-t^2) dt.  Q and Q2 grow only
-  logarithmically, so Chebyshev fits give them uniform absolute accuracy and
-  the huge exp(x^2/2) factors live entirely in erfi, which scipy evaluates
-  with full relative precision.
+with z = x/sqrt(2), Q(u) = int_0^u exp(-t^2) erfi(t) dt and
+Q2(u) = int_0^u erf(t) erfi(t) exp(-t^2) dt.  Q and Q2 grow only
+logarithmically, so Chebyshev fits give them uniform absolute accuracy and
+the huge exp(x^2/2) factors live entirely in erfi, which scipy evaluates
+with full relative precision.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,8 +38,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy import special as _sp
-
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
 __all__ = [
     "SQRT_2PI",
@@ -115,16 +114,132 @@ def endpoint(n: int) -> Endpoint:
     return Endpoint(n=n, a_n=0.0 if n == 2 else -quantile(1.0 / n))
 
 
-def int_recip_pdf(lo: float, hi: float, config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+# ---------------------------------------------------------------------------
+# Adaptive quadrature for the stepwise weights.
+# ---------------------------------------------------------------------------
+
+# Stop once the summed error estimate is within max(abs, rel * |integral|);
+# give up after this many bisections.
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-12
+_MAX_BISECTIONS = 2000
+
+# 7-15 Gauss-Kronrod pair on [-1, 1].  Positive abscissae; even indices are
+# the Kronrod-only points, odd indices the embedded 7-point Gauss nodes.
+_XGK = np.array(
+    [
+        0.991455371120813,
+        0.949107912342759,
+        0.864864423359769,
+        0.741531185599394,
+        0.586087235467691,
+        0.405845151377397,
+        0.207784955007898,
+        0.000000000000000,
+    ]
+)
+_WGK = np.array(
+    [
+        0.022935322010529,
+        0.063092092629979,
+        0.104790010322250,
+        0.140653259715525,
+        0.169004726639267,
+        0.190350578064785,
+        0.204432940075298,
+        0.209482141084728,
+    ]
+)
+_WG = np.array(
+    [
+        0.129484966168870,
+        0.279705391489277,
+        0.381830050505119,
+        0.417959183673469,
+    ]
+)
+
+_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))  # 15 ascending abscissae
+
+
+def _gk15(f, lo: float, hi: float):
+    """One Gauss-Kronrod panel; returns (value, error_estimate)."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    fx = f(mid + half * _NODES)
+    if not np.all(np.isfinite(fx)):
+        raise ArithmeticError(f"integrand returned a non-finite value on [{lo!r}, {hi!r}]")
+    # fold symmetric nodes back onto the positive-abscissa table:
+    # pairs[i] = f(-xgk[i]) + f(+xgk[i]) with xgk descending as in _XGK
+    pairs = fx[:7] + fx[14:7:-1]
+    resk = half * (np.dot(pairs, _WGK[:7]) + fx[7] * _WGK[7])
+    resg = half * (np.dot(pairs[1::2], _WG[:3]) + fx[7] * _WG[3])
+    # |K15 - G7| overestimates the K15 error for smooth integrands, which
+    # just costs a few extra bisections
+    return resk, abs(resk - resg)
+
+
+def _integrate(f, lo: float, hi: float) -> float:
+    """Integrate the array function ``f`` over the finite interval [lo, hi].
+
+    Splits at 0 first when the interval straddles it, so the subdivision
+    tracks integrands like exp(x^2/2) that grow towards both ends, then
+    bisects the piece with the largest error estimate until the tolerance
+    holds.  Raises ValueError for invalid bounds and ArithmeticError for a
+    non-finite integrand value or an exhausted bisection budget.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"integration bounds must be finite, got [{lo}, {hi}]")
+    if lo > hi:
+        raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
+    if lo == hi:
+        return 0.0
+
+    heap = []  # (-error, tie-breaker, a, b, value)
+    total_val = 0.0
+    total_err = 0.0
+    for a, b in [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]:
+        val, err = _gk15(f, a, b)
+        total_val += val
+        total_err += err
+        heapq.heappush(heap, (-err, len(heap), a, b, val))
+    counter = len(heap)
+
+    splits = 0
+    while total_err > max(_ABS_TOL, _REL_TOL * abs(total_val)):
+        if splits >= _MAX_BISECTIONS:
+            raise ArithmeticError(
+                f"quadrature did not reach tolerance after {_MAX_BISECTIONS} "
+                f"bisections (estimate={total_val!r}, error~{total_err:.3e})"
+            )
+        neg_err, _, a, b, val = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            # interval at floating-point resolution; accept its estimate
+            total_err += neg_err  # remove this interval's error from the sum
+            if not heap:
+                break
+            continue
+        lval, lerr = _gk15(f, a, mid)
+        rval, rerr = _gk15(f, mid, b)
+        total_val += lval + rval - val
+        total_err += lerr + rerr + neg_err  # neg_err subtracts the old error
+        heapq.heappush(heap, (-lerr, counter, a, mid, lval))
+        heapq.heappush(heap, (-rerr, counter + 1, mid, b, rval))
+        counter += 2
+        splits += 1
+
+    return float(total_val)
+
+
+def int_recip_pdf(lo: float, hi: float) -> float:
     """A-integral: int_lo^hi dx / phi(x), by adaptive quadrature."""
-    return integrate(lambda x: SQRT_2PI * np.exp(0.5 * x * x), lo, hi, config)
+    return _integrate(lambda x: SQRT_2PI * np.exp(0.5 * x * x), lo, hi)
 
 
-def int_cdf_over_pdf(lo: float, hi: float, config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def int_cdf_over_pdf(lo: float, hi: float) -> float:
     """B-integral: int_lo^hi Phi(x)/phi(x) dx, by adaptive quadrature."""
-    return integrate(
-        lambda x: _sp.ndtr(x) * SQRT_2PI * np.exp(0.5 * x * x), lo, hi, config
-    )
+    return _integrate(lambda x: _sp.ndtr(x) * SQRT_2PI * np.exp(0.5 * x * x), lo, hi)
 
 
 # ---------------------------------------------------------------------------

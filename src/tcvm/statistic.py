@@ -6,16 +6,18 @@ Y_i = (X_i - mean)/S_n and N(x) = #{i : Y_i <= x},
 
     T = (1/n) * int_{-a_n}^{a_n} (N(x) - n*Phi(x))^2 / phi(x) dx.
 
-Three evaluation routes are provided and tested against each other:
+Two production routes and one test oracle:
 
-* ``compute_tstar``        - the stepwise form (delete, sort, grid, weight
-                             integrals by adaptive quadrature, C_n in closed
-                             form); returns all intermediates.
-* ``compute_tstar_direct`` - direct adaptive quadrature of the defining
-                             integral, split at the data points; the
-                             independent cross-check for the stepwise form.
+* ``compute_tstar``        - the stepwise form behind ``tcvm_test`` (delete,
+                             sort, grid, weight integrals by adaptive
+                             quadrature, C_n in closed form); returns all
+                             intermediates.
 * ``compute_tstar_batch``  - vectorised closed-form route for Monte Carlo
                              work (one row per sample).
+* ``compute_tstar_direct`` - the oracle: ``scipy.integrate.quad`` of the
+                             defining integral, split at the data points.
+                             It shares no integrator with either route, and
+                             loads scipy.integrate only when first called.
 
 The same functional over the whole real line, ``compute_untruncated``, is
 the "CVM" column of the power study: it differs only in the endpoint,
@@ -34,17 +36,15 @@ import numpy as np
 
 from .normal import (
     LN2_OVER_2,
+    SQRT_2PI,
     c_n,
-    cdf,
     cdf_sq_over_pdf_antiderivative,
     d_n,
     endpoint,
     int_cdf_over_pdf,
     int_recip_pdf,
-    pdf,
     recip_and_cdf_over_pdf_antiderivatives,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 from .table import CriticalValueTable, embedded_table
 
 __all__ = [
@@ -66,6 +66,7 @@ __all__ = [
 # erfi overflows for arguments beyond ~26.6; standardized data never get
 # near this except for adversarial inputs to the untruncated variant
 _MAX_ABS_Z = 26.0
+_SQRT2 = math.sqrt(2.0)
 
 
 class DegenerateSampleError(ValueError):
@@ -180,33 +181,39 @@ def compute_tstar(values: Sequence[float]) -> TcvmResult:
     )
 
 
-def compute_tstar_direct(
-    values: Sequence[float], config: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def compute_tstar_direct(values: Sequence[float]) -> float:
     """Direct quadrature of the defining integral over (-a_n, a_n).
 
     The integrand (N(x) - n*Phi(x))^2 / (n*phi(x)) is smooth between jumps
     of the empirical count N, so the integral is split at every standardized
-    observation inside the interval.  Keeps an evaluation path that shares
-    nothing with the stepwise weight-sum assembly.
+    observation inside the interval and each piece goes to
+    ``scipy.integrate.quad``.  A piece that does not converge raises
+    ``IntegrationWarning`` as an error.  The independent cross-check for
+    ``compute_tstar`` and ``compute_tstar_batch``.
     """
+    import warnings
+
+    from scipy import integrate
+
     x = as_sample(values)
     n = x.size
     std = standardize(x)
     a = endpoint(n).a_n
     y = np.sort(std.y)
 
+    def integrand(t: float, count: float) -> float:
+        gap = count - 0.5 * n * math.erfc(-t / _SQRT2)  # N - n*Phi(t)
+        return gap * gap * SQRT_2PI * math.exp(0.5 * t * t) / n
+
     cuts = np.concatenate(([-a], y[(y > -a) & (y < a)], [a]))
     total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi <= lo:
-            continue
-        count = float(np.searchsorted(y, 0.5 * (lo + hi), side="right"))
-
-        def integrand(t, count=count):
-            return (count - n * cdf(t)) ** 2 / (n * pdf(t))
-
-        total += integrate(integrand, float(lo), float(hi), config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            if hi <= lo:
+                continue
+            count = float(np.searchsorted(y, 0.5 * (lo + hi), side="right"))
+            total += integrate.quad(integrand, lo, hi, args=(count,), epsabs=1e-12, epsrel=1e-10)[0]
     return total
 
 
@@ -241,10 +248,10 @@ def _batch_standardize(samples: np.ndarray) -> np.ndarray:
 
 
 def _check_whole_line_range(y: np.ndarray) -> None:
-    zmax = float(np.max(np.abs(y))) / math.sqrt(2.0)
+    zmax = float(np.max(np.abs(y))) / _SQRT2
     if zmax > _MAX_ABS_Z:
         raise ValueError(
-            f"standardized observation too extreme (|y|max = {zmax * math.sqrt(2):.1f}); "
+            f"standardized observation too extreme (|y|max = {zmax * _SQRT2:.1f}); "
             "the whole-line statistic would overflow double precision"
         )
 

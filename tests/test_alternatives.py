@@ -237,7 +237,7 @@ class TestQuantileFn:
 
     def test_domain(self):
         # generators draw u in [0, 1): u = 0 must give a finite value
-        for text in ("Tukey(0)", "Tukey(0.14)", "Logistic(0,1)", "TruncN(-1,1)"):
+        for text in ("Tukey(0)", "Tukey(0.14)", "Logistic(0,1)", "TruncN(-1,1)", "Laplace(0,1)"):
             assert np.isfinite(quantile_fn(text, 0.0)), text
 
 

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sstats
 
 from tcvm import normal as nk
@@ -17,8 +18,11 @@ from tcvm.baselines import (
     shapiro_wilk,
     _bcmr_weights,
 )
-from tcvm.quadrature import integrate
 from tcvm.statistic import _batch_standardize, compute_tstar, compute_untruncated
+
+
+def _quad(f, lo: float, hi: float) -> float:
+    return integrate.quad(f, lo, hi, epsabs=1e-12, epsrel=1e-10)[0]
 
 
 def _ad_integral(x) -> float:
@@ -40,7 +44,7 @@ def _ad_integral(x) -> float:
         fn = j / n
         f = lambda u, fn=fn: (fn - u) ** 2 / (u * (1.0 - u))
         eps = 1e-11  # integrand is finite at 0/1 but 0/0 in floats
-        total += integrate(f, max(lo, eps), min(hi, 1.0 - eps))
+        total += _quad(f, max(lo, eps), min(hi, 1.0 - eps))
     return n * total
 
 
@@ -128,7 +132,7 @@ class TestBcmr:
         w = _bcmr_weights(n)
         for i in (1, 4, 9):
             lo, hi = (i - 1) / n, i / n
-            ref = integrate(lambda u: nk.quantile(u), max(lo, 1e-12), min(hi, 1 - 1e-12))
+            ref = _quad(nk.quantile, max(lo, 1e-12), min(hi, 1 - 1e-12))
             assert w[i - 1] == pytest.approx(ref, abs=1e-9)
 
     def test_range_and_minimum_at_normal_quantiles(self, rng):
@@ -254,8 +258,9 @@ def test_constant_sample_raises(fn):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # shapiro_wilk imports scipy.stats on first use: loading it with the
-    # package would more than double the import time and memory
+    # shapiro_wilk imports scipy.stats and compute_tstar_direct imports
+    # scipy.integrate on first use: loading either with the package or on
+    # the tcvm_test path would add much of the import time and memory
     import tcvm
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(tcvm.__file__)))
@@ -264,10 +269,11 @@ def test_import_leaves_scipy_stats_unloaded():
         f"sys.path.insert(0, {src!r})\n"
         "import tcvm\n"
         "tcvm.embedded_table()\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "tcvm.tcvm_test([0.3, -1.2, 0.8, 2.5, -0.4, 1.1, -0.9, 0.05, 1.7, -2.2])\n"
+        "print([m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules])\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from conftest import composite_simpson
 from tcvm import normal as nk
-from tcvm.quadrature import QuadratureConfig, integrate
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def recip_pdf(x):
     return SQRT_2PI * np.exp(0.5 * np.asarray(x) ** 2)
+
+
+def _tight_quad(f, lo: float, hi: float) -> float:
+    # scipy's QUADPACK is the independent oracle for the closed forms
+    return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=3e-14)[0]
 
 
 class TestPdfCdf:
@@ -170,6 +175,27 @@ class TestWeightIntegrals:
         with pytest.raises(ValueError):
             nk.int_cdf_over_pdf(0.0, math.inf)
 
+    # the private integrator behind both weights
+
+    def test_integrate_polynomial_exact(self):
+        assert nk._integrate(lambda x: 3.0 * x**2, 0.0, 1.0) == pytest.approx(1.0, abs=1e-13)
+
+    def test_integrate_exponential(self):
+        assert nk._integrate(np.exp, 0.0, 2.0) == pytest.approx(math.e**2 - 1.0, rel=1e-12)
+
+    def test_integrate_oscillatory(self):
+        assert nk._integrate(np.sin, 0.0, 3.0 * math.pi) == pytest.approx(2.0, rel=1e-11)
+
+    def test_integrate_nonfinite_integrand_rejected(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                nk._integrate(lambda x: np.exp(x * x), 0.0, 40.0)
+
+    def test_integrate_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(nk, "_MAX_BISECTIONS", 2)
+        with pytest.raises(ArithmeticError, match="after 2 bisections"):
+            nk.int_recip_pdf(0.0, 5.5)
+
 
 class TestCnDn:
     @pytest.mark.parametrize(
@@ -197,11 +223,9 @@ class TestCnDn:
          (10**5, 1e-10), (10**6, 1e-10), (10**7, 1e-10)],
     )
     def test_closed_forms_match_tight_quadrature(self, n, d_rel):
-        # the adaptive integrator stays the independent oracle
-        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=20000)
         a = nk.endpoint(n).a_n
-        c_ref = n * integrate(lambda x: nk.cdf(x) ** 2 * recip_pdf(x), -a, a, cfg)
-        d_ref = integrate(lambda x: nk.cdf(x) * nk.cdf(-x) * recip_pdf(x), -a, a, cfg)
+        c_ref = n * _tight_quad(lambda x: nk.cdf(x) ** 2 * recip_pdf(x), -a, a)
+        d_ref = _tight_quad(lambda x: nk.cdf(x) * nk.cdf(-x) * recip_pdf(x), -a, a)
         assert nk.c_n(n) == pytest.approx(c_ref, rel=1e-13)
         assert nk.d_n(n) == pytest.approx(d_ref, rel=d_rel)
 
@@ -229,9 +253,7 @@ class TestCnDn:
 class TestAntiderivatives:
     @pytest.mark.parametrize("x", [-9.0, -3.3, -0.4, 0.7, 2.0, 4.5, 6.5, 9.0])
     def test_cdf_over_pdf_antiderivative(self, x):
-        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=4000)
-        lo, hi = min(0.0, x), max(0.0, x)
-        ref = math.copysign(1.0, x) * nk.int_cdf_over_pdf(lo, hi, cfg)
+        ref = _tight_quad(lambda t: nk.cdf(t) * recip_pdf(t), 0.0, x)
         assert nk.cdf_over_pdf_antiderivative(x) == pytest.approx(ref, rel=1e-11)
 
     @pytest.mark.parametrize("x", [-7.5, -1.2, 0.9, 3.0, 8.0])
