@@ -60,10 +60,8 @@ from .statistic import (
     TcvmResult,
     TestOutcome,
     compute_tstar,
-    compute_tstar_batch,
     compute_tstar_direct,
     compute_untruncated,
-    compute_untruncated_batch,
     decide,
     standardize,
     tcvm_test,
@@ -110,10 +108,8 @@ __all__ = [
     "c_n",
     "cdf",
     "compute_tstar",
-    "compute_tstar_batch",
     "compute_tstar_direct",
     "compute_untruncated",
-    "compute_untruncated_batch",
     "cov_b2",
     "d_n",
     "decide",

@@ -76,8 +76,8 @@ class AlternativeSpec:
 
 
 def _open_unit(u: np.ndarray) -> np.ndarray:
-    # generators produce u in [0, 1); keep quantiles finite at the ends
-    return np.clip(u, 5e-324, np.nextafter(1.0, 0.0))
+    # draws lie on a 2^-53 grid in [0, 1): 0 becomes the smallest nonzero one
+    return np.clip(np.asarray(u, float), 2.0**-53, 1.0 - 2.0**-53)
 
 
 def _tukey_quantile(u: np.ndarray, lam: float) -> np.ndarray:
@@ -171,7 +171,8 @@ def _as_drawn(raw, _params):
 def _truncn_quantile(u, params):
     a, b = params
     lo, hi = cdf(a), cdf(b)
-    return quantile(_open_unit(lo + u * (hi - lo)))
+    # lo may lie far below 2^-53, so only 0 itself is moved off the end
+    return quantile(np.clip(lo + u * (hi - lo), 5e-324, 1.0 - 2.0**-53))
 
 
 def _triangle2(u, p):
@@ -187,9 +188,7 @@ def _logistic(u, p):
 
 
 def _laplace_quantile(u, p):
-    # 2^-53 is the smallest nonzero draw; a smaller floor would round
-    # u - 0.5 to -0.5 and give log1p(-1) = -inf at u = 0
-    u = np.clip(np.asarray(u, float), 2.0**-53, 1.0 - 2.0**-53) - 0.5
+    u = _open_unit(u) - 0.5
     return p[0] - p[1] * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 

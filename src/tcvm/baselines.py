@@ -15,13 +15,13 @@ Five test kinds enter the comparison harness:
 
 All statistics are location-scale invariant, and all critical values are
 obtained by simulation (never from published asymptotic tables), so the
-rejection decisions are internally consistent.
+rejection decisions are internally consistent.  The scalar AD, BCMR and
+normal-scores functions are one-row calls of the batch kernels.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from functools import lru_cache
 from typing import Dict, Iterable, Sequence
 
@@ -35,7 +35,6 @@ from .statistic import (
     _standardize_sorted,
     _weighted_cvm,
     as_sample,
-    standardize,
 )
 
 __all__ = [
@@ -80,29 +79,6 @@ REJECTION_TAIL: Dict[BaselineKind, str] = {
 }
 
 
-def _clamped_uniforms(y_sorted: np.ndarray) -> np.ndarray:
-    u = cdf(y_sorted)
-    clipped = np.count_nonzero((u < _U_CLAMP) | (u > 1.0 - _U_CLAMP))
-    if clipped:
-        warnings.warn(
-            f"{clipped} probability value(s) clamped away from 0/1 in the "
-            "EDF statistic",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return np.clip(u, _U_CLAMP, 1.0 - _U_CLAMP)
-
-
-def anderson_darling(values: Sequence[float]) -> float:
-    """A^2 with estimated mean and divisor-n scale (order-statistic form)."""
-    std = standardize(as_sample(values))
-    u = _clamped_uniforms(np.sort(std.y))
-    n = std.n
-    i = np.arange(1, n + 1)
-    s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[::-1])))
-    return float(-n - s / n)
-
-
 @lru_cache(maxsize=None)
 def _sf_weights(n: int) -> np.ndarray:
     """Normal scores m_i = quantile((i - 3/8)/(n + 1/4)), scaled to unit length."""
@@ -142,6 +118,11 @@ def shapiro_wilk(values: Sequence[float]) -> float:
     from scipy.stats import shapiro
 
     return float(shapiro(row[0]).statistic)
+
+
+def anderson_darling(values: Sequence[float]) -> float:
+    """A^2 with estimated mean and divisor-n scale (order-statistic form)."""
+    return float(_batch_ad(_standardize_sorted(_sorted_row(values)))[0])
 
 
 def shapiro_francia(values: Sequence[float]) -> float:

@@ -22,7 +22,6 @@ from .baselines import REJECTION_TAIL, BaselineKind, batch_statistics
 from .normal import MAX_ENDPOINT_N, c_n, cdf, d_n, endpoint
 from .process import MomentPoint, fourth_moment_exact
 from .table import ALPHA_LEVELS, CriticalValueRow, CriticalValueTable
-from .statistic import compute_tstar_batch
 
 __all__ = [
     "NULL_SPEC",
@@ -320,7 +319,8 @@ def estimate_constant_c(
 
     def task(start: int, count: int) -> None:
         block = _draw_block(NULL_SPEC, n, seed, start, count)
-        centred[start : start + count] = compute_tstar_batch(block) - dn
+        tstar = batch_statistics(block, [BaselineKind.TCVM])[BaselineKind.TCVM]
+        centred[start : start + count] = tstar - dn
 
     _run_blocks(reps, workers, task)
     value = float(np.mean(centred) + 1.5)

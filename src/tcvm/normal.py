@@ -259,58 +259,23 @@ def _chebyshev_antiderivative(fun, lo: float, hi: float, deg: int) -> np.ndarray
     return _cheb.chebint(coeffs, lbnd=-1) * half
 
 
-def _chop(coeffs: np.ndarray) -> np.ndarray:
-    """Leading Chebyshev coefficients down to double-precision resolution.
-
-    The plateau rule of Aurentz & Trefethen, "Chopping a Chebyshev series",
-    ACM TOMS 43(4), 2017: find where the monotone envelope of |c_k| stops
-    decaying, then cut where the envelope plus a linear tilt is smallest.
-    Series that never reach a plateau are returned whole.
-    """
-    tol = np.finfo(float).eps
-    n = coeffs.size
-    if n < 17:
-        return coeffs
-    envelope = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
-    if envelope[0] == 0.0:
-        return coeffs[:1]
-    envelope = envelope / envelope[0]
-    for j in range(2, n + 1):  # 1-based indices, as in the paper
-        j2 = int(1.25 * j + 5.5)  # round half up
-        if j2 > n:
-            return coeffs
-        e1, e2 = envelope[j - 1], envelope[j2 - 1]
-        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
-            plateau = j - 1
-            break
-    if envelope[plateau - 1] == 0.0:
-        return coeffs[:plateau]
-    floor = tol ** (7.0 / 6.0)
-    j3 = int(np.count_nonzero(envelope >= floor))
-    if j3 < j2:
-        j2 = j3 + 1
-        envelope[j2 - 1] = floor
-    tilted = np.log10(envelope[:j2]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2)
-    return coeffs[: max(int(np.argmin(tilted)), 1)]
-
-
 def _dawsn_scaled(u):
     return (2.0 / _SQRT_PI) * _sp.dawsn(u)
 
 
-# The fits are chopped to double-precision resolution (98 -> 30 and 194 -> 52
-# terms; each value moves by at most 4.4e-16).  The [3, 40] piece keeps all
-# its terms: its dropped tail would sum to 1.5e-15, and it only runs for
-# |z| > 3.
-_Q_LO_COEF = _chop(_chebyshev_antiderivative(_dawsn_scaled, 0.0, _Q_BREAK, 96))
+# Fixed lengths at double-precision resolution: the leading 30 of 98 terms
+# here and 52 of 194 for Q2 are each within 4.4e-16 of the whole series.  The
+# [3, 40] piece keeps all its terms: its tail would sum to 1.5e-15, and it
+# only runs for |z| > 3.
+_Q_LO_COEF = _chebyshev_antiderivative(_dawsn_scaled, 0.0, _Q_BREAK, 96)[:30]
 _Q_HI_COEF = _chebyshev_antiderivative(_dawsn_scaled, _Q_BREAK, _Q_MAX, 384)
 _Q_AT_BREAK = float(_cheb.chebval(1.0, _Q_LO_COEF))
 
 # On [0, 3], Q is a degree-5 Taylor polynomial about the nearest point k/128.
-# Q(k/128) comes from the chopped fit; the derivatives come from Dawson's
+# Q(k/128) comes from the fit; the derivatives come from Dawson's
 # function D, since Q^(j) = (2/sqrt(pi)) D^(j-1) with D' = 1 - 2uD and
 # D^(k+1) = -2u D^(k) - 2k D^(k-1).  At |u - k/128| <= 1/256 the remainder
-# is below 2e-16, so the values stay within 4.4e-16 of the unchopped fit.
+# is below 2e-16, so the values stay within 4.4e-16 of the whole series.
 _Q_STEPS = 128  # grid points per unit; a power of two keeps u * 128 exact
 _Q_DEG = 5
 
@@ -366,7 +331,7 @@ def _q2_integrand(u):
     return _sp.erf(u) * _sp.erfi(u) * np.exp(-u * u)
 
 
-_Q2_COEF = _chop(_chebyshev_antiderivative(_q2_integrand, 0.0, _Q2_MAX, 192))
+_Q2_COEF = _chebyshev_antiderivative(_q2_integrand, 0.0, _Q2_MAX, 192)[:52]
 _Q2_AT_MAX = float(_cheb.chebval(1.0, _Q2_COEF))
 _Q_AT_Q2_MAX = float(_q(np.array([_Q2_MAX]))[0])
 

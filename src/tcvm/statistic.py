@@ -12,8 +12,8 @@ Two production routes and one test oracle:
                              sort, grid, weight integrals by adaptive
                              quadrature, C_n in closed form); returns all
                              intermediates.
-* ``compute_tstar_batch``  - vectorised closed-form route for Monte Carlo
-                             work (one row per sample).
+* ``_weighted_cvm``        - the folded closed-form kernel behind
+                             ``batch_statistics`` (one row per sample).
 * ``compute_tstar_direct`` - the oracle: ``scipy.integrate.quad`` of the
                              defining integral, split at the data points.
                              It shares no integrator with either route, and
@@ -21,9 +21,9 @@ Two production routes and one test oracle:
 
 The same functional over the whole real line, ``compute_untruncated``, is
 the "CVM" column of the power study: it differs only in the endpoint,
-infinity instead of a_n.  Both batch routes run one folded kernel, which
-splits the integral at 0 and reflects the right half onto the left, so
-that every observation contributes a bounded closed-form term.
+infinity instead of a_n.  The folded kernel splits the integral at 0 and
+reflects the right half onto the left, so that every observation
+contributes a bounded closed-form term.
 """
 
 from __future__ import annotations
@@ -56,17 +56,15 @@ __all__ = [
     "standardize",
     "compute_tstar",
     "compute_tstar_direct",
-    "compute_tstar_batch",
     "compute_untruncated",
-    "compute_untruncated_batch",
     "decide",
     "tcvm_test",
 ]
 
-# erfi overflows for arguments beyond ~26.6; standardized data never get
-# near this except for adversarial inputs to the untruncated variant
-_MAX_ABS_Z = 26.0
 _SQRT2 = math.sqrt(2.0)
+# erfi(|y|/sqrt(2)) overflows for |y| beyond ~37.6; the whole-line statistic
+# of a row reaching past this is +inf
+_MAX_ABS_Y = 26.0 * _SQRT2
 
 
 class DegenerateSampleError(ValueError):
@@ -189,7 +187,7 @@ def compute_tstar_direct(values: Sequence[float]) -> float:
     observation inside the interval and each piece goes to
     ``scipy.integrate.quad``.  A piece that does not converge raises
     ``IntegrationWarning`` as an error.  The independent cross-check for
-    ``compute_tstar`` and ``compute_tstar_batch``.
+    ``compute_tstar`` and the folded kernel.
     """
     import warnings
 
@@ -242,20 +240,6 @@ def _standardize_sorted(x_sorted: np.ndarray) -> np.ndarray:
     return (x_sorted - mean) / s
 
 
-def _batch_standardize(samples: np.ndarray) -> np.ndarray:
-    """Rowwise sorted standardized values for a (R, n) sample matrix."""
-    return _standardize_sorted(np.sort(_sample_matrix(samples), axis=1))
-
-
-def _check_whole_line_range(y: np.ndarray) -> None:
-    zmax = float(np.max(np.abs(y))) / _SQRT2
-    if zmax > _MAX_ABS_Z:
-        raise ValueError(
-            f"standardized observation too extreme (|y|max = {zmax * _SQRT2:.1f}); "
-            "the whole-line statistic would overflow double precision"
-        )
-
-
 def _weighted_cvm(y: np.ndarray, truncated: Sequence[bool]) -> List[np.ndarray]:
     """The folded kernel: one statistic per flag, from one psi/H evaluation.
 
@@ -272,17 +256,17 @@ def _weighted_cvm(y: np.ndarray, truncated: Sequence[bool]) -> List[np.ndarray]:
     grows like eps * n rather than with the O(n^2) terms of the unfolded
     sums.  When every flag truncates, psi and H are evaluated at
     max(-|y|, -a_n), which keeps erfi and Q in range for any n; otherwise
-    at -|y|, with psi(-a_n), H(-a_n) put in below -a_n for the truncated
-    results, which is the same function.
+    at max(-|y|, -_MAX_ABS_Y), with psi(-a_n), H(-a_n) put in below -a_n
+    for the truncated results, which is the same function, and the
+    whole-line result of a row that reaches past _MAX_ABS_Y is +inf.
     """
     n = y.shape[1]
     a = endpoint(n).a_n
     v = np.abs(y)
     clipped = all(truncated)
-    if clipped:
-        np.minimum(v, a, out=v)
-    else:
-        _check_whole_line_range(y)
+    if not clipped:
+        overflow = v.max(axis=1) > _MAX_ABS_Y
+    np.minimum(v, a if clipped else _MAX_ABS_Y, out=v)
     np.negative(v, out=v)
     psi, h = recip_and_cdf_over_pdf_antiderivatives(v)
     i = np.arange(1, n + 1, dtype=float)
@@ -295,34 +279,19 @@ def _weighted_cvm(y: np.ndarray, truncated: Sequence[bool]) -> List[np.ndarray]:
             beyond = v < -a
             p, q = np.where(beyond, psi_a, psi), np.where(beyond, h_a, h)
         g = cdf_sq_over_pdf_antiderivative(-a) if trunc else -LN2_OVER_2
-        out.append(2.0 * q.sum(axis=1) - np.einsum("ij,ij->i", odd, p) / n - 2.0 * n * g)
+        t = 2.0 * q.sum(axis=1) - np.einsum("ij,ij->i", odd, p) / n - 2.0 * n * g
+        out.append(t if trunc else np.where(overflow, np.inf, t))
     return out
 
 
-def compute_tstar_batch(samples: np.ndarray) -> np.ndarray:
-    """Vectorised statistic for a matrix of samples (one row each).
-
-    Equivalent to ``compute_tstar`` row by row: observations outside
-    [-a_n, a_n] collapse onto the endpoints, which reproduces the deletion
-    step because the zero-width end intervals contribute nothing while the
-    interior weights still count the collapsed points.
-    """
-    return _weighted_cvm(_batch_standardize(samples), [True])[0]
-
-
-def compute_untruncated_batch(samples: np.ndarray) -> np.ndarray:
-    """Vectorised whole-line variant of the statistic.
+def compute_untruncated(values: Sequence[float]) -> float:
+    """Whole-line statistic of one sample; +inf past the range of erfi.
 
     Integrates (N(x) - n*Phi(x))^2/(n*phi(x)) over all of R; folded, the
     two unbounded end pieces leave the constant n*ln(2).
     """
-    return _weighted_cvm(_batch_standardize(samples), [False])[0]
-
-
-def compute_untruncated(values: Sequence[float]) -> float:
-    """Whole-line statistic for a single sample."""
-    x = as_sample(values)
-    return float(compute_untruncated_batch(x[np.newaxis, :])[0])
+    y = _standardize_sorted(_scaled(np.sort(as_sample(values)))[0][np.newaxis, :])
+    return float(_weighted_cvm(y, [False])[0][0])
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,14 @@ class TestQuantileFn:
         # generators draw u in [0, 1): u = 0 must give a finite value
         for text in ("Tukey(0)", "Tukey(0.14)", "Logistic(0,1)", "TruncN(-1,1)", "Laplace(0,1)"):
             assert np.isfinite(quantile_fn(text, 0.0)), text
+        # and the same value as the smallest nonzero draw, 2^-53
+        for text in ("Tukey(0)", "Logistic(0,1)", "Laplace(0,1)"):
+            assert quantile_fn(text, 0.0) == quantile_fn(text, 2.0**-53), text
+
+    def test_far_tail_truncn_stays_in_support(self):
+        # cdf(-10) ~ 7.6e-24 lies far below the 2^-53 floor of the other families
+        q = quantile_fn("TruncN(-10,-9)", np.array([0.0, 0.5, 1.0 - 2.0**-53]))
+        assert np.all(np.abs(q + 9.5) <= 0.5 + 1e-12) and np.all(np.diff(q) > 0.0)
 
 
 def test_quantile_based_sampling_matches_quantile_fn():

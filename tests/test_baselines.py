@@ -18,7 +18,7 @@ from tcvm.baselines import (
     shapiro_wilk,
     _bcmr_weights,
 )
-from tcvm.statistic import _batch_standardize, compute_tstar, compute_untruncated
+from tcvm.statistic import _standardize_sorted, compute_tstar, compute_untruncated
 
 
 def _quad(f, lo: float, hi: float) -> float:
@@ -68,12 +68,13 @@ class TestAndersonDarling:
     def test_positive(self, rng):
         assert anderson_darling(rng.standard_normal(20)) > 0
 
-    def test_clamp_warns_on_extreme_point(self, rng):
+    def test_clamped_point_matches_batch(self, rng):
         # one dominant outlier at n = 100 standardizes to ~9.9 sd, where the
-        # probability saturates to 1.0 in floats
+        # probability saturates to 1.0 in floats and is clamped, silently
         x = np.concatenate([rng.standard_normal(99), [1e9]])
-        with pytest.warns(RuntimeWarning, match="clamped"):
-            anderson_darling(x)
+        batch = batch_statistics(x[np.newaxis, :], [BaselineKind.AD])[BaselineKind.AD][0]
+        assert anderson_darling(x) == batch
+        assert np.isfinite(batch)
 
 
 class TestShapiroWilk:
@@ -174,7 +175,7 @@ class TestBatchStatistics:
                 _row_standardizing_to(-a, n, rng),
             ]
         )
-        y = _batch_standardize(block)
+        y = _standardize_sorted(np.sort(block, axis=1))
         assert np.any(y > a) and np.any(y < -a)
         assert np.any(y == a) and np.any(y == -a)
         tcvm, cvm = BaselineKind.TCVM, BaselineKind.CVM
@@ -206,7 +207,7 @@ def _row_standardizing_to(target: float, n: int, rng) -> np.ndarray:
     def y_of(t):
         row = base.copy()
         row[-1] = t
-        y = _batch_standardize(row[np.newaxis, :])[0]
+        y = _standardize_sorted(np.sort(row)[np.newaxis, :])[0]
         return y[-1] if target > 0 else y[0]
 
     for _ in range(20):
@@ -242,7 +243,8 @@ def test_null_quantiles_match_published_tables(rng):
 
 
 @pytest.mark.parametrize(
-    "fn", [bcmr, shapiro_francia, anderson_darling, lambda x: compute_tstar(x).t_star]
+    "fn",
+    [bcmr, shapiro_francia, anderson_darling, lambda x: compute_tstar(x).t_star, compute_untruncated],
 )
 def test_squares_past_overflow(fn):
     # squaring 1e200 overflows; the statistics are scale invariant, and a

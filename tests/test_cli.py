@@ -213,6 +213,20 @@ class TestPower:
         assert set(payload[0]["power"]) == {"tcvm", "sw"}
         assert set(payload[0]["stderr"]) == {"tcvm", "sw"}
 
+    def test_cvm_past_erfi_range_rejects(self):
+        # Lognormal(0,3) at n = 3000 standardizes some replications past
+        # |y| = 26 sqrt(2); their CVM is +inf instead of aborting the run
+        code, text = run_cli(
+            [
+                "power", "--alt", "Lognormal(0,3)", "--n", "3000", "--reps", "300",
+                "--cv-reps", "300", "--tests", "tcvm,cvm,ad",
+            ]
+        )
+        assert code == 0
+        header, row = text.strip().splitlines()
+        assert header == "alternative,tcvm,cvm,ad"
+        assert float(row.split(",")[2]) == 1.0
+
     def test_unknown_family_exit(self):
         code, _ = run_cli(["power", "--alt", "Nope(1)", "--reps", "100"])
         assert code == 3

@@ -6,7 +6,7 @@ import pytest
 from tcvm import engine
 from tcvm import normal as nk
 from tcvm.alternatives import TABLE1_ALTERNATIVES, draw, parse_spec
-from tcvm.baselines import BaselineKind
+from tcvm.baselines import BaselineKind, batch_statistics
 from tcvm.engine import (
     NULL_SPEC,
     _draw_block,
@@ -21,7 +21,6 @@ from tcvm.engine import (
     verify_fourth_moments,
 )
 from tcvm.process import MomentPoint, fourth_moment_exact
-from tcvm.statistic import compute_tstar_batch
 
 
 class TestStreams:
@@ -70,13 +69,8 @@ class TestQuantileIndex:
 
     def test_median_convention(self):
         row = estimate_critical_values(10, alphas=(0.5,), reps=501, seed=3)
-        stats = np.sort(
-            compute_tstar_batch(
-                np.vstack(
-                    [replication_rng(3, r).standard_normal(10) for r in range(501)]
-                )
-            )
-        )
+        block = np.vstack([replication_rng(3, r).standard_normal(10) for r in range(501)])
+        stats = np.sort(batch_statistics(block, [BaselineKind.TCVM])[BaselineKind.TCVM])
         assert row.critical_values[0.5] == stats[_upper_index(0.5, 501) - 1]
 
 

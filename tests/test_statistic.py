@@ -5,13 +5,12 @@ import pytest
 from scipy import special
 
 from tcvm import normal as nk
+from tcvm.baselines import BaselineKind, batch_statistics
 from tcvm.statistic import (
     DegenerateSampleError,
     compute_tstar,
-    compute_tstar_batch,
     compute_tstar_direct,
     compute_untruncated,
-    compute_untruncated_batch,
     decide,
     standardize,
     tcvm_test,
@@ -115,11 +114,15 @@ class TestComputeTstar:
         assert compute_tstar(scores).t_star < 0.9857  # 15% critical value, n=20
 
 
+def _batch(samples, kind=BaselineKind.TCVM):
+    return batch_statistics(samples, [kind])[kind]
+
+
 class TestBatch:
     def test_matches_scalar(self, rng):
         for n in (5, 12, 50, 120):
             block = rng.standard_normal((8, n))
-            batch = compute_tstar_batch(block)
+            batch = _batch(block)
             for i in range(block.shape[0]):
                 assert batch[i] == pytest.approx(
                     compute_tstar(block[i]).t_star, abs=1e-9
@@ -127,17 +130,17 @@ class TestBatch:
 
     def test_matches_scalar_with_ties_and_outliers(self, rng):
         x = np.concatenate([rng.standard_normal(20), [-40.0, -40.0, 55.0], [1.1, 1.1]])
-        assert compute_tstar_batch(x[np.newaxis, :])[0] == pytest.approx(
+        assert _batch(x[np.newaxis, :])[0] == pytest.approx(
             compute_tstar(x).t_star, abs=1e-9
         )
 
     def test_degenerate_row(self):
         with pytest.raises(DegenerateSampleError):
-            compute_tstar_batch(np.ones((2, 5)))
+            _batch(np.ones((2, 5)))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            compute_tstar_batch(np.zeros(5))
+            _batch(np.zeros(5))
 
     def test_randomized_cross_validation(self, rng):
         # adversarial shapes: heavy ties, one-sided outliers, tiny n,
@@ -156,7 +159,7 @@ class TestBatch:
                 continue
             # the stepwise route carries ~n adaptive-quadrature tolerances,
             # so the agreement floor is a notch above the per-integral 1e-10
-            assert compute_tstar_batch(x[np.newaxis, :])[0] == pytest.approx(
+            assert _batch(x[np.newaxis, :])[0] == pytest.approx(
                 compute_tstar(x).t_star, rel=1e-8, abs=1e-8
             ), (trial, n)
 
@@ -164,7 +167,7 @@ class TestBatch:
         # each point adds a bounded term, so the error grows like eps * n
         # rather than with C_n ~ n^2
         x = rng.standard_normal(200_000)
-        assert compute_tstar_batch(x[np.newaxis, :])[0] == pytest.approx(
+        assert _batch(x[np.newaxis, :])[0] == pytest.approx(
             compute_tstar_direct(x), rel=1e-9
         )
 
@@ -172,7 +175,7 @@ class TestBatch:
         # the truncation endpoint grows like sqrt(2 ln n); exp(a^2/2) must
         # stay representable and the statistic finite up to very large n
         x = rng.standard_normal((2, 1_000_000))
-        t = compute_tstar_batch(x)
+        t = _batch(x)
         assert np.all(np.isfinite(t))
         assert np.all(t > 0)
 
@@ -232,16 +235,25 @@ class TestUntruncated:
 
     def test_batch_matches_scalar(self, rng):
         block = rng.standard_t(3, size=(6, 25))
-        batch = compute_untruncated_batch(block)
+        batch = _batch(block, BaselineKind.CVM)
         for i in range(6):
             assert batch[i] == pytest.approx(compute_untruncated(block[i]), rel=1e-10)
 
     def test_overflow_guard(self, rng):
         # a single dominant outlier at n = 2000 standardizes to ~44 sd,
-        # far past where exp(y^2/2) is representable
+        # far past where exp(y^2/2) is representable: a certain rejection
         x = np.concatenate([rng.standard_normal(1999), [1e12]])
-        with pytest.raises(ValueError, match="too extreme"):
-            compute_untruncated(x)
+        assert compute_untruncated(x) == math.inf
+
+    def test_overflow_row_leaves_tcvm_and_other_rows_alone(self, rng):
+        block = rng.standard_normal((4, 2000))
+        block[1, 7] = 1e12
+        both = batch_statistics(block, [BaselineKind.TCVM, BaselineKind.CVM])
+        cvm = both[BaselineKind.CVM]
+        assert cvm[1] == math.inf
+        assert np.all(np.isfinite(np.delete(cvm, 1)))
+        np.testing.assert_array_equal(cvm[[0, 2, 3]], _batch(block[[0, 2, 3]], BaselineKind.CVM))
+        np.testing.assert_array_equal(both[BaselineKind.TCVM], _batch(block))
 
 
 class TestDecision:
