@@ -18,7 +18,9 @@ block, of:
 * ``kernels_all``: ``batch_statistics`` with all five kinds on a
   LoConN(0.5,4) block at n = 50, ``kernel_<kind>``: each kind alone, and
   ``kernel_tcvm+cvm``: the pair that one call of the folded kernel
-  evaluates.
+  evaluates;
+* ``kernels_all_n10000``: ``batch_statistics`` with all five kinds on a
+  256-row null block at n = 10^4, in nanoseconds per value (best of 5).
 
 Prints one JSON object with the timings, the block shape and the versions.
 """
@@ -35,6 +37,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROWS, REPEAT, SEED = 4096, 10, 11
+LARGE_N, LARGE_ROWS, LARGE_REPEAT = 10_000, 256, 5
 POWER_ROWS = (
     "LoConN(0.5,4)",
     "SB(0,0.707)",
@@ -46,9 +49,9 @@ POWER_ROWS = (
 )
 
 
-def best_ms(fn) -> float:
+def best_ms(fn, repeat: int = REPEAT) -> float:
     best = float("inf")
-    for _ in range(REPEAT):
+    for _ in range(repeat):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -90,10 +93,14 @@ def main() -> int:
         timings[f"kernel_{kind.value}"] = best_ms(lambda: batch_statistics(block, [kind]))
     pair = [BaselineKind.TCVM, BaselineKind.CVM]
     timings["kernel_tcvm+cvm"] = best_ms(lambda: batch_statistics(block, pair))
+
+    large = engine._draw_block(engine.NULL_SPEC, LARGE_N, SEED, 0, LARGE_ROWS)
+    large_ms = best_ms(lambda: batch_statistics(large, kinds), LARGE_REPEAT)
     record = {
         "rows": ROWS,
         "repeat": REPEAT,
         "ms_per_block": {k: round(v, 2) for k, v in timings.items()},
+        "ns_per_value": {"kernels_all_n10000": round(1e6 * large_ms / large.size, 1)},
         "machine": platform.machine(),
         "processor": platform.processor(),
         "nproc": os.cpu_count(),

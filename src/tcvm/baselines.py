@@ -29,12 +29,11 @@ import numpy as np
 
 from .normal import cdf, pdf, quantile
 from .statistic import (
-    DegenerateSampleError,
     _sample_matrix,
     _scaled,
+    _sorted_row,
     _standardize_sorted,
     _weighted_cvm,
-    as_sample,
 )
 
 __all__ = [
@@ -48,6 +47,9 @@ __all__ = [
 ]
 
 _U_CLAMP = 1e-15
+# values per pass of batch_statistics and of the engine's drawing, so that
+# the temporaries of a pass stay in L2
+_CHUNK_ELEMS = 1 << 15
 
 
 class BaselineKind(enum.Enum):
@@ -97,17 +99,6 @@ def _bcmr_weights(n: int) -> np.ndarray:
     return w
 
 
-def _sorted_row(values: Sequence[float]) -> np.ndarray:
-    """A validated, non-constant sample as one ascending row, shape (1, n).
-
-    Scaled by a power of two, so that its squares cannot overflow.
-    """
-    xs = np.sort(as_sample(values))
-    if xs[0] == xs[-1]:
-        raise DegenerateSampleError("sample is constant")
-    return _scaled(xs)[0][np.newaxis, :]
-
-
 def shapiro_wilk(values: Sequence[float]) -> float:
     """Royston's W (3 <= n <= 5000), by ``scipy.stats.shapiro`` (AS R94)."""
     row = _sorted_row(values)
@@ -141,7 +132,9 @@ def bcmr(values: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorised kernels for the Monte Carlo engine.
+# Vectorised kernels for the Monte Carlo engine.  Every row reduction is a
+# multiply-then-sum along the row: unlike ``@`` (BLAS gemv groups rows) and
+# ``einsum``, its rounding does not depend on the other rows of the array.
 # ---------------------------------------------------------------------------
 
 
@@ -149,7 +142,7 @@ def _batch_ad(y_sorted: np.ndarray) -> np.ndarray:
     n = y_sorted.shape[1]
     u = np.clip(cdf(y_sorted), _U_CLAMP, 1.0 - _U_CLAMP)
     odd = 2.0 * np.arange(1, n + 1) - 1.0
-    s = (np.log(u) + np.log1p(-u[:, ::-1])) @ odd
+    s = ((np.log(u) + np.log1p(-u[:, ::-1])) * odd).sum(axis=1)
     return -n - s / n
 
 
@@ -157,13 +150,13 @@ def _batch_sw_like(x_sorted: np.ndarray) -> np.ndarray:
     ssq = np.sum(
         (x_sorted - x_sorted.mean(axis=1, keepdims=True)) ** 2, axis=1
     )
-    return (x_sorted @ _sf_weights(x_sorted.shape[1])) ** 2 / ssq
+    return (x_sorted * _sf_weights(x_sorted.shape[1])).sum(axis=1) ** 2 / ssq
 
 
 def _batch_bcmr(x_sorted: np.ndarray) -> np.ndarray:
     n = x_sorted.shape[1]
     var = x_sorted.var(axis=1)
-    return 1.0 - (x_sorted @ _bcmr_weights(n)) ** 2 / var
+    return 1.0 - (x_sorted * _bcmr_weights(n)).sum(axis=1) ** 2 / var
 
 
 def batch_statistics(
@@ -174,20 +167,35 @@ def batch_statistics(
     Sorting and standardization are shared across kinds, which is also what
     makes common-random-number power comparisons cheap.  TCVM and CVM come
     from one call of the folded kernel, which evaluates psi and H once.
+
+    The rows go through in slices of at most ``_CHUNK_ELEMS`` values, so
+    that the temporaries stay in cache: each slice is sorted, scaled by a
+    power of two per row (as the scalar statistics scale their sample, so
+    squares cannot overflow), standardized and run through every requested
+    kernel before the next slice starts.  Every reduction runs along one
+    row alone, so a row's results have the same bits however the rows are
+    split: they do not depend on the slice, on the engine's block size or
+    on its worker count.
     """
     kinds = list(kinds)
-    x_sorted = np.sort(_sample_matrix(samples), axis=1)
-    need_std = {BaselineKind.TCVM, BaselineKind.CVM, BaselineKind.AD} & set(kinds)
-    y_sorted = _standardize_sorted(x_sorted) if need_std else None
+    x = _sample_matrix(samples)
     folded = [k for k in kinds if k in _TRUNCATED]
-    out: Dict[BaselineKind, np.ndarray] = {}
-    if folded:
-        out.update(zip(folded, _weighted_cvm(y_sorted, [_TRUNCATED[k] for k in folded])))
-    for kind in kinds:
-        if kind is BaselineKind.AD:
-            out[kind] = _batch_ad(y_sorted)
-        elif kind is BaselineKind.SW:
-            out[kind] = _batch_sw_like(x_sorted)
-        elif kind is BaselineKind.BCMR:
-            out[kind] = _batch_bcmr(x_sorted)
+    flags = [_TRUNCATED[k] for k in folded]
+    need_std = bool(folded) or BaselineKind.AD in kinds
+    out = {kind: np.empty(x.shape[0]) for kind in kinds}
+    rows = max(1, _CHUNK_ELEMS // x.shape[1])
+    for first in range(0, x.shape[0], rows):
+        part = slice(first, first + rows)
+        x_sorted = _scaled(np.sort(x[part], axis=1))[0]
+        y_sorted = _standardize_sorted(x_sorted) if need_std else None
+        if folded:
+            for kind, values in zip(folded, _weighted_cvm(y_sorted, flags)):
+                out[kind][part] = values
+        for kind in kinds:
+            if kind is BaselineKind.AD:
+                out[kind][part] = _batch_ad(y_sorted)
+            elif kind is BaselineKind.SW:
+                out[kind][part] = _batch_sw_like(x_sorted)
+            elif kind is BaselineKind.BCMR:
+                out[kind][part] = _batch_bcmr(x_sorted)
     return out

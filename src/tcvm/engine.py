@@ -2,9 +2,13 @@
 
 Reproducibility contract: replication ``r`` of a run with master seed ``s``
 draws from a counter-based Philox stream keyed by ``(s, r)``.  Work is
-partitioned into fixed-size blocks of replication indices, each block fills
+partitioned into blocks of ``_BLOCK`` replication indices, each block fills
 a disjoint slice of preallocated output arrays, and aggregation only ever
-sorts or sums, so results are bit-identical for any worker count.
+sorts or sums.  ``batch_statistics`` computes each row's statistics from
+that row alone, in the same bits however the rows are sliced, so results
+do not depend on the worker count, the block size or the kernel slice.
+The one exception is the moment check, whose float sums are reduced per
+block: it is bit-identical for any worker count, not for any block size.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .alternatives import AlternativeSpec, _sampler
-from .baselines import REJECTION_TAIL, BaselineKind, batch_statistics
+from .baselines import _CHUNK_ELEMS, REJECTION_TAIL, BaselineKind, batch_statistics
 from .normal import MAX_ENDPOINT_N, c_n, cdf, d_n, endpoint
 from .process import MomentPoint, fourth_moment_exact
 from .table import ALPHA_LEVELS, CriticalValueRow, CriticalValueTable
@@ -40,9 +44,7 @@ __all__ = [
 
 NULL_SPEC = AlternativeSpec("Normal", (0.0, 1.0))
 
-_BLOCK = 4096  # replications per work block; fixed so results never depend
-# on the worker count
-_CHUNK_ELEMS = 1 << 16  # values per transform pass inside a block
+_BLOCK = 4096  # replications per work block
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:

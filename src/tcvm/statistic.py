@@ -93,18 +93,31 @@ class StandardizedSample:
     n: int
 
 
-def _scaled(x: np.ndarray) -> Tuple[np.ndarray, int]:
-    """(x * 2**-e, e) with max|x| < 2**e <= 2 * max|x|.
+def _scaled(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(x * 2**-e, e) row by row: max|x| < 2**e <= 2 * max|x| in each row.
 
-    The scaling is exact, so squares and sums of the result cannot overflow
-    and carry the same bits as those of x wherever those do not overflow.
+    Rows run along the last axis, and e keeps that axis with length 1.  The
+    scaling is exact, so squares and sums of the result cannot overflow and
+    carry the same bits as those of x wherever those do not overflow.
     """
-    e = math.frexp(float(np.max(np.abs(x))))[1]
+    e = np.frexp(np.max(np.abs(x), axis=-1, keepdims=True))[1]
     return np.ldexp(x, -e), e
+
+
+def _sorted_row(values: Sequence[float]) -> np.ndarray:
+    """A validated, non-constant sample as one ascending row, shape (1, n).
+
+    Scaled by a power of two, so that its squares cannot overflow.
+    """
+    xs = np.sort(as_sample(values))
+    if xs[0] == xs[-1]:
+        raise DegenerateSampleError("sample is constant")
+    return _scaled(xs[np.newaxis, :])[0]
 
 
 def standardize(values: Sequence[float]) -> StandardizedSample:
     x, e = _scaled(as_sample(values))
+    e = int(e[0])
     mean = float(x.mean())
     s = float(x.std())  # divisor n
     if s == 0.0:
@@ -279,7 +292,7 @@ def _weighted_cvm(y: np.ndarray, truncated: Sequence[bool]) -> List[np.ndarray]:
             beyond = v < -a
             p, q = np.where(beyond, psi_a, psi), np.where(beyond, h_a, h)
         g = cdf_sq_over_pdf_antiderivative(-a) if trunc else -LN2_OVER_2
-        t = 2.0 * q.sum(axis=1) - np.einsum("ij,ij->i", odd, p) / n - 2.0 * n * g
+        t = 2.0 * q.sum(axis=1) - (odd * p).sum(axis=1) / n - 2.0 * n * g
         out.append(t if trunc else np.where(overflow, np.inf, t))
     return out
 
@@ -290,7 +303,7 @@ def compute_untruncated(values: Sequence[float]) -> float:
     Integrates (N(x) - n*Phi(x))^2/(n*phi(x)) over all of R; folded, the
     two unbounded end pieces leave the constant n*ln(2).
     """
-    y = _standardize_sorted(_scaled(np.sort(as_sample(values)))[0][np.newaxis, :])
+    y = _standardize_sorted(_sorted_row(values))
     return float(_weighted_cvm(y, [False])[0][0])
 
 

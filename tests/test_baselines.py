@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,17 @@ from tcvm.baselines import (
     bcmr,
     shapiro_francia,
     shapiro_wilk,
+    _batch_ad,
+    _batch_bcmr,
+    _batch_sw_like,
     _bcmr_weights,
 )
-from tcvm.statistic import _standardize_sorted, compute_tstar, compute_untruncated
+from tcvm.statistic import (
+    _standardize_sorted,
+    _weighted_cvm,
+    compute_tstar,
+    compute_untruncated,
+)
 
 
 def _quad(f, lo: float, hi: float) -> float:
@@ -184,6 +193,48 @@ class TestBatchStatistics:
             together = batch_statistics(block, kinds)
             for k in (tcvm, cvm):
                 np.testing.assert_array_equal(together[k], alone[k])
+
+    @pytest.mark.parametrize("n,reps", [(50, 700), (1000, 40), (10_000, 5)])
+    def test_rows_split_any_way_give_the_same_bits(self, rng, n, reps):
+        # the whole block runs as two slices inside batch_statistics; its
+        # pieces as one slice each
+        block = rng.standard_t(4, size=(reps, n))
+        kinds = list(BaselineKind)
+        whole = batch_statistics(block, kinds)
+        for rows in (1, 3, 8, 13):
+            pieces = [batch_statistics(block[i : i + rows], kinds) for i in range(0, reps, rows)]
+            for kind in kinds:
+                joined = np.concatenate([piece[kind] for piece in pieces])
+                np.testing.assert_array_equal(joined, whole[kind], err_msg=f"{kind} {rows}")
+
+    def test_row_scaling_keeps_the_bits_of_ordinary_rows(self, rng):
+        # scaling each row by a power of two is exact: the kernels on the
+        # unscaled rows give the same bits
+        block = rng.standard_normal((200, 50))
+        x_sorted = np.sort(block, axis=1)
+        y_sorted = _standardize_sorted(x_sorted)
+        tcvm, cvm = _weighted_cvm(y_sorted, [True, False])
+        unscaled = {
+            BaselineKind.TCVM: tcvm,
+            BaselineKind.CVM: cvm,
+            BaselineKind.AD: _batch_ad(y_sorted),
+            BaselineKind.SW: _batch_sw_like(x_sorted),
+            BaselineKind.BCMR: _batch_bcmr(x_sorted),
+        }
+        stats = batch_statistics(block, list(BaselineKind))
+        for kind, values in unscaled.items():
+            np.testing.assert_array_equal(stats[kind], values, err_msg=str(kind))
+
+    def test_squares_past_overflow_match_scalar(self):
+        x = np.array([1e200, -1e200, 3e199, 5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stats = batch_statistics(x[np.newaxis, :], list(BaselineKind))
+        assert stats[BaselineKind.TCVM][0] == pytest.approx(compute_tstar(x).t_star, rel=1e-9)
+        assert stats[BaselineKind.CVM][0] == compute_untruncated(x)
+        assert stats[BaselineKind.AD][0] == anderson_darling(x)
+        assert stats[BaselineKind.BCMR][0] == bcmr(x)
+        assert stats[BaselineKind.SW][0] == shapiro_francia(x)
 
     def test_tails_registry_complete(self):
         assert set(REJECTION_TAIL) == set(BaselineKind)

@@ -47,10 +47,10 @@ class TestStreams:
 
     @pytest.mark.parametrize("text", sorted({t for _, _, t in TABLE1_ALTERNATIVES}))
     def test_block_spanning_transform_chunks(self, text):
-        # n = 2**14 + 1 gives chunks of 3 rows: 7 rows run as 3, 3 and 1,
-        # reusing the raw buffers across chunks
+        # n = _CHUNK_ELEMS/4 + 1 gives chunks of 3 rows: 7 rows run as 3, 3
+        # and 1, reusing the raw buffers across chunks
         spec = parse_spec(text)
-        n, seed, start = 2**14 + 1, 2**64 - 3, 4093
+        n, seed, start = engine._CHUNK_ELEMS // 4 + 1, 2**64 - 3, 4093
         assert engine._CHUNK_ELEMS // n == 3
         block = _draw_block(spec, n, seed, start, 7)
         for i, row in enumerate(block):
@@ -72,6 +72,26 @@ class TestQuantileIndex:
         block = np.vstack([replication_rng(3, r).standard_normal(10) for r in range(501)])
         stats = np.sort(batch_statistics(block, [BaselineKind.TCVM])[BaselineKind.TCVM])
         assert row.critical_values[0.5] == stats[_upper_index(0.5, 501) - 1]
+
+
+@pytest.mark.parametrize("block", [1000, 1001])
+def test_results_do_not_depend_on_the_block_size(block, monkeypatch):
+    # 2500 reps run as one block of 4096 or as three; each block's rows are
+    # sliced differently inside batch_statistics
+    kinds = list(BaselineKind)
+
+    def run():
+        row = estimate_critical_values(50, reps=2500, seed=12)
+        crits = estimate_null_critical_values(kinds, 50, 0.05, reps=2500, seed=13)
+        power = estimate_power(
+            kinds, parse_spec("t(5)"), 50, 0.05, reps=2500, seed=14, critical_values=crits
+        )
+        return row, crits, power
+
+    monkeypatch.setattr(engine, "_BLOCK", 4096)
+    whole = run()
+    monkeypatch.setattr(engine, "_BLOCK", block)
+    assert run() == whole
 
 
 class TestCriticalValues:

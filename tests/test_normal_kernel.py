@@ -197,6 +197,19 @@ class TestWeightIntegrals:
             nk.int_recip_pdf(0.0, 5.5)
 
 
+# D_n = 2 * int_0^{a_n} Phi(x) Phi(-x) / phi(x) dx by mpmath.quad at 40 digits,
+# with a_n = endpoint(n).a_n taken as its exact double
+_D_N_REFERENCE = {
+    10: "1.500476008381754910439219",
+    50: "2.207552889108385131175092",
+    10**3: "2.925989125231815498922240",
+    10**4: "3.270009615989542591176061",
+    10**5: "3.529148938855275320759698",
+    10**6: "3.736621621946158746552146",
+    10**7: "3.909431071446407002194468",
+}
+
+
 class TestCnDn:
     @pytest.mark.parametrize(
         "n,expected",
@@ -228,6 +241,10 @@ class TestCnDn:
         d_ref = _tight_quad(lambda x: nk.cdf(x) * nk.cdf(-x) * recip_pdf(x), -a, a)
         assert nk.c_n(n) == pytest.approx(c_ref, rel=1e-13)
         assert nk.d_n(n) == pytest.approx(d_ref, rel=d_rel)
+
+    @pytest.mark.parametrize("n", sorted(_D_N_REFERENCE))
+    def test_d_n_matches_high_precision_reference(self, n):
+        assert nk.d_n(n) == pytest.approx(float(_D_N_REFERENCE[n]), rel=1e-15, abs=0.0)
 
     def test_d_n_degenerate(self):
         assert nk.d_n(2) == 0.0
