@@ -115,6 +115,7 @@ class _Family:
     validate: Callable[[Tuple[float, ...]], Optional[str]]
     raw: Tuple[_RawCall, ...]
     transform: Callable[[Sequence[np.ndarray], Tuple[float, ...]], np.ndarray]
+    infinite_ok: bool = False  # may a parameter be +-inf (never nan)?
 
 
 def _ok(_params: Tuple[float, ...]) -> Optional[str]:
@@ -228,6 +229,7 @@ _register(
         _ordered(0, 1),
         (_U,),
         _inverse_cdf(_truncn_quantile),
+        infinite_ok=True,  # N(0,1) conditioned on a half-line draws finite values
     )
 )
 _register(
@@ -390,32 +392,39 @@ def parse_spec(text: str) -> AlternativeSpec:
             "parameters"
         )
     raw_name, raw_params = m.groups()
-    key = _ALIASES.get(raw_name.strip().lower(), raw_name.strip().lower())
-    fam = _FAMILIES.get(key)
-    if fam is None:
-        known = ", ".join(sorted(f.name for f in _FAMILIES.values()))
-        raise UnknownFamilyError(f"unknown family {raw_name!r}; known: {known}")
+    fam = _family(raw_name)
     parts = [p.strip() for p in raw_params.split(",")] if raw_params.strip() else []
     try:
         params = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise SpecError(f"non-numeric parameter in {text!r}") from exc
-    if len(params) != fam.arity:
-        raise ArityError(
-            f"{fam.name} takes {fam.arity} parameter(s), got {len(params)} in "
-            f"{text!r}"
-        )
-    msg = fam.validate(params)
-    if msg:
-        raise ParamDomainError(f"{fam.name}: {msg}")
+    _check(fam, params)
     return AlternativeSpec(family=fam.name, params=params)
 
 
-def _family(spec: AlternativeSpec) -> _Family:
-    fam = _FAMILIES.get(spec.family.lower())
+def _family(name: str) -> _Family:
+    key = name.strip().lower()
+    fam = _FAMILIES.get(_ALIASES.get(key, key))
     if fam is None:
-        raise UnknownFamilyError(f"unknown family {spec.family!r}")
+        known = ", ".join(sorted(f.name for f in _FAMILIES.values()))
+        raise UnknownFamilyError(f"unknown family {name!r}; known: {known}")
     return fam
+
+
+def _check(fam: _Family, params: Tuple[float, ...]) -> None:
+    """Arity, then finiteness, then the family's own domain."""
+    if len(params) != fam.arity:
+        raise ArityError(
+            f"{fam.name} takes {fam.arity} parameter(s), got {len(params)}: {params}"
+        )
+    # nan fails every comparison, so checks like `p <= 0` below would let it pass
+    if any(math.isnan(p) for p in params):
+        raise ParamDomainError(f"{fam.name}: parameters must not be nan, got {params}")
+    if not (fam.infinite_ok or all(map(math.isfinite, params))):
+        raise ParamDomainError(f"{fam.name}: parameters must be finite, got {params}")
+    msg = fam.validate(params)
+    if msg:
+        raise ParamDomainError(f"{fam.name}: {msg}")
 
 
 @dataclass(frozen=True)
@@ -449,11 +458,8 @@ class _Sampler:
 
 def _sampler(spec: AlternativeSpec) -> _Sampler:
     """The raw calls and transform of a spec, with its parameters checked."""
-    fam = _family(spec)
-    params = spec.params
-    msg = fam.validate(params)
-    if msg:
-        raise ParamDomainError(f"{fam.name}: {msg}")
+    fam, params = _family(spec.family), spec.params
+    _check(fam, params)
     return _Sampler(
         calls=tuple((method, tuple(params[i] for i in idx)) for method, idx in fam.raw),
         transform=lambda raw: fam.transform(raw, params),

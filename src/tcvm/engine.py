@@ -2,13 +2,15 @@
 
 Reproducibility contract: replication ``r`` of a run with master seed ``s``
 draws from a counter-based Philox stream keyed by ``(s, r)``.  Work is
-partitioned into blocks of ``_BLOCK`` replication indices, each block fills
-a disjoint slice of preallocated output arrays, and aggregation only ever
-sorts or sums.  ``batch_statistics`` computes each row's statistics from
-that row alone, in the same bits however the rows are sliced, so results
-do not depend on the worker count, the block size or the kernel slice.
-The one exception is the moment check, whose float sums are reduced per
-block: it is bit-identical for any worker count, not for any block size.
+partitioned into blocks of ``_BLOCK`` replication indices.  Each block
+returns its own results, and they come back in block order whatever the
+worker count, so no worker writes shared arrays and aggregation only
+concatenates, sorts or sums in a fixed order.  ``batch_statistics``
+computes each row's statistics from that row alone, in the same bits
+however the rows are sliced, so results do not depend on the worker count,
+the block size or the kernel slice.  The one exception is the moment
+check, whose float sums are reduced per block: it is bit-identical for any
+worker count, not for any block size.
 """
 
 from __future__ import annotations
@@ -108,40 +110,28 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
 
 
-def _run_blocks(
-    reps: int,
-    workers: int,
-    task: Callable[[int, int], None],
-) -> None:
-    """Apply ``task(start, count)`` over fixed replication blocks."""
-    blocks = [
-        (start, min(_BLOCK, reps - start)) for start in range(0, reps, _BLOCK)
-    ]
-    if workers <= 1 or len(blocks) == 1:
-        for start, count in blocks:
-            task(start, count)
-        return
+def _map_blocks(
+    spec: AlternativeSpec, n: int, reps: int, seed: int, workers: int, fn: Callable
+) -> list:
+    """``[fn(block), ...]`` over the drawn ``_BLOCK``-row blocks, in block order."""
+
+    def run(start: int):
+        return fn(_draw_block(spec, n, seed, start, min(_BLOCK, reps - start)))
+
+    starts = range(0, reps, _BLOCK)
+    if workers <= 1 or len(starts) == 1:
+        return [run(start) for start in starts]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda b: task(*b), blocks))
+        return list(pool.map(run, starts))
 
 
 def _null_statistics(
-    kinds: Sequence[BaselineKind],
-    spec: AlternativeSpec,
-    n: int,
-    reps: int,
-    seed: int,
-    workers: int = 1,
+    kinds: Sequence[BaselineKind], n: int, reps: int, seed: int, workers: int
 ) -> Dict[BaselineKind, np.ndarray]:
-    stats = {kind: np.empty(reps) for kind in kinds}
-
-    def task(start: int, count: int) -> None:
-        block = _draw_block(spec, n, seed, start, count)
-        for kind, values in batch_statistics(block, kinds).items():
-            stats[kind][start : start + count] = values
-
-    _run_blocks(reps, workers, task)
-    return stats
+    parts = _map_blocks(
+        NULL_SPEC, n, reps, seed, workers, lambda block: batch_statistics(block, kinds)
+    )
+    return {kind: np.concatenate([part[kind] for part in parts]) for kind in kinds}
 
 
 def _upper_index(alpha: float, reps: int) -> int:
@@ -150,16 +140,22 @@ def _upper_index(alpha: float, reps: int) -> int:
     return int(math.ceil(frac))
 
 
-def _critical_from_sorted(
-    sorted_stats: np.ndarray, alpha: float, tail: str
-) -> float:
-    reps = sorted_stats.size
-    k = _upper_index(alpha, reps)
-    if not 1 <= k <= reps:
-        raise ValueError(f"alpha={alpha} unusable with {reps} replications")
-    if tail == "upper":
-        return float(sorted_stats[k - 1])
-    return float(sorted_stats[reps - k])
+def _null_critical_values(
+    kinds: Sequence[BaselineKind], n: int, alphas: Sequence[float],
+    reps: int, seed: int, workers: int,
+) -> Dict[BaselineKind, Dict[float, float]]:
+    """Per kind and level, order statistic ceil((1-alpha)*reps) of the rejection tail."""
+    _check_run(n, reps, workers, min_reps=100)
+    _check_atom(n, kinds)
+    for a in alphas:
+        _check_alpha(a)
+    out = {}
+    for kind, values in _null_statistics(kinds, n, reps, seed, workers).items():
+        s = np.sort(values)
+        s = s if REJECTION_TAIL[kind] == "upper" else s[::-1]
+        # 0 < a < 1 puts the index in 1..reps
+        out[kind] = {float(a): float(s[_upper_index(a, reps) - 1]) for a in alphas}
+    return out
 
 
 def estimate_critical_values(
@@ -175,13 +171,8 @@ def estimate_critical_values(
     order statistics at index ceil((1-alpha)*reps), together with the
     deterministic a_n and C_n columns.
     """
-    _check_run(n, reps, workers, min_reps=100)
-    _check_atom(n, [BaselineKind.TCVM])
-    for a in alphas:
-        _check_alpha(a)
-    stats = _null_statistics([BaselineKind.TCVM], NULL_SPEC, n, reps, seed, workers)
-    s = np.sort(stats[BaselineKind.TCVM])
-    crits = {float(a): _critical_from_sorted(s, a, "upper") for a in alphas}
+    kind = BaselineKind.TCVM
+    crits = _null_critical_values([kind], n, alphas, reps, seed, workers)[kind]
     return CriticalValueRow(
         n=n, critical_values=crits, a_n=endpoint(n).a_n, c_n=c_n(n)
     )
@@ -215,15 +206,8 @@ def estimate_null_critical_values(
     workers: int = 1,
 ) -> Dict[BaselineKind, float]:
     """Simulated critical value for every test kind, from shared null draws."""
-    kinds = list(kinds)
-    _check_run(n, reps, workers, min_reps=100)
-    _check_atom(n, kinds)
-    _check_alpha(alpha)
-    stats = _null_statistics(kinds, NULL_SPEC, n, reps, seed, workers)
-    return {
-        kind: _critical_from_sorted(np.sort(values), alpha, REJECTION_TAIL[kind])
-        for kind, values in stats.items()
-    }
+    crits = _null_critical_values(list(kinds), n, [alpha], reps, seed, workers)
+    return {kind: by_alpha[float(alpha)] for kind, by_alpha in crits.items()}
 
 
 @dataclass(frozen=True)
@@ -263,22 +247,18 @@ def estimate_power(
     missing = [k for k in kinds if k not in critical_values]
     if missing:
         raise ValueError(f"missing critical values for {missing}")
-    n_blocks = (reps + _BLOCK - 1) // _BLOCK
-    counts = {kind: np.zeros(n_blocks, dtype=np.int64) for kind in kinds}
 
-    def task(start: int, count: int) -> None:
-        block = _draw_block(spec, n, seed, start, count)
+    rejects = {"upper": np.greater, "lower": np.less}
+
+    def hits(block: np.ndarray) -> List[int]:
         stats = batch_statistics(block, kinds)
-        for kind in kinds:
-            crit = critical_values[kind]
-            if REJECTION_TAIL[kind] == "upper":
-                hits = np.count_nonzero(stats[kind] > crit)
-            else:
-                hits = np.count_nonzero(stats[kind] < crit)
-            counts[kind][start // _BLOCK] = hits
+        return [
+            np.count_nonzero(rejects[REJECTION_TAIL[k]](stats[k], critical_values[k]))
+            for k in kinds
+        ]
 
-    _run_blocks(reps, workers, task)
-    rates = {kind: int(counts[kind].sum()) / reps for kind in kinds}
+    counts = np.sum(_map_blocks(spec, n, reps, seed, workers, hits), axis=0)
+    rates = {kind: int(c) / reps for kind, c in zip(kinds, counts)}
     stderr = {
         kind: math.sqrt(max(r * (1.0 - r), 0.0) / reps) for kind, r in rates.items()
     }
@@ -316,15 +296,8 @@ def estimate_constant_c(
     _check_run(n, reps, workers, min_reps=100)
     if n < 100:
         raise ValueError(f"the centred-statistic study needs n >= 100, got {n}")
-    centred = np.empty(reps)
-    dn = d_n(n)
-
-    def task(start: int, count: int) -> None:
-        block = _draw_block(NULL_SPEC, n, seed, start, count)
-        tstar = batch_statistics(block, [BaselineKind.TCVM])[BaselineKind.TCVM]
-        centred[start : start + count] = tstar - dn
-
-    _run_blocks(reps, workers, task)
+    tstar = _null_statistics([BaselineKind.TCVM], n, reps, seed, workers)
+    centred = tstar[BaselineKind.TCVM] - d_n(n)
     value = float(np.mean(centred) + 1.5)
     stderr = float(np.std(centred, ddof=1) / math.sqrt(reps))
     return ConstantCEstimate(value=value, stderr=stderr, n=n, reps=reps, seed=seed)
@@ -361,28 +334,24 @@ def verify_fourth_moments(
     pts = [(float(x), float(y)) for x, y in points]
     if not all(math.isfinite(v) for pt in pts for v in pt):
         raise ValueError(f"moment points must be finite, got {pts}")
-    n_blocks = (reps + _BLOCK - 1) // _BLOCK
-    # one slot per (point, block); reduced in fixed order after all blocks
-    sums = np.zeros((len(pts), n_blocks))
-    sq_sums = np.zeros((len(pts), n_blocks))
     sqrt_n = math.sqrt(n)
     cdfs = [(cdf(x), cdf(y)) for x, y in pts]
 
-    def task(start: int, count: int) -> None:
-        block = _draw_block(NULL_SPEC, n, seed, start, count)
-        slot = start // _BLOCK
-        for j, ((x, y), (px, py)) in enumerate(zip(pts, cdfs)):
+    def block_sums(block: np.ndarray) -> List[Tuple[float, float]]:
+        out = []
+        for (x, y), (px, py) in zip(pts, cdfs):
             bx = ((block <= x).sum(axis=1) - n * px) / sqrt_n
             by = ((block <= y).sum(axis=1) - n * py) / sqrt_n
             prod = bx * bx * by * by
-            sums[j, slot] = prod.sum()
-            sq_sums[j, slot] = (prod * prod).sum()
+            out.append((prod.sum(), (prod * prod).sum()))
+        return out
 
-    _run_blocks(reps, workers, task)
+    # (block, point, sum or sum of squares); each sum runs over blocks in order
+    sums = np.array(_map_blocks(NULL_SPEC, n, reps, seed, workers, block_sums))
     out = []
     for j, (x, y) in enumerate(pts):
-        mean = float(sums[j].sum()) / reps
-        var = max(float(sq_sums[j].sum()) / reps - mean * mean, 0.0)
+        mean = float(sums[:, j, 0].sum()) / reps
+        var = max(float(sums[:, j, 1].sum()) / reps - mean * mean, 0.0)
         stderr = math.sqrt(var / reps)
         exact = fourth_moment_exact(MomentPoint.of(x, y), n)
         z = (mean - exact) / stderr if stderr > 0 else math.inf

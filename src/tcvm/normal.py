@@ -55,7 +55,6 @@ __all__ = [
     "cdf_over_pdf_antiderivative",
     "recip_and_cdf_over_pdf_antiderivatives",
     "cdf_sq_over_pdf_antiderivative",
-    "interval_weights",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -407,18 +406,3 @@ def d_n(n: int) -> float:
     """
     a = endpoint(n).a_n
     return 2.0 * (cdf_sq_over_pdf_antiderivative(-a) - cdf_over_pdf_antiderivative(-a))
-
-
-def interval_weights(grid: np.ndarray):
-    """A- and B-integrals over consecutive intervals of an ascending grid.
-
-    ``grid`` has shape (..., m) with nondecreasing last axis; returns two
-    arrays of shape (..., m-1) with A_j = int 1/phi and B_j = int Phi/phi
-    over [grid_j, grid_{j+1}].  Evaluated from the closed-form
-    antiderivatives; adjacent ties yield exact zeros.
-    """
-    psi, h = recip_and_cdf_over_pdf_antiderivatives(grid)
-    a = np.diff(psi, axis=-1)
-    b = np.diff(h, axis=-1)
-    # roundoff can leave tiny negatives on zero-width intervals
-    return np.maximum(a, 0.0), np.maximum(b, 0.0)

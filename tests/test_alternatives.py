@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcvm import normal as nk
 from tcvm.alternatives import (
@@ -12,11 +14,15 @@ from tcvm.alternatives import (
     ParamDomainError,
     SpecError,
     UnknownFamilyError,
+    _ALIASES,
     _FAMILIES,
+    _sampler,
     draw,
     parse_spec,
     sample,
 )
+from tcvm.baselines import BaselineKind
+from tcvm.engine import estimate_power
 
 
 class TestParse:
@@ -60,6 +66,69 @@ class TestParse:
     def test_round_trip_string(self):
         spec = parse_spec("ScConN(0.1,7)")
         assert parse_spec(str(spec)) == spec
+
+
+class TestOneSpecCheck:
+    """A spec built by hand is checked as strictly as a parsed one."""
+
+    @staticmethod
+    def every_path(spec):
+        yield lambda: sample(spec, 5, seed=1)
+        yield lambda: draw(spec, 5, np.random.default_rng(1))
+        yield lambda: _sampler(spec)
+        yield lambda: estimate_power(
+            [BaselineKind.AD], spec, 20, 0.05, 10, 0, {BaselineKind.AD: 1.0}
+        )
+
+    @pytest.mark.parametrize("params", [(0.0,), (0.0, 1.0, 5.0)], ids=str)
+    def test_built_spec_with_wrong_arity(self, params):
+        # one parameter short ended in IndexError; one too many was ignored
+        for call in self.every_path(AlternativeSpec("Normal", params)):
+            with pytest.raises(ArityError):
+                call()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            AlternativeSpec("Normal", (0.0, math.nan)),
+            AlternativeSpec("Tukey", (math.nan,)),
+            AlternativeSpec("Normal", (0.0, math.inf)),
+            AlternativeSpec("Unif", (0.0, math.inf)),
+            AlternativeSpec("Normal", (-math.inf, 1.0)),
+        ],
+        ids=str,
+    )
+    def test_nan_or_infinite_parameter(self, spec):
+        # each drew nan or inf: a run calibrated, then failed on its samples
+        with pytest.raises(ParamDomainError):
+            parse_spec(str(spec))
+        for call in self.every_path(spec):
+            with pytest.raises(ParamDomainError):
+                call()
+
+    @pytest.mark.parametrize("params", [(-math.inf, 1.0), (0.5, math.inf)], ids=str)
+    def test_truncn_takes_infinite_bounds(self, params):
+        spec = AlternativeSpec("TruncN", params)
+        assert parse_spec(str(spec)) == spec
+        draws = sample(spec, 10_000, seed=3)
+        assert np.isfinite(draws).all()
+        assert params[0] < draws.min() and draws.max() < params[1]
+
+
+_NAMES = sorted({fam.name for fam in _FAMILIES.values()} | set(_ALIASES))
+_PARAM = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(_NAMES), st.lists(_PARAM, max_size=3))
+def test_any_name_and_parameters_raise_only_spec_errors(name, params):
+    spec = AlternativeSpec(name, tuple(params))
+    text = f"{name}({','.join(repr(p) for p in params)})"
+    for call in (lambda: parse_spec(text), lambda: _sampler(spec)):
+        try:
+            call()
+        except SpecError:
+            pass
 
 
 class TestDeterminism:

@@ -231,6 +231,20 @@ class TestPower:
         code, _ = run_cli(["power", "--alt", "Nope(1)", "--reps", "100"])
         assert code == 3
 
+    def test_nan_parameter_refused_before_calibration(self, monkeypatch, capsys):
+        from tcvm import engine
+
+        def refuse(*args):
+            raise AssertionError("drew a block for a nan parameter")
+
+        monkeypatch.setattr(engine, "_draw_block", refuse)
+        code, text = run_cli(
+            ["power", "--alt", "Normal(0,nan)", "--n", "20", "--reps", "100",
+             "--cv-reps", "200", "--tests", "ad"]
+        )
+        assert (code, text) == (3, "")
+        assert "must not be nan" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "extra, message",
         [

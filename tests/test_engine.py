@@ -74,6 +74,20 @@ class TestQuantileIndex:
         assert row.critical_values[0.5] == stats[_upper_index(0.5, 501) - 1]
 
 
+def test_constant_and_moments_do_not_depend_on_the_worker_count(monkeypatch):
+    # 700 rows per block: 2500 reps run as four blocks, 10,001 as fifteen
+    monkeypatch.setattr(engine, "_BLOCK", 700)
+    points = [(0.0, 0.0), (0.3, 1.1), (-1.2, 0.4)]
+
+    def run(workers):
+        return (
+            estimate_constant_c(100, reps=2500, seed=21, workers=workers),
+            verify_fourth_moments(points, 20, reps=10_001, seed=22, workers=workers),
+        )
+
+    assert run(3) == run(1)
+
+
 @pytest.mark.parametrize("block", [1000, 1001])
 def test_results_do_not_depend_on_the_block_size(block, monkeypatch):
     # 2500 reps run as one block of 4096 or as three; each block's rows are
@@ -86,7 +100,8 @@ def test_results_do_not_depend_on_the_block_size(block, monkeypatch):
         power = estimate_power(
             kinds, parse_spec("t(5)"), 50, 0.05, reps=2500, seed=14, critical_values=crits
         )
-        return row, crits, power
+        constant = estimate_constant_c(100, reps=2500, seed=15)
+        return row, crits, power, constant
 
     monkeypatch.setattr(engine, "_BLOCK", 4096)
     whole = run()
