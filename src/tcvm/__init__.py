@@ -56,14 +56,12 @@ from .normal import (
 from .process import MomentPoint, b_hat_n, b_n, cov_b2, ebb2, fourth_moment_exact
 from .statistic import (
     DegenerateSampleError,
-    StandardizedSample,
     TcvmResult,
     TestOutcome,
     compute_tstar,
     compute_tstar_direct,
     compute_untruncated,
     decide,
-    standardize,
     tcvm_test,
 )
 from .table import (
@@ -93,7 +91,6 @@ __all__ = [
     "PowerReport",
     "REJECTION_TAIL",
     "SpecError",
-    "StandardizedSample",
     "TABLE1_ALTERNATIVES",
     "TableCoverageError",
     "TcvmResult",
@@ -131,7 +128,6 @@ __all__ = [
     "shapiro_francia",
     "shapiro_wilk",
     "simulate_table",
-    "standardize",
     "tcvm_test",
     "verify_fourth_moment",
     "verify_fourth_moments",

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import log_ndtr, ndtri_exp
 
 from .normal import cdf, quantile
 
@@ -171,6 +172,12 @@ def _as_drawn(raw, _params):
 
 def _truncn_quantile(u, params):
     a, b = params
+    if a >= 0.0:  # cdf rounds to 1 in the upper tail: draw the mirror image
+        return -_truncn_quantile(1.0 - np.asarray(u, float), (-b, -a))
+    if b <= 0.0:  # one lower tail, where cdf may underflow: mix in logs
+        u = _open_unit(u)
+        log_p = np.logaddexp(log_ndtr(a) + np.log1p(-u), log_ndtr(b) + np.log(u))
+        return ndtri_exp(log_p)
     lo, hi = cdf(a), cdf(b)
     # lo may lie far below 2^-53, so only 0 itself is moved off the end
     return quantile(np.clip(lo + u * (hi - lo), 5e-324, 1.0 - 2.0**-53))

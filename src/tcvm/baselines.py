@@ -30,8 +30,8 @@ import numpy as np
 from .normal import cdf, pdf, quantile
 from .statistic import (
     _sample_matrix,
-    _scaled,
     _sorted_row,
+    _sorted_rows,
     _standardize_sorted,
     _weighted_cvm,
 )
@@ -169,13 +169,13 @@ def batch_statistics(
     from one call of the folded kernel, which evaluates psi and H once.
 
     The rows go through in slices of at most ``_CHUNK_ELEMS`` values, so
-    that the temporaries stay in cache: each slice is sorted, scaled by a
-    power of two per row (as the scalar statistics scale their sample, so
-    squares cannot overflow), standardized and run through every requested
-    kernel before the next slice starts.  Every reduction runs along one
-    row alone, so a row's results have the same bits however the rows are
-    split: they do not depend on the slice, on the engine's block size or
-    on its worker count.
+    that the temporaries stay in cache: each slice is sorted and scaled by
+    ``_sorted_rows``, as a scalar sample is (so a constant row raises
+    ``DegenerateSampleError`` whatever the kinds), standardized and run
+    through every requested kernel before the next slice starts.  Every
+    reduction runs along one row alone, so a row's results have the same
+    bits however the rows are split: they do not depend on the slice, on
+    the engine's block size or on its worker count.
     """
     kinds = list(kinds)
     x = _sample_matrix(samples)
@@ -186,7 +186,7 @@ def batch_statistics(
     rows = max(1, _CHUNK_ELEMS // x.shape[1])
     for first in range(0, x.shape[0], rows):
         part = slice(first, first + rows)
-        x_sorted = _scaled(np.sort(x[part], axis=1))[0]
+        x_sorted = _sorted_rows(x[part])
         y_sorted = _standardize_sorted(x_sorted) if need_std else None
         if folded:
             for kind, values in zip(folded, _weighted_cvm(y_sorted, flags)):

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .normal import cdf
-from .statistic import as_sample, standardize
+from .statistic import _sorted_row, _standardize_sorted
 
 __all__ = [
     "MomentPoint",
@@ -41,8 +41,7 @@ def b_n(values: Sequence[float], x: float) -> float:
 
 def b_hat_n(values: Sequence[float], x: float) -> float:
     """Standardized empirical process: b_n applied to (X_i - mean)/S_n."""
-    std = standardize(as_sample(values))
-    return b_n(std.y, x)
+    return b_n(_standardize_sorted(_sorted_row(values))[0], x)
 
 
 def ebb2(x) -> float:

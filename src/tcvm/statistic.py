@@ -6,12 +6,14 @@ Y_i = (X_i - mean)/S_n and N(x) = #{i : Y_i <= x},
 
     T = (1/n) * int_{-a_n}^{a_n} (N(x) - n*Phi(x))^2 / phi(x) dx.
 
-Two production routes and one test oracle:
+Every route takes its Y from ``_standardize_sorted`` of ``_sorted_row``
+(``_sorted_rows`` for a matrix), the one place that validates, sorts and
+scales a sample and refuses a constant one.  Two production routes and one
+test oracle:
 
 * ``compute_tstar``        - the stepwise form behind ``tcvm_test`` (delete,
-                             sort, grid, weight integrals by adaptive
-                             quadrature, C_n in closed form); returns all
-                             intermediates.
+                             grid, weight integrals by adaptive quadrature,
+                             C_n in closed form); returns the counts k, m.
 * ``_weighted_cvm``        - the folded closed-form kernel behind
                              ``batch_statistics`` (one row per sample).
 * ``compute_tstar_direct`` - the oracle: ``scipy.integrate.quad`` of the
@@ -49,11 +51,8 @@ from .table import CriticalValueTable, embedded_table
 
 __all__ = [
     "DegenerateSampleError",
-    "StandardizedSample",
     "TcvmResult",
     "TestOutcome",
-    "as_sample",
-    "standardize",
     "compute_tstar",
     "compute_tstar_direct",
     "compute_untruncated",
@@ -71,26 +70,16 @@ class DegenerateSampleError(ValueError):
     """All observations equal: the sample cannot be standardized."""
 
 
-def as_sample(values: Sequence[float]) -> np.ndarray:
-    """Validate and return a sample as a 1-d float array (n >= 3, finite)."""
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"sample must be one-dimensional, got shape {x.shape}")
-    if x.size < 3:
-        raise ValueError(f"sample needs at least 3 observations, got {x.size}")
+def _sample_matrix(samples: np.ndarray) -> np.ndarray:
+    """Validate a (R, n) sample matrix: n >= 3 and every value finite."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"expected a (replications, n) matrix, got shape {x.shape}")
+    if x.shape[1] < 3:
+        raise ValueError(f"a sample needs at least 3 observations, got {x.shape[1]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite values")
     return x
-
-
-@dataclass(frozen=True)
-class StandardizedSample:
-    """Observations centred by the mean and scaled by the divisor-n SD."""
-
-    y: np.ndarray
-    mean: float
-    s_n: float
-    n: int
 
 
 def _scaled(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -104,32 +93,39 @@ def _scaled(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.ldexp(x, -e), e
 
 
-def _sorted_row(values: Sequence[float]) -> np.ndarray:
-    """A validated, non-constant sample as one ascending row, shape (1, n).
+def _sorted_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of a validated matrix sorted, each scaled by a power of two.
 
-    Scaled by a power of two, so that its squares cannot overflow.
+    The one place a constant sample is refused: a row that is not constant
+    has a nonzero divisor-n SD once scaled, so every statistic is defined.
     """
-    xs = np.sort(as_sample(values))
-    if xs[0] == xs[-1]:
+    xs = _scaled(np.sort(x, axis=1))[0]
+    if np.any(xs[:, 0] == xs[:, -1]):
         raise DegenerateSampleError("sample is constant")
-    return _scaled(xs[np.newaxis, :])[0]
+    return xs
 
 
-def standardize(values: Sequence[float]) -> StandardizedSample:
-    x, e = _scaled(as_sample(values))
-    e = int(e[0])
-    mean = float(x.mean())
-    s = float(x.std())  # divisor n
-    if s == 0.0:
-        raise DegenerateSampleError("sample standard deviation is zero")
-    return StandardizedSample(
-        y=(x - mean) / s, mean=math.ldexp(mean, e), s_n=math.ldexp(s, e), n=x.size
-    )
+def _sorted_row(values: Sequence[float]) -> np.ndarray:
+    """A validated, non-constant sample as one ascending row, shape (1, n)."""
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"sample must be one-dimensional, got shape {x.shape}")
+    return _sorted_rows(_sample_matrix(x[np.newaxis, :]))
+
+
+def _standardize_sorted(x_sorted: np.ndarray) -> np.ndarray:
+    """Rowwise (x - mean)/S_n, divisor n, of rows from ``_sorted_rows``.
+
+    Reduces over the sorted rows, so every caller feeding the same multiset
+    of values per row gets bit-identical output.
+    """
+    mean = x_sorted.mean(axis=1, keepdims=True)
+    return (x_sorted - mean) / x_sorted.std(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
 class TcvmResult:
-    """Statistic value with the intermediates of the stepwise evaluation."""
+    """Statistic value with the counts of the stepwise evaluation."""
 
     t_star: float
     t_centered: float
@@ -138,57 +134,35 @@ class TcvmResult:
     c_n: float
     k: int
     m: int
-    tilde_y: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
 
 
 def compute_tstar(values: Sequence[float]) -> TcvmResult:
     """Stepwise evaluation of the truncated statistic.
 
-    Deletes observations at or beyond mean +- a_n * S_n, grids the retained
-    standardized order statistics between -a_n and a_n, computes the weight
-    integrals A_j, B_j by adaptive quadrature and assembles
+    Deletes the k standardized observations at or below -a_n and those at
+    or above a_n, grids the m retained ones between -a_n and a_n, computes
+    the weight integrals A_j, B_j by adaptive quadrature and assembles
 
         T = (1/n) sum (j+k)^2 A_j - 2 sum (j+k) B_j + C_n.
     """
-    x = as_sample(values)
-    n = x.size
-    std = standardize(x)
+    y = _standardize_sorted(_sorted_row(values))[0]
+    n = y.size
     a = endpoint(n).a_n
-
-    lower = std.mean - a * std.s_n
-    upper = std.mean + a * std.s_n
-    k = int(np.count_nonzero(x <= lower))
-    retained = np.sort(x[(x > lower) & (x < upper)], kind="stable")
-    m = retained.size
-
-    tilde_y = np.empty(m + 2)
-    tilde_y[0] = -a
-    tilde_y[-1] = a
-    tilde_y[1:-1] = np.clip((retained - std.mean) / std.s_n, -a, a)
+    k = int(np.count_nonzero(y <= -a))
+    grid = np.concatenate(([-a], y[(y > -a) & (y < a)], [a]))
+    m = grid.size - 2
 
     a_int = np.empty(m + 1)
     b_int = np.empty(m + 1)
     for j in range(m + 1):
-        a_int[j] = int_recip_pdf(tilde_y[j], tilde_y[j + 1])
-        b_int[j] = int_cdf_over_pdf(tilde_y[j], tilde_y[j + 1])
+        a_int[j] = int_recip_pdf(grid[j], grid[j + 1])
+        b_int[j] = int_cdf_over_pdf(grid[j], grid[j + 1])
 
     weights = np.arange(m + 1, dtype=float) + k
     cn = c_n(n)
     t_star = float(weights**2 @ a_int / n - 2.0 * weights @ b_int + cn)
-    t_centered = t_star - d_n(n)
     return TcvmResult(
-        t_star=t_star,
-        t_centered=t_centered,
-        n=n,
-        a_n=a,
-        c_n=cn,
-        k=k,
-        m=m,
-        tilde_y=tilde_y,
-        a=a_int,
-        b=b_int,
+        t_star=t_star, t_centered=t_star - d_n(n), n=n, a_n=a, c_n=cn, k=k, m=m
     )
 
 
@@ -206,11 +180,9 @@ def compute_tstar_direct(values: Sequence[float]) -> float:
 
     from scipy import integrate
 
-    x = as_sample(values)
-    n = x.size
-    std = standardize(x)
+    y = _standardize_sorted(_sorted_row(values))[0]
+    n = y.size
     a = endpoint(n).a_n
-    y = np.sort(std.y)
 
     def integrand(t: float, count: float) -> float:
         gap = count - 0.5 * n * math.erfc(-t / _SQRT2)  # N - n*Phi(t)
@@ -226,31 +198,6 @@ def compute_tstar_direct(values: Sequence[float]) -> float:
             count = float(np.searchsorted(y, 0.5 * (lo + hi), side="right"))
             total += integrate.quad(integrand, lo, hi, args=(count,), epsabs=1e-12, epsrel=1e-10)[0]
     return total
-
-
-def _sample_matrix(samples: np.ndarray) -> np.ndarray:
-    """Validate a (R, n) sample matrix: n >= 3 and every value finite."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected a (replications, n) matrix, got shape {x.shape}")
-    if x.shape[1] < 3:
-        raise ValueError("samples need at least 3 observations")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples contain non-finite values")
-    return x
-
-
-def _standardize_sorted(x_sorted: np.ndarray) -> np.ndarray:
-    """Rowwise standardized values of a matrix whose rows are ascending.
-
-    Reduces over the sorted rows, so every caller feeding the same multiset
-    of values per row gets bit-identical output.
-    """
-    mean = x_sorted.mean(axis=1, keepdims=True)
-    s = x_sorted.std(axis=1, keepdims=True)
-    if np.any(s == 0.0):
-        raise DegenerateSampleError("at least one sample is constant")
-    return (x_sorted - mean) / s
 
 
 def _weighted_cvm(y: np.ndarray, truncated: Sequence[bool]) -> List[np.ndarray]:

@@ -312,6 +312,20 @@ class TestQuantileFn:
         for text in ("Tukey(0)", "Logistic(0,1)", "Laplace(0,1)"):
             assert quantile_fn(text, 0.0) == quantile_fn(text, 2.0**-53), text
 
+    @pytest.mark.parametrize(
+        "a, b", [(9.0, 10.0), (40.0, 50.0), (-50.0, -40.0), (-math.inf, -40.0)]
+    )
+    def test_one_tail_truncn_draws_vary_inside(self, a, b):
+        # cdf(a) and cdf(b) rounded to one value here, and every draw was the
+        # same constant outside (a, b)
+        from scipy.stats import truncnorm
+
+        draws = sample(AlternativeSpec("TruncN", (a, b)), 10_000, seed=5)
+        assert a < draws.min() and draws.max() < b
+        assert np.unique(draws).size == draws.size
+        mean, var = truncnorm.stats(a, b, moments="mv")
+        assert abs(draws.mean() - mean) <= 5.0 * math.sqrt(var / draws.size)
+
     def test_far_tail_truncn_stays_in_support(self):
         # cdf(-10) ~ 7.6e-24 lies far below the 2^-53 floor of the other families
         q = quantile_fn("TruncN(-10,-9)", np.array([0.0, 0.5, 1.0 - 2.0**-53]))

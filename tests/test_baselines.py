@@ -23,6 +23,7 @@ from tcvm.baselines import (
     _bcmr_weights,
 )
 from tcvm.statistic import (
+    DegenerateSampleError,
     _standardize_sorted,
     _weighted_cvm,
     compute_tstar,
@@ -304,9 +305,20 @@ def test_squares_past_overflow(fn):
     assert fn(x) == fn(np.ldexp(x, -600))
 
 
-@pytest.mark.parametrize("fn", [shapiro_wilk, shapiro_francia, bcmr])
+def _batch_of(kind):
+    def fn(x):
+        return batch_statistics(np.vstack([x, x]), [kind])[kind]
+
+    fn.__name__ = f"batch_{kind.value}"
+    return fn
+
+
+@pytest.mark.parametrize(
+    "fn", [shapiro_wilk, shapiro_francia, bcmr] + [_batch_of(k) for k in BaselineKind]
+)
 def test_constant_sample_raises(fn):
-    with pytest.raises(ValueError, match="constant"):
+    # one check for every statistic, whichever kinds a batch asks for
+    with pytest.raises(DegenerateSampleError, match="constant"):
         fn(np.full(12, 2.5))
 
 

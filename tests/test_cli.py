@@ -1,8 +1,11 @@
+import contextlib
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tcvm import normal as nk
 from tcvm.cli import main
@@ -253,6 +256,8 @@ class TestPower:
             (["--workers", "-3"], "need workers >= 1"),
             (["--alpha", "0.0"], "alpha"),
             (["--alpha", "1.5"], "alpha"),
+            # draws 5.0 every time: SW and BCMR divided by zero and read 0.0
+            (["--alt", "Normal(5,1e-300)", "--tests", "sw,bcmr"], "sample is constant"),
         ],
     )
     def test_invalid_run_exit_2(self, extra, message, capsys):
@@ -349,3 +354,100 @@ class TestSeedHandling:
         monkeypatch.delenv("TCVM_SEED")
         _, bare = run_cli(["critvals", "--n", "10", "--reps", "300", "--seed", "7"])
         assert flagged == bare
+
+
+# Values per option for the fuzz test below.  Every in-range value keeps a
+# run small (n <= 200, reps <= 1,000, workers <= 2); the rest are out of
+# domain or not numbers at all.
+_FUZZ_VALUES = {
+    "data": ["normal.txt", "flat.txt", "tiny.txt", "nan.txt", "seven.txt", "missing.txt"],
+    "--n": ["0", "-3", "x", "1e9", "3", "4", "10", "57", "200"],
+    "--n-range": ["10..12", "3..5", "12..4", "199..200", "0..2", "x"],
+    "--reps": ["0", "-3", "x", "1e9", "1", "100", "257", "1000"],
+    "--cv-reps": ["0", "-3", "x", "1e9", "10", "100", "1000"],
+    "--workers": ["0", "-3", "x", "1", "2"],
+    "--seed": ["0", "7", "-1", "x", str(2**64)],
+    "--alpha": ["0", "0.05", "0.03", "0.1", "1.5", "-3", "nan", "x"],
+    "--alphas": ["0.05", "0.1,0.01", "0.0", "0.05,1", "x"],
+    "--alt": [
+        "Normal(0,1)", "Normal(5,1e-300)", "TruncN(9,10)", "TruncN(-50,-40)",
+        "Beta(2,1)", "Normal(0,nan)", "Nope(1)",
+    ],
+    "--tests": ["all", "sw,bcmr", "sw", "bcmr", "tcvm,ad", "nope"],
+    "--x": ["0", "0.5", "-1e9", "nan", "inf", "x"],
+    "--y": ["0", "1.5", "x"],
+    "--format": ["csv", "json", "xml"],
+    "--table": ["table.csv", "junk.txt", "missing.csv"],
+}
+_FILES = _FUZZ_VALUES["data"] + _FUZZ_VALUES["--table"]
+_COMMON = ["--seed", "--workers", "--format"]
+# per command: the options a run starts with, drawn; the arguments it
+# starts with as they are (small stand-ins for defaults that would make a
+# run large); and the options its fragments draw from.  A later fragment
+# overrides a start value.
+_FUZZ_COMMANDS = {
+    "test": (["data"], [], ["--alpha", "--table", "--format"]),
+    "critvals": (
+        [], ["--n", "10", "--reps", "200"], ["--n", "--n-range", "--alphas", "--reps"] + _COMMON
+    ),
+    "power": (
+        ["--alt", "--tests"],
+        ["--reps", "200", "--cv-reps", "200"],
+        ["--alt", "--n", "--alpha", "--reps", "--cv-reps"] + _COMMON,
+    ),
+    "tables": ([], [], ["--format"]),
+    "constant-c": ([], ["--n", "120", "--reps", "150"], ["--n", "--reps"] + _COMMON),
+    "verify-moments": (
+        [], ["--x", "0", "--y", "0.5", "--reps", "1000"], ["--x", "--y", "--n", "--reps"] + _COMMON
+    ),
+    "nope": ([], [], ["--n"]),
+}
+
+
+def _option(flag):
+    values = st.sampled_from(_FUZZ_VALUES[flag])
+    return values.map(lambda v: [v] if flag == "data" else [flag, v])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    drawn, start, options = _FUZZ_COMMANDS[command]
+    fragment = st.one_of(
+        st.sampled_from(options).flatmap(_option),
+        st.sampled_from(["--bogus", "--n", "--help", "flat.txt"]).map(lambda t: [t]),
+    )
+    frags = [draw(_option(flag)) for flag in drawn] + draw(st.lists(fragment, max_size=4))
+    return [command] + start + [t for frag in frags for t in frag]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    np.savetxt(d / "normal.txt", np.random.default_rng(1).normal(5.0, 2.0, size=40))
+    (d / "flat.txt").write_text("2.0\n" * 10)
+    (d / "tiny.txt").write_text("1.0\n2.0\n")
+    (d / "nan.txt").write_text("1.0\nnan\n2.0\n3.0\n")
+    np.savetxt(d / "seven.txt", np.arange(7.0))
+    (d / "table.csv").write_text("n,0.05,a_n,C_n\n40,1.6,1.96,400.0\n")
+    (d / "junk.txt").write_text("not a table\n")
+    return d
+
+
+_SMALL_POWER = ["--tests", "sw,bcmr", "--n", "20", "--reps", "200", "--cv-reps", "200"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(_argv())
+@example(["power", "--alt", "Normal(5,1e-300)"] + _SMALL_POWER)
+@example(["power", "--alt", "TruncN(9,10)"] + _SMALL_POWER)
+def test_any_argv_exits_0_2_or_3_without_traceback(fuzz_dir, argv):
+    argv = [str(fuzz_dir / t) if t in _FILES else t for t in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv, out=io.StringIO())
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

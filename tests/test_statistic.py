@@ -11,46 +11,50 @@ from tcvm.statistic import (
     compute_tstar,
     compute_tstar_direct,
     compute_untruncated,
+    _sorted_row,
+    _standardize_sorted,
     decide,
-    standardize,
     tcvm_test,
 )
 from tcvm.table import TableCoverageError, UnsupportedAlphaError
 
 
+def _standardized(values):
+    return _standardize_sorted(_sorted_row(values))[0]
+
+
 class TestStandardize:
     def test_three_point_sample(self):
-        std = standardize([-1.0, 0.0, 1.0])
-        assert std.y == pytest.approx([-math.sqrt(1.5), 0.0, math.sqrt(1.5)])
+        y = _standardized([1.0, -1.0, 0.0])
+        assert y == pytest.approx([-math.sqrt(1.5), 0.0, math.sqrt(1.5)])
 
     def test_hand_computed(self):
-        std = standardize([1.0, 2.0, 3.0, 4.0])
-        assert std.mean == 2.5
-        assert std.s_n == pytest.approx(math.sqrt(1.25), rel=1e-15)
-        assert std.y == pytest.approx([-1.5, -0.5, 0.5, 1.5] / np.sqrt(1.25))
+        # mean 2.5, divisor-n SD sqrt(1.25)
+        y = _standardized([4.0, 2.0, 3.0, 1.0])
+        assert y == pytest.approx([-1.5, -0.5, 0.5, 1.5] / np.sqrt(1.25))
 
     def test_affine_invariance(self, rng):
         x = rng.standard_normal(40)
         a, b = 2.5, -7.0
-        np.testing.assert_allclose(
-            standardize(a * x + b).y, standardize(x).y, atol=1e-12
-        )
+        np.testing.assert_allclose(_standardized(a * x + b), _standardized(x), atol=1e-12)
 
     def test_invariants(self, rng):
         x = rng.gamma(2.0, size=200)
-        std = standardize(x)
-        assert abs(std.y.mean()) <= 1e-12 * std.n
-        assert np.mean(std.y**2) == pytest.approx(1.0, abs=1e-10)
+        y = _standardized(x)
+        assert abs(y.mean()) <= 1e-12 * y.size
+        assert np.mean(y**2) == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateSampleError):
-            standardize([3.0, 3.0, 3.0])
+            _standardized([3.0, 3.0, 3.0])
 
     def test_too_small_and_nonfinite(self):
         with pytest.raises(ValueError):
-            standardize([1.0, 2.0])
+            _standardized([1.0, 2.0])
         with pytest.raises(ValueError):
-            standardize([1.0, 2.0, math.nan])
+            _standardized([1.0, 2.0, math.nan])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            _standardized([[1.0, 2.0, 3.0]])
 
 
 class TestComputeTstar:
@@ -71,16 +75,21 @@ class TestComputeTstar:
         res = compute_tstar(x)
         assert res.k == 1
         assert res.m == 12
-        assert res.tilde_y[0] == -res.a_n
-        assert res.tilde_y[-1] == res.a_n
-        assert np.all(np.diff(res.tilde_y) >= 0)
-        assert np.all(res.a >= 0) and np.all(res.b >= 0)
+        # the weights j + k count the deleted point below -a_n; the grid runs
+        # from -a_n through the retained points to a_n
+        grid = np.concatenate(([-res.a_n], _standardized(x)[1:-1], [res.a_n]))
+        psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(grid)
+        j = np.arange(res.m + 1) + res.k
+        expected = j**2 @ np.diff(psi) / res.n - 2.0 * j @ np.diff(h) + res.c_n
+        assert res.t_star == pytest.approx(expected, rel=1e-10)
 
     def test_all_deleted_reduces_to_endpoint_formula(self):
         res = compute_tstar([0.0, 0.0, 1.0])
         assert res.m == 0
         assert res.k == 2
-        expected = (res.k**2 / 3.0) * res.a[0] - 2.0 * res.k * res.b[0] + res.c_n
+        psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(np.array([-res.a_n, res.a_n]))
+        a_0, b_0 = np.diff(psi)[0], np.diff(h)[0]
+        expected = (res.k**2 / 3.0) * a_0 - 2.0 * res.k * b_0 + res.c_n
         assert res.t_star == pytest.approx(expected, rel=1e-12)
 
     def test_centered_offset(self, rng):
