@@ -19,6 +19,9 @@ block, of:
   LoConN(0.5,4) block at n = 50, ``kernel_<kind>``: each kind alone, and
   ``kernel_tcvm+cvm``: the pair that one call of the folded kernel
   evaluates;
+* ``moment_products``: ``engine._fourth_products``, the moment check's
+  per-row work, on a null block at n = 20 at the two points of the
+  ``moments_n20`` benchmark workload;
 * ``kernels_all_n10000``: ``batch_statistics`` with all five kinds on a
   256-row null block at n = 10^4, in nanoseconds per value (best of 5).
 
@@ -38,6 +41,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROWS, REPEAT, SEED = 4096, 10, 11
 LARGE_N, LARGE_ROWS, LARGE_REPEAT = 10_000, 256, 5
+MOMENT_POINTS = ((0.0, 0.0), (0.3, 1.1))
 POWER_ROWS = (
     "LoConN(0.5,4)",
     "SB(0,0.707)",
@@ -84,6 +88,11 @@ def main() -> int:
     absz = np.abs(y) / math.sqrt(2.0)
     timings["psi_H"] = best_ms(lambda: normal.recip_and_cdf_over_pdf_antiderivatives(y))
     timings["q"] = best_ms(lambda: normal._q(absz))
+
+    null_n20 = engine._draw_block(engine.NULL_SPEC, 20, SEED, 0, ROWS)
+    timings["moment_products"] = best_ms(
+        lambda: engine._fourth_products(MOMENT_POINTS, null_n20)
+    )
 
     block = engine._draw_block(parse_spec("LoConN(0.5,4)"), 50, SEED, 0, ROWS)
     kinds = list(BaselineKind)

@@ -39,7 +39,6 @@ from .engine import (
     estimate_power,
     replication_rng,
     simulate_table,
-    verify_fourth_moment,
     verify_fourth_moments,
 )
 from .normal import (
@@ -129,6 +128,5 @@ __all__ = [
     "shapiro_wilk",
     "simulate_table",
     "tcvm_test",
-    "verify_fourth_moment",
     "verify_fourth_moments",
 ]

@@ -172,6 +172,10 @@ def _as_drawn(raw, _params):
 
 def _truncn_quantile(u, params):
     a, b = params
+    if (b - a) * (max(abs(a), abs(b)) + b - a) < 2.0**-53:
+        # phi is flat across (a, b) to double precision, where the cdf
+        # cannot resolve the interval: the truncated law is uniform
+        return a + np.asarray(u, float) * (b - a)
     if a >= 0.0:  # cdf rounds to 1 in the upper tail: draw the mirror image
         return -_truncn_quantile(1.0 - np.asarray(u, float), (-b, -a))
     if b <= 0.0:  # one lower tail, where cdf may underflow: mix in logs

@@ -213,19 +213,23 @@ def cmd_power(args: argparse.Namespace, out) -> int:
     crits = estimate_null_critical_values(
         kinds, args.n, args.alpha, reps=args.cv_reps, seed=seed + 1, workers=args.workers
     )
-    reports = [
-        estimate_power(
-            kinds,
-            spec,
-            args.n,
-            args.alpha,
-            reps=args.reps,
-            seed=seed,
-            critical_values=crits,
-            workers=args.workers,
-        )
-        for spec in specs
-    ]
+    reports = []
+    for spec in specs:
+        try:
+            reports.append(
+                estimate_power(
+                    kinds,
+                    spec,
+                    args.n,
+                    args.alpha,
+                    reps=args.reps,
+                    seed=seed,
+                    critical_values=crits,
+                    workers=args.workers,
+                )
+            )
+        except ValueError as exc:  # name the row: several --alt may be given
+            raise ValueError(f"{spec}: {exc}") from exc
     if args.format == "json":
         payload = [
             {

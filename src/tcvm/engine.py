@@ -3,14 +3,12 @@
 Reproducibility contract: replication ``r`` of a run with master seed ``s``
 draws from a counter-based Philox stream keyed by ``(s, r)``.  Work is
 partitioned into blocks of ``_BLOCK`` replication indices.  Each block
-returns its own results, and they come back in block order whatever the
-worker count, so no worker writes shared arrays and aggregation only
-concatenates, sorts or sums in a fixed order.  ``batch_statistics``
-computes each row's statistics from that row alone, in the same bits
-however the rows are sliced, so results do not depend on the worker count,
-the block size or the kernel slice.  The one exception is the moment
-check, whose float sums are reduced per block: it is bit-identical for any
-worker count, not for any block size.
+returns per-replication arrays, computed from each row alone, and they are
+joined in replication order whatever the worker count, so no worker writes
+shared arrays and every count, sort, sum or mean runs once over all
+replications.  ``batch_statistics`` computes each row's statistics in the
+same bits however the rows are sliced, so no result depends on the worker
+count, the block size or the kernel slice.
 """
 
 from __future__ import annotations
@@ -19,14 +17,15 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .alternatives import AlternativeSpec, _sampler
 from .baselines import _CHUNK_ELEMS, REJECTION_TAIL, BaselineKind, batch_statistics
-from .normal import MAX_ENDPOINT_N, c_n, cdf, d_n, endpoint
-from .process import MomentPoint, fourth_moment_exact
+from .normal import MAX_ENDPOINT_N, c_n, d_n, endpoint
+from .process import MomentPoint, b_n, fourth_moment_exact
 from .table import ALPHA_LEVELS, CriticalValueRow, CriticalValueTable
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "estimate_null_critical_values",
     "estimate_power",
     "estimate_constant_c",
-    "verify_fourth_moment",
     "verify_fourth_moments",
 ]
 
@@ -65,7 +63,8 @@ def _draw_block(
     (seed, start + i) and its counter, buffer and cached 32-bit half return
     to their freshly built values, which is cheaper than a new generator.
     Each row only fills the family's raw draws; the elementwise transform
-    runs once per chunk of at most ``_CHUNK_ELEMS`` values.
+    runs once per chunk of at most ``_CHUNK_ELEMS`` values, without overflow
+    warnings: ``batch_statistics`` refuses rows that reach inf or nan.
     """
     sam = _sampler(spec)
     bit_gen = np.random.Philox(key=np.array([seed & (2**64 - 1), 0], dtype=np.uint64))
@@ -82,7 +81,8 @@ def _draw_block(
             bit_gen.state = fresh
             for fill, buf in zip(fillers, raw):
                 fill(buf[i])
-        out[first : first + m] = sam.transform([buf[:m] for buf in raw])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[first : first + m] = sam.transform([buf[:m] for buf in raw])
     return out
 
 
@@ -112,26 +112,29 @@ def _check_alpha(alpha: float) -> None:
 
 def _map_blocks(
     spec: AlternativeSpec, n: int, reps: int, seed: int, workers: int, fn: Callable
-) -> list:
-    """``[fn(block), ...]`` over the drawn ``_BLOCK``-row blocks, in block order."""
+) -> dict:
+    """Each block's dict of per-row arrays from ``fn``, joined in replication order."""
 
     def run(start: int):
         return fn(_draw_block(spec, n, seed, start, min(_BLOCK, reps - start)))
 
     starts = range(0, reps, _BLOCK)
     if workers <= 1 or len(starts) == 1:
-        return [run(start) for start in starts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, starts))
+        parts = [run(start) for start in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, starts))
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
-def _null_statistics(
-    kinds: Sequence[BaselineKind], n: int, reps: int, seed: int, workers: int
+def _statistics(
+    spec: AlternativeSpec, kinds: Sequence[BaselineKind], n: int, reps: int,
+    seed: int, workers: int,
 ) -> Dict[BaselineKind, np.ndarray]:
-    parts = _map_blocks(
-        NULL_SPEC, n, reps, seed, workers, lambda block: batch_statistics(block, kinds)
+    """Each kind's statistic for every replication, in replication order."""
+    return _map_blocks(
+        spec, n, reps, seed, workers, lambda block: batch_statistics(block, kinds)
     )
-    return {kind: np.concatenate([part[kind] for part in parts]) for kind in kinds}
 
 
 def _upper_index(alpha: float, reps: int) -> int:
@@ -150,7 +153,7 @@ def _null_critical_values(
     for a in alphas:
         _check_alpha(a)
     out = {}
-    for kind, values in _null_statistics(kinds, n, reps, seed, workers).items():
+    for kind, values in _statistics(NULL_SPEC, kinds, n, reps, seed, workers).items():
         s = np.sort(values)
         s = s if REJECTION_TAIL[kind] == "upper" else s[::-1]
         # 0 < a < 1 puts the index in 1..reps
@@ -249,19 +252,10 @@ def estimate_power(
         raise ValueError(f"missing critical values for {missing}")
 
     rejects = {"upper": np.greater, "lower": np.less}
-
-    def hits(block: np.ndarray) -> List[int]:
-        stats = batch_statistics(block, kinds)
-        return [
-            np.count_nonzero(rejects[REJECTION_TAIL[k]](stats[k], critical_values[k]))
-            for k in kinds
-        ]
-
-    counts = np.sum(_map_blocks(spec, n, reps, seed, workers, hits), axis=0)
-    rates = {kind: int(c) / reps for kind, c in zip(kinds, counts)}
-    stderr = {
-        kind: math.sqrt(max(r * (1.0 - r), 0.0) / reps) for kind, r in rates.items()
-    }
+    stats = _statistics(spec, kinds, n, reps, seed, workers)
+    hits = {k: rejects[REJECTION_TAIL[k]](stats[k], critical_values[k]) for k in kinds}
+    rates = {k: np.count_nonzero(h) / reps for k, h in hits.items()}
+    stderr = {k: math.sqrt(r * (1.0 - r) / reps) for k, r in rates.items()}
     return PowerReport(
         spec=spec,
         n=n,
@@ -296,7 +290,7 @@ def estimate_constant_c(
     _check_run(n, reps, workers, min_reps=100)
     if n < 100:
         raise ValueError(f"the centred-statistic study needs n >= 100, got {n}")
-    tstar = _null_statistics([BaselineKind.TCVM], n, reps, seed, workers)
+    tstar = _statistics(NULL_SPEC, [BaselineKind.TCVM], n, reps, seed, workers)
     centred = tstar[BaselineKind.TCVM] - d_n(n)
     value = float(np.mean(centred) + 1.5)
     stderr = float(np.std(centred, ddof=1) / math.sqrt(reps))
@@ -318,6 +312,14 @@ class MomentCheck:
     z_score: float
 
 
+def _fourth_products(
+    points: Sequence[Tuple[float, float]], block: np.ndarray
+) -> Dict[int, np.ndarray]:
+    """b_n^2(x) * b_n^2(y) for every row of ``block``, keyed by point index."""
+    sq = {v: b_n(block, v) ** 2 for pt in points for v in pt}
+    return {j: sq[x] * sq[y] for j, (x, y) in enumerate(points)}
+
+
 def verify_fourth_moments(
     points: Sequence[Tuple[float, float]],
     n: int,
@@ -334,27 +336,17 @@ def verify_fourth_moments(
     pts = [(float(x), float(y)) for x, y in points]
     if not all(math.isfinite(v) for pt in pts for v in pt):
         raise ValueError(f"moment points must be finite, got {pts}")
-    sqrt_n = math.sqrt(n)
-    cdfs = [(cdf(x), cdf(y)) for x, y in pts]
-
-    def block_sums(block: np.ndarray) -> List[Tuple[float, float]]:
-        out = []
-        for (x, y), (px, py) in zip(pts, cdfs):
-            bx = ((block <= x).sum(axis=1) - n * px) / sqrt_n
-            by = ((block <= y).sum(axis=1) - n * py) / sqrt_n
-            prod = bx * bx * by * by
-            out.append((prod.sum(), (prod * prod).sum()))
-        return out
-
-    # (block, point, sum or sum of squares); each sum runs over blocks in order
-    sums = np.array(_map_blocks(NULL_SPEC, n, reps, seed, workers, block_sums))
+    prods = _map_blocks(NULL_SPEC, n, reps, seed, workers, partial(_fourth_products, pts))
     out = []
-    for j, (x, y) in enumerate(pts):
-        mean = float(sums[:, j, 0].sum()) / reps
-        var = max(float(sums[:, j, 1].sum()) / reps - mean * mean, 0.0)
+    for (x, y), prod in zip(pts, prods.values()):
+        mean = float(prod.sum()) / reps
+        var = max(float((prod * prod).sum()) / reps - mean * mean, 0.0)
         stderr = math.sqrt(var / reps)
         exact = fourth_moment_exact(MomentPoint.of(x, y), n)
-        z = (mean - exact) / stderr if stderr > 0 else math.inf
+        if stderr > 0:
+            z = (mean - exact) / stderr
+        else:  # every replication gave the same product
+            z = 0.0 if mean == exact else math.copysign(math.inf, mean - exact)
         out.append(
             MomentCheck(
                 x=x,
@@ -370,9 +362,3 @@ def verify_fourth_moments(
         )
     return out
 
-
-def verify_fourth_moment(
-    x: float, y: float, n: int, reps: int = 1_000_000, seed: int = 0, workers: int = 1
-) -> MomentCheck:
-    """Single-point version of :func:`verify_fourth_moments`."""
-    return verify_fourth_moments([(x, y)], n, reps, seed, workers)[0]

@@ -26,17 +26,19 @@ __all__ = [
 ]
 
 
-def b_n(values: Sequence[float], x: float) -> float:
+def b_n(values, x: float) -> float | np.ndarray:
     """Raw empirical process (#{X_i <= x} - n*Phi(x)) / sqrt(n).
 
-    The limiting covariance Phi(x^y)(1 - Phi(xvy)) presumes the values are
-    standard-normal draws; the evaluation itself works for any sample.
+    A float for one sample, one value per row of an (R, n) matrix, in the
+    same bits.  The limiting covariance Phi(x^y)(1 - Phi(xvy)) presumes the
+    values are standard-normal draws; the evaluation works for any sample.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("b_n expects a non-empty one-dimensional sample")
-    n = v.size
-    return float((np.count_nonzero(v <= x) - n * cdf(x)) / np.sqrt(n))
+    if v.ndim not in (1, 2) or v.shape[-1] == 0:
+        raise ValueError("b_n expects a non-empty sample or (R, n) matrix")
+    n = v.shape[-1]
+    out = (np.count_nonzero(v <= x, axis=-1) - n * cdf(x)) / np.sqrt(n)
+    return float(out) if v.ndim == 1 else out
 
 
 def b_hat_n(values: Sequence[float], x: float) -> float:

@@ -326,6 +326,14 @@ class TestQuantileFn:
         mean, var = truncnorm.stats(a, b, moments="mv")
         assert abs(draws.mean() - mean) <= 5.0 * math.sqrt(var / draws.size)
 
+    @pytest.mark.parametrize("a, b", [(1e-20, 2e-20), (-1e-20, 1e-20), (-1e-300, 1e-300)])
+    def test_truncn_narrower_than_the_cdf_resolves_draws_inside(self, a, b):
+        # cdf(a) and cdf(b) lie within a few ulps of 1/2 here: the draws were
+        # 0.0, or a few values outside (a, b)
+        draws = sample(AlternativeSpec("TruncN", (a, b)), 1000, seed=1)
+        assert np.unique(draws).size > 1
+        assert a <= draws.min() and draws.max() <= b
+
     def test_far_tail_truncn_stays_in_support(self):
         # cdf(-10) ~ 7.6e-24 lies far below the 2^-53 floor of the other families
         q = quantile_fn("TruncN(-10,-9)", np.array([0.0, 0.5, 1.0 - 2.0**-53]))

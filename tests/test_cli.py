@@ -12,6 +12,11 @@ from tcvm.cli import main
 from tcvm.table import embedded_table
 
 
+def _refuse_non_json(name):
+    # json.loads accepts Infinity and NaN, which strict JSON does not
+    raise ValueError(f"not valid JSON: {name}")
+
+
 def run_cli(argv, monkeypatch=None, env=None):
     out = io.StringIO()
     code = main(argv, out=out)
@@ -258,6 +263,13 @@ class TestPower:
             (["--alpha", "1.5"], "alpha"),
             # draws 5.0 every time: SW and BCMR divided by zero and read 0.0
             (["--alt", "Normal(5,1e-300)", "--tests", "sw,bcmr"], "sample is constant"),
+            # the second of two --alt rows fails, and the message names it
+            (["--alt", "Normal(5,1e-300)"], "error: Normal(5,1e-300): sample is constant"),
+            # draws overflow to +-inf, without a RuntimeWarning
+            (
+                ["--alt", "Normal(0,1e308)"],
+                "error: Normal(0,1e+308): sample contains non-finite values",
+            ),
         ],
     )
     def test_invalid_run_exit_2(self, extra, message, capsys):
@@ -330,6 +342,22 @@ class TestOtherCommands:
         record = json.loads(text)
         assert abs(record["z_score"]) < 6.0
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_verify_moments_without_spread_reads_z_zero(self, fmt):
+        # cdf(10) rounds to 1: every product and the exact moment are 0
+        code, text = run_cli(
+            ["verify-moments", "--x", "10", "--y", "10", "--n", "20", "--reps", "10000",
+             "--format", fmt]
+        )
+        assert code == 0
+        if fmt == "json":
+            record = json.loads(text, parse_constant=_refuse_non_json)
+        else:
+            header, row = text.strip().splitlines()
+            record = {k: float(v) for k, v in zip(header.split(","), row.split(","))}
+        assert (record["empirical"], record["exact"], record["stderr"]) == (0.0, 0.0, 0.0)
+        assert record["z_score"] == 0.0
+
     @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
     def test_verify_moments_non_finite_exit_2(self, x, capsys):
         code, text = run_cli(
@@ -371,7 +399,7 @@ _FUZZ_VALUES = {
     "--alphas": ["0.05", "0.1,0.01", "0.0", "0.05,1", "x"],
     "--alt": [
         "Normal(0,1)", "Normal(5,1e-300)", "TruncN(9,10)", "TruncN(-50,-40)",
-        "Beta(2,1)", "Normal(0,nan)", "Nope(1)",
+        "Beta(2,1)", "Normal(0,nan)", "Nope(1)", "Normal(0,1e308)",
     ],
     "--tests": ["all", "sw,bcmr", "sw", "bcmr", "tcvm,ad", "nope"],
     "--x": ["0", "0.5", "-1e9", "nan", "inf", "x"],
@@ -441,6 +469,7 @@ _SMALL_POWER = ["--tests", "sw,bcmr", "--n", "20", "--reps", "200", "--cv-reps",
 @given(_argv())
 @example(["power", "--alt", "Normal(5,1e-300)"] + _SMALL_POWER)
 @example(["power", "--alt", "TruncN(9,10)"] + _SMALL_POWER)
+@example(["power", "--alt", "Normal(0,1e308)"] + _SMALL_POWER)
 def test_any_argv_exits_0_2_or_3_without_traceback(fuzz_dir, argv):
     argv = [str(fuzz_dir / t) if t in _FILES else t for t in argv]
     err = io.StringIO()

@@ -17,7 +17,6 @@ from tcvm.engine import (
     estimate_power,
     replication_rng,
     simulate_table,
-    verify_fourth_moment,
     verify_fourth_moments,
 )
 from tcvm.process import MomentPoint, fourth_moment_exact
@@ -91,7 +90,8 @@ def test_constant_and_moments_do_not_depend_on_the_worker_count(monkeypatch):
 @pytest.mark.parametrize("block", [1000, 1001])
 def test_results_do_not_depend_on_the_block_size(block, monkeypatch):
     # 2500 reps run as one block of 4096 or as three; each block's rows are
-    # sliced differently inside batch_statistics
+    # sliced differently inside batch_statistics.  The moment check's 12,288
+    # reps run as three blocks of 4096 or as thirteen
     kinds = list(BaselineKind)
 
     def run():
@@ -101,7 +101,8 @@ def test_results_do_not_depend_on_the_block_size(block, monkeypatch):
             kinds, parse_spec("t(5)"), 50, 0.05, reps=2500, seed=14, critical_values=crits
         )
         constant = estimate_constant_c(100, reps=2500, seed=15)
-        return row, crits, power, constant
+        moments = verify_fourth_moments([(0.0, 0.0), (0.3, 1.1)], 20, reps=12_288, seed=22)
+        return row, crits, power, constant, moments
 
     monkeypatch.setattr(engine, "_BLOCK", 4096)
     whole = run()
@@ -196,7 +197,7 @@ class TestSampleSizeBound:
             ),
             lambda: estimate_constant_c(n, reps=100),
             lambda: verify_fourth_moments([(0.0, 0.0)], n, reps=10_000),
-            lambda: verify_fourth_moment(0.0, 0.0, n, reps=10_000),
+            lambda: verify_fourth_moments([(0.3, 1.1)], n, reps=10_000)[0],
         ]
         for call in calls:
             with pytest.raises(ValueError, match="n <= 10,000,000"):
@@ -296,13 +297,13 @@ class TestConstantC:
 
 class TestMoments:
     def test_binomial_point(self):
-        check = verify_fourth_moment(0.0, 0.0, n=20, reps=50_000, seed=42)
+        check = verify_fourth_moments([(0.0, 0.0)], n=20, reps=50_000, seed=42)[0]
         assert check.exact == pytest.approx(3.0 / 16.0 - 1.0 / 160.0, abs=1e-15)
         assert abs(check.z_score) <= 5.0
 
     def test_multi_point_shares_draws(self):
         checks = verify_fourth_moments([(0.0, 0.0), (0.3, 1.1)], 20, reps=20_000, seed=1)
-        single = verify_fourth_moment(0.3, 1.1, 20, reps=20_000, seed=1)
+        single = verify_fourth_moments([(0.3, 1.1)], 20, reps=20_000, seed=1)[0]
         assert checks[1].empirical == single.empirical
         for ch in checks:
             exact = fourth_moment_exact(MomentPoint.of(ch.x, ch.y), 20)
@@ -311,7 +312,16 @@ class TestMoments:
 
     def test_min_reps(self):
         with pytest.raises(ValueError):
-            verify_fourth_moment(0.0, 0.0, 20, reps=100, seed=0)
+            verify_fourth_moments([(0.0, 0.0)], 20, reps=100, seed=0)[0]
+
+    @pytest.mark.parametrize("x, z", [(10.0, 0.0), (-37.0, -math.inf)])
+    def test_z_score_without_spread(self, x, z):
+        # cdf(10) rounds to 1, so every product and the exact moment are 0.
+        # At -37 every product underflows to 0, but the exact moment does not
+        check = verify_fourth_moments([(x, x)], 20, reps=10_000)[0]
+        assert (check.empirical, check.stderr) == (0.0, 0.0)
+        assert (check.exact > 0.0) == (z == -math.inf)
+        assert check.z_score == z
 
     @pytest.mark.parametrize(
         "point", [(math.nan, 0.0), (0.3, math.inf), (-math.inf, 1.1)]
@@ -324,4 +334,4 @@ class TestMoments:
         with pytest.raises(ValueError, match="finite"):
             verify_fourth_moments([(0.0, 0.0), point], 20, reps=10_000)
         with pytest.raises(ValueError, match="finite"):
-            verify_fourth_moment(*point, 20, reps=10_000)
+            verify_fourth_moments([point], 20, reps=10_000)[0]

@@ -19,6 +19,13 @@ class TestEmpiricalProcess:
         expected = (2 - 4 * nk.cdf(0.5)) / 2.0
         assert b_n([-1.0, 0.0, 1.0, 2.0], 0.5) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("x", [-1.3, 0.0, 0.3, 1.1, 60.0])
+    def test_matrix_rows_equal_the_scalar(self, x, rng):
+        block = rng.standard_normal((257, 20))
+        rows = b_n(block, x)
+        assert rows.shape == (257,)
+        assert [float(v).hex() for v in rows] == [b_n(row, x).hex() for row in block]
+
     def test_b_hat_affine_invariance(self, rng):
         x = rng.standard_normal(30)
         assert b_hat_n(3.0 * x + 1.0, 0.7) == b_hat_n(x, 0.7)
