@@ -12,11 +12,14 @@ block, of:
 * ``draw_<spec>_n<n>``: ``engine._draw_block`` for the null at n = 50 and
   n = 20 and for each of the seven power rows of the ``power_n50``
   benchmark workload at n = 50;
-* ``psi_H``: ``normal.recip_and_cdf_over_pdf_antiderivatives`` on a
-  standardized null block at n = 50, and ``q``: ``normal._q`` alone on
-  |z| of that block, z = y/sqrt(2);
-* ``kernels_all``: ``batch_statistics`` with all five kinds on a
-  LoConN(0.5,4) block at n = 50, ``kernel_<kind>``: each kind alone, and
+* ``psi_H``: psi and H where the TCVM kernel evaluates them, on a
+  standardized null block at n = 50 folded and clipped to |y| <= a_n:
+  ``normal._folded_psi_h`` at u = |y|/sqrt(2) (a checkout without it:
+  ``normal.recip_and_cdf_over_pdf_antiderivatives`` at -|y|);
+* ``kernels_<spec>``: ``batch_statistics`` with all five kinds on a block of
+  each of the eight units of a ``power_n50`` cycle at n = 50, the null
+  calibration and the seven power rows, timed in interleaved rounds;
+* ``kernel_<kind>``: each kind alone on the LoConN(0.5,4) block, and
   ``kernel_tcvm+cvm``: the pair that one call of the folded kernel
   evaluates;
 * ``moment_products``: ``engine._fourth_products``, the moment check's
@@ -25,7 +28,9 @@ block, of:
 * ``kernels_all_n10000``: ``batch_statistics`` with all five kinds on a
   256-row null block at n = 10^4, in nanoseconds per value (best of 5).
 
-Prints one JSON object with the timings, the block shape and the versions.
+Prints one JSON object with the timings, the block shape and the versions;
+``kernels_max_over_min`` is the slowest of the eight ``kernels_<spec>``
+over the fastest.
 """
 
 from __future__ import annotations
@@ -54,12 +59,22 @@ POWER_ROWS = (
 
 
 def best_ms(fn, repeat: int = REPEAT) -> float:
-    best = float("inf")
+    return interleaved_best_ms({None: fn}, repeat)[None]
+
+
+def interleaved_best_ms(fns, repeat: int = REPEAT):
+    """Best time of each function, timed in turn once per round.
+
+    The rounds take every function through the same stretches of machine
+    speed, so a slow few seconds of the host cannot single one out.
+    """
+    best = dict.fromkeys(fns, float("inf"))
     for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return 1e3 * best
+        for key, fn in fns.items():
+            t0 = time.perf_counter()
+            fn()
+            best[key] = min(best[key], time.perf_counter() - t0)
+    return {key: 1e3 * t for key, t in best.items()}
 
 
 def main() -> int:
@@ -85,19 +100,29 @@ def main() -> int:
 
     null = engine._draw_block(engine.NULL_SPEC, 50, SEED, 0, ROWS)
     y = (null - null.mean(axis=1, keepdims=True)) / null.std(axis=1, keepdims=True)
-    absz = np.abs(y) / math.sqrt(2.0)
-    timings["psi_H"] = best_ms(lambda: normal.recip_and_cdf_over_pdf_antiderivatives(y))
-    timings["q"] = best_ms(lambda: normal._q(absz))
+    v = np.minimum(np.abs(y), normal.endpoint(50).a_n)
+    folded = getattr(normal, "_folded_psi_h", None)
+    if folded is not None:
+        timings["psi_H"] = best_ms(lambda: folded(v / math.sqrt(2.0)))
+    else:
+        timings["psi_H"] = best_ms(lambda: normal.recip_and_cdf_over_pdf_antiderivatives(-v))
 
     null_n20 = engine._draw_block(engine.NULL_SPEC, 20, SEED, 0, ROWS)
     timings["moment_products"] = best_ms(
         lambda: engine._fourth_products(MOMENT_POINTS, null_n20)
     )
 
-    block = engine._draw_block(parse_spec("LoConN(0.5,4)"), 50, SEED, 0, ROWS)
     kinds = list(BaselineKind)
-    batch_statistics(block, kinds)  # fills the per-n caches (a_n, C_n, weights)
-    timings["kernels_all"] = best_ms(lambda: batch_statistics(block, kinds))
+    batch_statistics(null, kinds)  # fills the per-n caches (a_n, endpoint terms, weights)
+    units = {"null": null}
+    for text in POWER_ROWS:
+        units[text] = engine._draw_block(parse_spec(text), 50, SEED, 0, ROWS)
+    unit_ms = interleaved_best_ms(
+        {name: (lambda unit=unit: batch_statistics(unit, kinds)) for name, unit in units.items()}
+    )
+    for name, ms in unit_ms.items():
+        timings[f"kernels_{name}"] = ms
+    block = units["LoConN(0.5,4)"]
     for kind in kinds:
         timings[f"kernel_{kind.value}"] = best_ms(lambda: batch_statistics(block, [kind]))
     pair = [BaselineKind.TCVM, BaselineKind.CVM]
@@ -109,6 +134,7 @@ def main() -> int:
         "rows": ROWS,
         "repeat": REPEAT,
         "ms_per_block": {k: round(v, 2) for k, v in timings.items()},
+        "kernels_max_over_min": round(max(unit_ms.values()) / min(unit_ms.values()), 3),
         "ns_per_value": {"kernels_all_n10000": round(1e6 * large_ms / large.size, 1)},
         "machine": platform.machine(),
         "processor": platform.processor(),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Dict, List, Optional, Sequence
@@ -52,10 +53,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float inside it replaced by None."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _write_json(payload, out) -> None:
+    """Strict JSON (RFC 8259): a non-finite float is written as null."""
+    json.dump(_json_safe(payload), out, indent=2, allow_nan=False)
+    out.write("\n")
+
+
 def _emit_record(record: Dict[str, object], fmt: str, out) -> None:
     if fmt == "json":
-        json.dump(record, out, indent=2)
-        out.write("\n")
+        _write_json(record, out)
     else:
         out.write(",".join(record.keys()) + "\n")
         out.write(",".join(_fmt(v) for v in record.values()) + "\n")
@@ -196,8 +213,7 @@ def cmd_critvals(args: argparse.Namespace, out) -> int:
                 for n, row in sorted(table.rows.items())
             },
         }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _write_json(payload, out)
     else:
         out.write(table.to_csv())
     return EXIT_OK
@@ -244,8 +260,7 @@ def cmd_power(args: argparse.Namespace, out) -> int:
             }
             for r in reports
         ]
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _write_json(payload, out)
     else:
         out.write("alternative," + ",".join(k.value for k in kinds) + "\n")
         for r in reports:

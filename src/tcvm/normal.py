@@ -3,8 +3,8 @@ endpoint, and the weight integrals against 1/phi.
 
 The quantile and a_n come from ``scipy.special.ndtri``.  Everything
 downstream integrates combinations of 1/phi(x), Phi(x)/phi(x) and
-Phi(x)^2/phi(x), in closed form: antiderivatives built from erfi/erf plus
-two well-conditioned auxiliary integrals (``recip_pdf_antiderivative`` and
+Phi(x)^2/phi(x), in closed form: antiderivatives built from Dawson's
+function, erfi/erf and well-conditioned auxiliary integrals (``recip_pdf_antiderivative`` and
 friends) give ``c_n``, ``d_n`` and the folded kernel of the vectorised
 Monte Carlo path.  Only the stepwise weights of the scalar statistic
 (``int_recip_pdf``, ``int_cdf_over_pdf``) still come from quadrature: a
@@ -23,9 +23,20 @@ derivations:
 
 with z = x/sqrt(2), Q(u) = int_0^u exp(-t^2) erfi(t) dt and
 Q2(u) = int_0^u erf(t) erfi(t) exp(-t^2) dt.  Q and Q2 grow only
-logarithmically, so Chebyshev fits give them uniform absolute accuracy and
-the huge exp(x^2/2) factors live entirely in erfi, which scipy evaluates
-with full relative precision.
+logarithmically, so Chebyshev fits give them uniform absolute accuracy.
+
+psi and H are not evaluated through erfi.  With u = |z| and Dawson's
+function D(u) = (sqrt(pi)/2) exp(-u^2) erfi(u), erfi(u) = (2/sqrt(pi))
+exp(u^2) D(u) and erfc(u) = exp(-u^2) erfcx(u), so the first two lines give
+
+    psi(x) = sign(x) * 2 sqrt(pi) exp(u^2) D(u)
+    H(x)   = -sqrt(pi) R(u) + [x > 0] psi(x),   R = D erfcx + Q.
+
+D and R stay O(1) (D ~ 1/(2u), R ~ ln(u)/sqrt(pi)), and degree-5 Taylor
+tables on the grid k/128 of [0, 40] hold them to about an ulp, so the huge
+factor exp(x^2/2) is one ``np.exp`` and each point costs a table lookup.
+For x <= 0 nothing cancels: H keeps full absolute accuracy up to x = -56.5,
+where psi itself has long overflowed.
 """
 
 from __future__ import annotations
@@ -270,60 +281,166 @@ _Q_LO_COEF = _chebyshev_antiderivative(_dawsn_scaled, 0.0, _Q_BREAK, 96)[:30]
 _Q_HI_COEF = _chebyshev_antiderivative(_dawsn_scaled, _Q_BREAK, _Q_MAX, 384)
 _Q_AT_BREAK = float(_cheb.chebval(1.0, _Q_LO_COEF))
 
-# On [0, 3], Q is a degree-5 Taylor polynomial about the nearest point k/128.
-# Q(k/128) comes from the fit; the derivatives come from Dawson's
-# function D, since Q^(j) = (2/sqrt(pi)) D^(j-1) with D' = 1 - 2uD and
-# D^(k+1) = -2u D^(k) - 2k D^(k-1).  At |u - k/128| <= 1/256 the remainder
-# is below 2e-16, so the values stay within 4.4e-16 of the whole series.
-_Q_STEPS = 128  # grid points per unit; a power of two keeps u * 128 exact
-_Q_DEG = 5
+# Taylor tables: a function is a degree-5 polynomial in s = 128u - k about
+# the nearest grid point k/128, |s| <= 1/2, one row per coefficient.  The
+# derivatives come from the recurrences of Dawson's function D and of erfcx,
+#
+#     D' = 1 - 2uD,                  D^(j+1) = -2u D^(j) - 2j D^(j-1),
+#     erfcx' = 2u erfcx - 2/sqrt(pi), erfcx^(j+1) = 2u erfcx^(j) + 2j erfcx^(j-1),
+#
+# and Q^(j) = (2/sqrt(pi)) D^(j-1).  Q's table on [0, 3] stops at degree 5:
+# its remainder is below 2e-16.  The psi and H tables on [0, 40] also fold
+# in the sixth-degree term (``_taylor_rows``).
+_STEPS = 128  # grid points per unit; a power of two keeps u * 128 exact
+_DEG = 5
 
 
-def _taylor_table() -> np.ndarray:
-    """Rows of Taylor coefficients in s = 128u - k, highest degree first."""
-    g = np.arange(int(_Q_BREAK * _Q_STEPS) + 1) / _Q_STEPS
-    dawson = [_sp.dawsn(g)]
-    dawson.append(1.0 - 2.0 * g * dawson[0])
-    for k in range(1, _Q_DEG - 1):
-        dawson.append(-2.0 * g * dawson[k] - 2.0 * k * dawson[k - 1])
-    rows = [_cheb.chebval(2.0 * g / _Q_BREAK - 1.0, _Q_LO_COEF)]
-    for j in range(1, _Q_DEG + 1):
-        scale = (2.0 / _SQRT_PI) / (math.factorial(j) * float(_Q_STEPS) ** j)
-        rows.append(scale * dawson[j - 1])
-    return np.array(rows[::-1])
+def _grid(hi: float) -> np.ndarray:
+    return np.arange(int(hi * _STEPS) + 1) / _STEPS
 
 
-_Q_TAYLOR = _taylor_table()  # (6, 385): 18 KB
+def _dawson_derivatives(g: np.ndarray, d: np.ndarray) -> list:
+    """[D, D', ..., D^(6)] on the grid g, from the values d = D(g)."""
+    out = [d, 1.0 - 2.0 * g * d]
+    for j in range(1, _DEG + 1):
+        out.append(-2.0 * g * out[j] - 2.0 * j * out[j - 1])
+    return out
 
 
-def _q_lo(u: np.ndarray) -> np.ndarray:
-    """Q on [0, 3] from the Taylor table."""
-    s = u * float(_Q_STEPS)
+def _erfcx_derivatives(g: np.ndarray) -> list:
+    """[erfcx, erfcx', ..., erfcx^(6)] on the grid g."""
+    out = [_sp.erfcx(g), 2.0 * g * _sp.erfcx(g) - 2.0 / _SQRT_PI]
+    for j in range(1, _DEG + 1):
+        out.append(2.0 * g * out[j] + 2.0 * j * out[j - 1])
+    return out
+
+
+def _taylor_rows(values: np.ndarray, derivatives: list, factor: float) -> np.ndarray:
+    """Rows of Taylor coefficients in s, highest degree first.
+
+    ``derivatives[j - 1]`` is f^(j) / factor on the grid.  A sixth one is
+    folded into the degree-5 polynomial by Chebyshev economization,
+    s^6 ~ (3/8) s^4 - (9/256) s^2 + 1/2048 on |s| <= 1/2: that leaves an
+    error 1/32 of the dropped term's, which, unlike s^6, has nearly zero mean,
+    so that sums over many points do not drift.  The constant stays exact at
+    u = 0, where every table is 0.
+    """
+    c = [values] + [
+        factor / (math.factorial(j) * float(_STEPS) ** j) * f
+        for j, f in enumerate(derivatives, start=1)
+    ]
+    if len(c) > _DEG + 1:
+        c6 = c.pop()
+        c[4] = c[4] + 0.375 * c6
+        c[2] = c[2] - (9.0 / 256.0) * c6
+        shift = c6 / 2048.0
+        shift[0] = 0.0
+        c[0] = c[0] + shift
+    return np.array(c[::-1])
+
+
+def _taylor(u: np.ndarray, *tables: np.ndarray) -> list:
+    """Taylor tables on one grid at 0 <= u <= their last point, by Horner."""
+    s = u * float(_STEPS)
     k = np.rint(s)  # nearest grid point
     s -= k  # exact: |s| <= 1/2
     k = k.astype(np.intp)
-    out = _Q_TAYLOR[0].take(k)
-    for row in _Q_TAYLOR[1:]:
-        out *= s
-        out += row.take(k)
-    return out
+    outs = []
+    for table in tables:
+        out = table[0].take(k)
+        for row in table[1:]:
+            out *= s
+            out += row.take(k)
+        outs.append(out)
+    return outs
+
+
+def _check_range(u: np.ndarray) -> None:
+    """Refuse u = |x|/sqrt(2) beyond the tables and the fit of Q (or nan)."""
+    if not np.all(u <= _Q_MAX):
+        raise ValueError(
+            f"argument |x|/sqrt(2) = {float(np.max(u)):.2f} outside the "
+            f"supported range [0, {_Q_MAX}]"
+        )
+
+
+def _q_table() -> np.ndarray:
+    """Q on [0, 3]: values from the Chebyshev fit, derivatives from D.
+
+    D comes from scipy's ``dawsn``: the small-u correction of ``_dawsn``
+    would move Q by less than an ulp and only change the bits of C_n.
+    """
+    g = _grid(_Q_BREAK)
+    q = _cheb.chebval(2.0 * g / _Q_BREAK - 1.0, _Q_LO_COEF)
+    return _taylor_rows(q, _dawson_derivatives(g, _sp.dawsn(g))[:_DEG], 2.0 / _SQRT_PI)
+
+
+_Q_TAYLOR = _q_table()  # (6, 385): 18 KB
 
 
 def _q(u: np.ndarray) -> np.ndarray:
     """Q(u) = int_0^u exp(-t^2) erfi(t) dt for u >= 0 (even extension)."""
-    if np.any(u > _Q_MAX):
-        raise ValueError(
-            f"argument {float(np.max(u)):.2f} outside the supported range "
-            f"[0, {_Q_MAX}] of the auxiliary integral"
-        )
+    _check_range(u)
     lo = u <= _Q_BREAK
     if lo.all():
-        return _q_lo(u)
+        return _taylor(u, _Q_TAYLOR)[0]
     out = np.empty_like(u)
-    out[lo] = _q_lo(u[lo])
+    out[lo] = _taylor(u[lo], _Q_TAYLOR)[0]
     v = (2.0 * u[~lo] - (_Q_MAX + _Q_BREAK)) / (_Q_MAX - _Q_BREAK)
     out[~lo] = _Q_AT_BREAK + _cheb.chebval(v, _Q_HI_COEF)
     return out
+
+
+def _dawsn(g: np.ndarray) -> np.ndarray:
+    """Dawson's function; below 1/4 from its Maclaurin series.
+
+    There scipy's ``dawsn`` is off by up to 17 ulps (3.8e-15 at u = 1/64);
+    the series sum_n (-2u^2)^n u / (2n+1)!! is within an ulp in 12 terms.
+    """
+    out = _sp.dawsn(g)
+    u = g[g < 0.25]
+    term = u.copy()
+    total = u.copy()
+    for n in range(1, 12):
+        term *= -2.0 * u * u / (2 * n + 1)
+        total += term
+    out[g < 0.25] = total
+    return out
+
+
+def _psi_h_tables():
+    """Tables of P = 2 sqrt(pi) D and S = sqrt(pi) R, R = D erfcx + Q, on [0, 40].
+
+    With u = |x|/sqrt(2), psi(x) = sign(x) exp(u^2) P(u) and
+    H(x) = -S(u) + [x > 0] psi(x).  Values of R from ``dawsn``, ``erfcx``
+    and ``_q``; its derivatives by Leibniz's rule for D erfcx plus those of Q.
+    """
+    g = _grid(_Q_MAX)
+    d = _dawson_derivatives(g, _dawsn(g))
+    e = _erfcx_derivatives(g)
+    r = [
+        sum(math.comb(j, i) * d[i] * e[j - i] for i in range(j + 1))
+        + (2.0 / _SQRT_PI) * d[j - 1]
+        for j in range(1, _DEG + 2)
+    ]
+    return (
+        _taylor_rows(2.0 * _SQRT_PI * d[0], d[1:], 2.0 * _SQRT_PI),
+        _taylor_rows(_SQRT_PI * (d[0] * e[0] + _q(g)), r, _SQRT_PI),
+    )
+
+
+_P_TAYLOR, _S_TAYLOR = _psi_h_tables()  # (6, 5121) each: 492 KB together
+
+
+def _folded_psi_h(u: np.ndarray):
+    """(psi, H) at x = -sqrt(2) u, for 0 <= u <= 40 (unchecked).
+
+    psi is -inf, with an overflow warning, past u = 26.6; the folded kernel
+    clips u to 26 before it calls this.
+    """
+    p, s = _taylor(u, _P_TAYLOR, _S_TAYLOR)
+    p *= np.exp(u * u)
+    return np.negative(p, out=p), np.negative(s, out=s)
 
 
 def _q2_integrand(u):
@@ -347,29 +464,32 @@ def _q2(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def recip_pdf_antiderivative(x):
-    """F with F' = 1/phi and F(0) = 0, i.e. pi * erfi(x/sqrt(2))."""
-    x = np.asarray(x, dtype=float)
-    out = math.pi * _sp.erfi(x / _SQRT2)
-    return float(out) if out.ndim == 0 else out
-
-
 def recip_and_cdf_over_pdf_antiderivatives(x):
     """Arrays (psi, H): the antiderivatives of 1/phi and of Phi/phi, F(0) = 0.
 
-    H = (psi/2) * erfc(-z) - sqrt(pi) * Q(|z|) reuses the erfi inside psi.
-    Halving is exact, so both equal the separate functions bit for bit.
+    From the tables at u = |x|/sqrt(2) (``_psi_h_tables``).  psi is +-inf
+    past the overflow of exp(u^2) (|x| > 37.7), and so is H for x > 0;
+    u > 40 raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    z = np.atleast_1d(x / _SQRT2)
-    psi = math.pi * _sp.erfi(z)
-    # erfc(-z) == 1 + erf(z) without the cancellation at z << 0
-    h = 0.5 * psi * _sp.erfc(-z) - _SQRT_PI * _q(np.abs(z))
+    x1 = np.atleast_1d(x)
+    u = np.abs(x1) / _SQRT2
+    _check_range(u)
+    with np.errstate(over="ignore"):
+        psi, h = _folded_psi_h(u)  # at -|x|
+    psi = np.copysign(psi, x1)
+    h = np.where(x1 > 0.0, psi + h, h)
     return psi.reshape(x.shape), h.reshape(x.shape)
 
 
+def recip_pdf_antiderivative(x):
+    """F with F' = 1/phi and F(0) = 0, i.e. pi * erfi(x/sqrt(2))."""
+    out = recip_and_cdf_over_pdf_antiderivatives(x)[0]
+    return float(out) if out.ndim == 0 else out
+
+
 def cdf_over_pdf_antiderivative(x):
-    """F with F' = Phi/phi and F(0) = 0."""
+    """F with F' = Phi/phi and F(0) = 0; finite at every x <= 0 in range."""
     out = recip_and_cdf_over_pdf_antiderivatives(x)[1]
     return float(out) if out.ndim == 0 else out
 
@@ -395,6 +515,14 @@ def c_n(n: int) -> float:
 
 
 @lru_cache(maxsize=None)
+def _endpoint_terms(n: int):
+    """(a_n, psi(-a_n), H(-a_n), G(-a_n)): the folded kernel's per-n constants."""
+    a = endpoint(n).a_n
+    psi, h = recip_and_cdf_over_pdf_antiderivatives(-a)
+    return a, float(psi), float(h), cdf_sq_over_pdf_antiderivative(-a)
+
+
+@lru_cache(maxsize=None)
 def d_n(n: int) -> float:
     """D_n = int_{-a_n}^{a_n} Phi(x)(1 - Phi(x))/phi(x) dx, in closed form.
 
@@ -404,5 +532,5 @@ def d_n(n: int) -> float:
     of psi(a_n) ~ n/a_n^2 cancels, and D_n keeps a few ulps of relative
     accuracy up to n = 10^7.
     """
-    a = endpoint(n).a_n
-    return 2.0 * (cdf_sq_over_pdf_antiderivative(-a) - cdf_over_pdf_antiderivative(-a))
+    _, _, h, g = _endpoint_terms(n)
+    return 2.0 * (g - h)

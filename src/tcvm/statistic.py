@@ -39,13 +39,13 @@ import numpy as np
 from .normal import (
     LN2_OVER_2,
     SQRT_2PI,
+    _endpoint_terms,
+    _folded_psi_h,
     c_n,
-    cdf_sq_over_pdf_antiderivative,
     d_n,
     endpoint,
     int_cdf_over_pdf,
     int_recip_pdf,
-    recip_and_cdf_over_pdf_antiderivatives,
 )
 from .table import CriticalValueTable, embedded_table
 
@@ -61,8 +61,8 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# erfi(|y|/sqrt(2)) overflows for |y| beyond ~37.6; the whole-line statistic
-# of a row reaching past this is +inf
+# psi's factor exp(y^2/2) overflows for |y| beyond ~37.7; the whole-line
+# statistic of a row reaching past this is +inf
 _MAX_ABS_Y = 26.0 * _SQRT2
 
 
@@ -214,38 +214,39 @@ def _weighted_cvm(y: np.ndarray, truncated: Sequence[bool]) -> List[np.ndarray]:
 
     with G(-inf) = -ln(2)/2.  Each point contributes O(1), so the error
     grows like eps * n rather than with the O(n^2) terms of the unfolded
-    sums.  When every flag truncates, psi and H are evaluated at
-    max(-|y|, -a_n), which keeps erfi and Q in range for any n; otherwise
-    at max(-|y|, -_MAX_ABS_Y), with psi(-a_n), H(-a_n) put in below -a_n
-    for the truncated results, which is the same function, and the
-    whole-line result of a row that reaches past _MAX_ABS_Y is +inf.
+    sums.  psi and H come from ``normal._folded_psi_h`` at u = v/sqrt(2),
+    and psi, H, G at -a_n from the per-n cache ``normal._endpoint_terms``.
+    When every flag truncates, psi and H are evaluated at max(-|y|, -a_n),
+    which keeps exp(u^2) in range for any n; otherwise at
+    max(-|y|, -_MAX_ABS_Y), with psi(-a_n), H(-a_n) put in below -a_n for
+    the truncated results, which is the same function, and the whole-line
+    result of a row that reaches past _MAX_ABS_Y is +inf.
     """
     n = y.shape[1]
-    a = endpoint(n).a_n
-    v = np.abs(y)
+    a, psi_a, h_a, g_a = _endpoint_terms(n)
+    v = np.abs(y)  # -v is the folded point
     clipped = all(truncated)
     if not clipped:
         overflow = v.max(axis=1) > _MAX_ABS_Y
     np.minimum(v, a if clipped else _MAX_ABS_Y, out=v)
-    np.negative(v, out=v)
-    psi, h = recip_and_cdf_over_pdf_antiderivatives(v)
+    beyond = None if clipped else v > a
+    v /= _SQRT2
+    psi, h = _folded_psi_h(v)
     i = np.arange(1, n + 1, dtype=float)
     odd = np.where(y < 0.0, 2.0 * i - 1.0, 2.0 * (n - i) + 1.0)
     out = []
     for trunc in truncated:
         p, q = psi, h
         if trunc and not clipped:
-            psi_a, h_a = recip_and_cdf_over_pdf_antiderivatives(-a)
-            beyond = v < -a
             p, q = np.where(beyond, psi_a, psi), np.where(beyond, h_a, h)
-        g = cdf_sq_over_pdf_antiderivative(-a) if trunc else -LN2_OVER_2
+        g = g_a if trunc else -LN2_OVER_2
         t = 2.0 * q.sum(axis=1) - (odd * p).sum(axis=1) / n - 2.0 * n * g
         out.append(t if trunc else np.where(overflow, np.inf, t))
     return out
 
 
 def compute_untruncated(values: Sequence[float]) -> float:
-    """Whole-line statistic of one sample; +inf past the range of erfi.
+    """Whole-line statistic of one sample; +inf past the range of exp(y^2/2).
 
     Integrates (N(x) - n*Phi(x))^2/(n*phi(x)) over all of R; folded, the
     two unbounded end pieces leave the constant n*ln(2).

@@ -358,6 +358,18 @@ class TestOtherCommands:
         assert (record["empirical"], record["exact"], record["stderr"]) == (0.0, 0.0, 0.0)
         assert record["z_score"] == 0.0
 
+    def test_json_is_strict_where_z_is_infinite(self):
+        # every product underflows to 0 while the exact moment is 2.9e-301,
+        # so z = -inf, which strict JSON can only carry as null
+        code, text = run_cli(
+            ["verify-moments", "--x", "-37", "--y", "-37", "--n", "20", "--reps", "10000",
+             "--format", "json"]
+        )
+        assert code == 0
+        record = json.loads(text, parse_constant=_refuse_non_json)
+        assert (record["empirical"], record["stderr"], record["z_score"]) == (0.0, 0.0, None)
+        assert record["exact"] > 0.0
+
     @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
     def test_verify_moments_non_finite_exit_2(self, x, capsys):
         code, text = run_cli(
@@ -402,8 +414,8 @@ _FUZZ_VALUES = {
         "Beta(2,1)", "Normal(0,nan)", "Nope(1)", "Normal(0,1e308)",
     ],
     "--tests": ["all", "sw,bcmr", "sw", "bcmr", "tcvm,ad", "nope"],
-    "--x": ["0", "0.5", "-1e9", "nan", "inf", "x"],
-    "--y": ["0", "1.5", "x"],
+    "--x": ["0", "0.5", "-1e9", "-37", "nan", "inf", "x"],
+    "--y": ["0", "1.5", "-37", "x"],
     "--format": ["csv", "json", "xml"],
     "--table": ["table.csv", "junk.txt", "missing.csv"],
 }
@@ -411,8 +423,9 @@ _FILES = _FUZZ_VALUES["data"] + _FUZZ_VALUES["--table"]
 _COMMON = ["--seed", "--workers", "--format"]
 # per command: the options a run starts with, drawn; the arguments it
 # starts with as they are (small stand-ins for defaults that would make a
-# run large); and the options its fragments draw from.  A later fragment
-# overrides a start value.
+# run large; verify-moments starts at its minimum of 10,000 reps, so that
+# it can succeed); and the options its fragments draw from.  A later
+# fragment overrides a start value.
 _FUZZ_COMMANDS = {
     "test": (["data"], [], ["--alpha", "--table", "--format"]),
     "critvals": (
@@ -426,7 +439,7 @@ _FUZZ_COMMANDS = {
     "tables": ([], [], ["--format"]),
     "constant-c": ([], ["--n", "120", "--reps", "150"], ["--n", "--reps"] + _COMMON),
     "verify-moments": (
-        [], ["--x", "0", "--y", "0.5", "--reps", "1000"], ["--x", "--y", "--n", "--reps"] + _COMMON
+        [], ["--x", "0", "--y", "0.5", "--reps", "10000"], ["--x", "--y", "--n", "--reps"] + _COMMON
     ),
     "nope": ([], [], ["--n"]),
 }
@@ -470,13 +483,19 @@ _SMALL_POWER = ["--tests", "sw,bcmr", "--n", "20", "--reps", "200", "--cv-reps",
 @example(["power", "--alt", "Normal(5,1e-300)"] + _SMALL_POWER)
 @example(["power", "--alt", "TruncN(9,10)"] + _SMALL_POWER)
 @example(["power", "--alt", "Normal(0,1e308)"] + _SMALL_POWER)
+@example(["verify-moments", "--x", "-37", "--y", "-37", "--reps", "10000", "--format", "json"])
 def test_any_argv_exits_0_2_or_3_without_traceback(fuzz_dir, argv):
     argv = [str(fuzz_dir / t) if t in _FILES else t for t in argv]
     err = io.StringIO()
+    out = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            code = main(argv, out=io.StringIO())
+            code = main(argv, out=out)
+            ran = True
         except SystemExit as exc:  # argparse: usage errors and --help
-            code = exc.code
+            code, ran = exc.code, False
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    formats = [v for flag, v in zip(argv, argv[1:]) if flag == "--format"]
+    if ran and code == 0 and formats[-1:] == ["json"]:
+        json.loads(out.getvalue(), parse_constant=_refuse_non_json)

@@ -358,15 +358,114 @@ class TestChoppedSeries:
         assert np.max(np.abs(nk._q2(u) - q2_ref(u))) <= 1e-15
 
 
-def test_shared_erfi_pair_is_bit_identical():
-    from scipy import special
-
-    x = np.concatenate([np.linspace(-9.0, 9.0, 2001), [0.0, -4.25, 4.25, 30.0]])
+def test_shared_table_pair_is_bit_identical():
+    x = np.concatenate(
+        [np.linspace(-9.0, 9.0, 2001), [0.0, -0.0, -4.25, 4.25, 30.0, -38.0, 38.0, -56.0]]
+    )
     psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(x)
-    z = x / math.sqrt(2.0)
-    separate_h = 0.5 * math.pi * special.erfi(z) * special.erfc(-z) - math.sqrt(
-        math.pi
-    ) * nk._q(np.abs(z))
     np.testing.assert_array_equal(psi, nk.recip_pdf_antiderivative(x))
-    np.testing.assert_array_equal(h, separate_h)
     np.testing.assert_array_equal(h, nk.cdf_over_pdf_antiderivative(x))
+    for i in (0, 1500, 2004):
+        assert nk.recip_pdf_antiderivative(float(x[i])) == psi[i]
+        assert nk.cdf_over_pdf_antiderivative(float(x[i])) == h[i]
+    # the folded kernel evaluates the same functions at -|x|
+    inside = -np.abs(x[np.abs(x) <= 36.0])
+    folded = nk._folded_psi_h(np.abs(inside) / math.sqrt(2.0))
+    expected = nk.recip_and_cdf_over_pdf_antiderivatives(inside)
+    np.testing.assert_array_equal(folded[0], expected[0])
+    np.testing.assert_array_equal(folded[1], expected[1])
+
+
+# (x, psi(x), H(x)) by mpmath at 40 digits: psi = pi erfi(x/sqrt(2)), H the
+# quadrature of Phi/phi from 0 to x (cross-checked against the erfi/Q closed
+# form).  x = -sqrt(2) u rounded, at grid points u = k/128 and midpoints of
+# the tables, at u < 0.05, on both sides of u = 3 and u = 26, up to u = 40,
+# and at x = -38, -45, -56, past the overflow of exp(u^2), where H must stay
+# finite (erfi = -inf times erfc = 0 once made it nan).
+_PSI_H_REFERENCE = [
+    (-0.0, "0.0", "0.0"),
+    (-1.4142135623730952e-300, "-3.5449077018110324056e-300", "-1.7724538509055810466e-300"),
+    (-1.4142135623730952e-12, "-3.5449077018110323128e-12", "-1.7724538509045161564e-12"),
+    (-1.4142135623730952e-06, "-3.5449077018122139598e-6", "-1.7724528509061069795e-6"),
+    (-0.0014142135623730952, "-0.003544908883447287635", "-0.001771454441390310395"),
+    (-0.005524271728019903, "-0.013847366141509862889", "-0.0069084242040819010936"),
+    (-0.011048543456039806, "-0.027695154878620753672", "-0.013786541041276732749"),
+    (-0.01657281518405971, "-0.041543788845624567573", "-0.020634559034592182478"),
+    (-0.02209708691207961, "-0.055393690754200825417", "-0.027452684882591916296"),
+    (-0.028284271247461905, "-0.070907608257903988496", "-0.035053750789929284263"),
+    (-0.03314563036811942, "-0.083098989861996162751", "-0.041000077927174474106"),
+    (-0.06929646455628166, "-0.17383959586294978053", "-0.084516875100171638052"),
+    (-0.7071067811865476, "-1.9319289830082139051", "-0.69366442812799482175"),
+    (-0.7126310529145675, "-1.9497441257239185638", "-0.69792033092801658191"),
+    (-1.4031650189170553, "-5.1102673077532644972", "-1.1413014080265395564"),
+    (-1.4142135623730951, "-5.1849654391337214256", "-1.1472371061785132064"),
+    (-2.8173785812901504, "-56.834325324628235716", "-1.7252419600058458259"),
+    (-4.231592143663246, "-4901.5415439034909737", "-2.1036861726260369879"),
+    (-4.237116415391266, "-5009.8774705477768314", "-2.1049277232724415352"),
+    (-4.242639338420133, "-5120.7517378403589804", "-2.106167497457666452"),
+    (-4.242640687119286, "-5120.7791317559566035", "-2.1061678000311810893"),
+    (-4.242642035818438, "-5120.8065258283039176", "-2.1061681026046080766"),
+    (-4.248164958847306, "-5234.3107568367115206", "-2.1074064062640691051"),
+    (-4.2536892305753256, "-5350.538260683269505", "-2.1086435453218275246"),
+    (-11.048543456039805, "-7.3561436599101809477e+25", "-3.0415270149512562604"),
+    (-22.616368454513484, "-1.307255772201737365e+110", "-3.7548300034999596793"),
+    (-28.289795519189923, "-5.415797139311120414e+172", "-3.9783061698100475807"),
+    (-36.758504078244435, "-1.7406772745638070935e+292", "-4.2399206601540535542"),
+    (-36.764028349972456, "-2.1323038222644789323e+292", "-4.2400708234510818419"),
+    (-36.76955127300132, "-2.61199086473584531e+292", "-4.2402209275663723464"),
+    (-36.76955262170048, "-2.6121203033988934169e+292", "-4.2402209642190845254"),
+    (-36.76955397039963, "-2.6122497484804198167e+292", "-4.2402210008717951688"),
+    (-36.77507689342849, "-3.2000040485616251561e+292", "-4.2403710824648154993"),
+    (-36.78060116515651, "-3.9203166236856322346e+292", "-4.240521178195026203"),
+    (-37.61808075912433, "-1.2983875878319524093e+306", "-4.2630191820838827865"),
+    (-38.0, "-2.4000680309728150467e+312", "-4.2731134839834706532"),
+    (-45.0, "-2.9461515234998055558e+438", "-4.4420906434826478682"),
+    (-45.243785452483, "-1.7545758857623733225e+443", "-4.4474908265582800524"),
+    (-56.0, "-4.2149082835156980317e+679", "-4.6606924760601546992"),
+    (-56.55749395146777, "-1.7640023283057499646e+693", "-4.6705953733785426742"),
+    (-56.56301822319578, "-2.410759322374101133e+693", "-4.6706930134334240347"),
+    (-56.568542494923804, "-3.2947450444137883822e+693", "-4.6707906439586296359"),
+]
+_IDS = [repr(x) for x, _, _ in _PSI_H_REFERENCE]
+
+
+class TestPsiHTables:
+    """psi and H from the Taylor tables of D and R against mpmath."""
+
+    @pytest.mark.parametrize("x,psi_ref,h_ref", _PSI_H_REFERENCE, ids=_IDS)
+    def test_psi(self, x, psi_ref, h_ref):
+        psi = nk.recip_pdf_antiderivative(x)
+        assert nk.recip_pdf_antiderivative(-x) == -psi
+        ref = float(psi_ref)
+        if math.isinf(ref):
+            assert psi == ref
+            return
+        # exp(u^2) carries the rounding of u = |x|/sqrt(2) and of u^2; the
+        # erfi formula reached 17.5 eps (1 + u^2) on these points
+        u = abs(x) / math.sqrt(2.0)
+        assert abs(psi - ref) <= 4.0 * np.finfo(float).eps * (1.0 + u * u) * abs(ref)
+
+    @pytest.mark.parametrize("x,psi_ref,h_ref", _PSI_H_REFERENCE, ids=_IDS)
+    def test_h(self, x, psi_ref, h_ref):
+        # the erfi formula reached 2**-49 (two ulps of 4) on these points
+        assert abs(nk.cdf_over_pdf_antiderivative(x) - float(h_ref)) <= 2.0**-49
+
+    def test_psi_overflows_to_inf_without_warning(self):
+        psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(np.array([-38.0, 38.0, 56.0]))
+        np.testing.assert_array_equal(psi, [-np.inf, np.inf, np.inf])
+        assert np.isfinite(h[0])
+        np.testing.assert_array_equal(h[1:], [np.inf, np.inf])
+
+    @pytest.mark.parametrize("x", [57.0, -57.0, math.inf, math.nan])
+    def test_outside_the_tables_raises(self, x):
+        for fn in (
+            nk.recip_pdf_antiderivative,
+            nk.cdf_over_pdf_antiderivative,
+            nk.recip_and_cdf_over_pdf_antiderivatives,
+        ):
+            with pytest.raises(ValueError, match="supported range"):
+                fn(np.array([0.5, x]))
+
+    def test_zero_at_zero(self):
+        psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(np.array([0.0]))
+        assert (psi[0], h[0]) == (0.0, 0.0)
