@@ -12,10 +12,6 @@ block, of:
 * ``draw_<spec>_n<n>``: ``engine._draw_block`` for the null at n = 50 and
   n = 20 and for each of the seven power rows of the ``power_n50``
   benchmark workload at n = 50;
-* ``psi_H``: psi and H where the TCVM kernel evaluates them, on a
-  standardized null block at n = 50 folded and clipped to |y| <= a_n:
-  ``normal._folded_psi_h`` at u = |y|/sqrt(2) (a checkout without it:
-  ``normal.recip_and_cdf_over_pdf_antiderivatives`` at -|y|);
 * ``kernels_<spec>``: ``batch_statistics`` with all five kinds on a block of
   each of the eight units of a ``power_n50`` cycle at n = 50, the null
   calibration and the seven power rows, timed in interleaved rounds;
@@ -24,9 +20,23 @@ block, of:
   evaluates;
 * ``moment_products``: ``engine._fourth_products``, the moment check's
   per-row work, on a null block at n = 20 at the two points of the
-  ``moments_n20`` benchmark workload;
-* ``kernels_all_n10000``: ``batch_statistics`` with all five kinds on a
-  256-row null block at n = 10^4, in nanoseconds per value (best of 5).
+  ``moments_n20`` benchmark workload.
+
+``us_per_slice`` times the stages of ``batch_statistics`` on one kernel
+slice of the LoConN(0.5,4) block (``_CHUNK_ELEMS // 50`` rows at n = 50),
+best of 50 interleaved rounds, in microseconds: ``sort_scale``
+(``statistic._sorted_rows``), ``moments`` (``_standardize_sorted``),
+``tcvm_cvm`` (``_weighted_cvm`` with both flags), ``ad``, ``sw`` and
+``bcmr`` (``baselines._batch_*``; a checkout whose SW and BCMR kernels
+take the rows alone computes their moments inside them).
+
+``us_per_row`` times the traced benchmark replay's way of drawing, one
+``engine.replication_rng(seed, r)`` and one ``alternatives.draw`` per row,
+on 2048 null rows at n = 20 and n = 50 (best of 5): ``replay_rng_n<n>``,
+``replay_draw_n<n>`` and their sum ``replay_n<n>``.
+
+``ns_per_value`` holds ``kernels_all_n10000``: ``batch_statistics`` with
+all five kinds on a 256-row null block at n = 10^4 (best of 5).
 
 Prints one JSON object with the timings, the block shape and the versions;
 ``kernels_max_over_min`` is the slowest of the eight ``kernels_<spec>``
@@ -37,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import sys
@@ -45,6 +54,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROWS, REPEAT, SEED = 4096, 10, 11
+STAGE_REPEAT, REPLAY_ROWS, REPLAY_REPEAT = 50, 2048, 5
 LARGE_N, LARGE_ROWS, LARGE_REPEAT = 10_000, 256, 5
 MOMENT_POINTS = ((0.0, 0.0), (0.3, 1.1))
 POWER_ROWS = (
@@ -85,7 +95,7 @@ def main() -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
     import scipy
-    from tcvm import engine, normal
+    from tcvm import alternatives, baselines, engine, statistic
     from tcvm.alternatives import parse_spec
     from tcvm.baselines import BaselineKind, batch_statistics
 
@@ -99,14 +109,6 @@ def main() -> int:
     timings["draw_null_n20"] = draw_ms("Normal(0,1)", 20)
 
     null = engine._draw_block(engine.NULL_SPEC, 50, SEED, 0, ROWS)
-    y = (null - null.mean(axis=1, keepdims=True)) / null.std(axis=1, keepdims=True)
-    v = np.minimum(np.abs(y), normal.endpoint(50).a_n)
-    folded = getattr(normal, "_folded_psi_h", None)
-    if folded is not None:
-        timings["psi_H"] = best_ms(lambda: folded(v / math.sqrt(2.0)))
-    else:
-        timings["psi_H"] = best_ms(lambda: normal.recip_and_cdf_over_pdf_antiderivatives(-v))
-
     null_n20 = engine._draw_block(engine.NULL_SPEC, 20, SEED, 0, ROWS)
     timings["moment_products"] = best_ms(
         lambda: engine._fourth_products(MOMENT_POINTS, null_n20)
@@ -128,12 +130,56 @@ def main() -> int:
     pair = [BaselineKind.TCVM, BaselineKind.CVM]
     timings["kernel_tcvm+cvm"] = best_ms(lambda: batch_statistics(block, pair))
 
+    rows = baselines._CHUNK_ELEMS // block.shape[1]
+    part = block[:rows]
+    x_sorted = statistic._sorted_rows(part)
+    moments = statistic._standardize_sorted(x_sorted)
+    # (y, ssq), or y alone where SW and BCMR compute their own moments
+    y, ssq = moments if isinstance(moments, tuple) else (moments, None)
+    by_rows = () if ssq is None else (ssq,)
+    stage_ms = interleaved_best_ms(
+        {
+            "sort_scale": lambda: statistic._sorted_rows(part),
+            "moments": lambda: statistic._standardize_sorted(x_sorted),
+            "tcvm_cvm": lambda: statistic._weighted_cvm(y, [True, False]),
+            "ad": lambda: baselines._batch_ad(y),
+            "sw": lambda: baselines._batch_sw_like(x_sorted, *by_rows),
+            "bcmr": lambda: baselines._batch_bcmr(x_sorted, *by_rows),
+        },
+        STAGE_REPEAT,
+    )
+
+    replay = {}
+    for n in (20, 50):
+        rngs = []
+
+        def make_rngs():
+            rngs[:] = [engine.replication_rng(SEED, r) for r in range(REPLAY_ROWS)]
+
+        def draw_rows():
+            for rng in rngs:
+                alternatives.draw(engine.NULL_SPEC, n, rng)
+
+        make_rngs()
+        draw_rows()  # fills the spec's sampler cache, where there is one
+        rng_ms = best_ms(make_rngs, REPLAY_REPEAT)
+        row_ms = float("inf")
+        for _ in range(REPLAY_REPEAT):
+            make_rngs()  # each round draws from fresh streams
+            row_ms = min(row_ms, best_ms(draw_rows, 1))
+        replay[f"replay_rng_n{n}"] = 1e3 * rng_ms / REPLAY_ROWS
+        replay[f"replay_draw_n{n}"] = 1e3 * row_ms / REPLAY_ROWS
+        replay[f"replay_n{n}"] = replay[f"replay_rng_n{n}"] + replay[f"replay_draw_n{n}"]
+
     large = engine._draw_block(engine.NULL_SPEC, LARGE_N, SEED, 0, LARGE_ROWS)
     large_ms = best_ms(lambda: batch_statistics(large, kinds), LARGE_REPEAT)
     record = {
         "rows": ROWS,
         "repeat": REPEAT,
         "ms_per_block": {k: round(v, 2) for k, v in timings.items()},
+        "slice_rows": rows,
+        "us_per_slice": {k: round(1e3 * v, 1) for k, v in stage_ms.items()},
+        "us_per_row": {k: round(v, 2) for k, v in replay.items()},
         "kernels_max_over_min": round(max(unit_ms.values()) / min(unit_ms.values()), 3),
         "ns_per_value": {"kernels_all_n10000": round(1e6 * large_ms / large.size, 1)},
         "machine": platform.machine(),

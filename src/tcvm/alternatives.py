@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -477,11 +479,29 @@ def _sampler(spec: AlternativeSpec) -> _Sampler:
     )
 
 
+@lru_cache(maxsize=256)
+def _sampler_of_bits(family: str, bits: bytes) -> _Sampler:
+    # lru_cache stores no call that raises, so an invalid spec is never kept
+    return _sampler(AlternativeSpec(family, struct.unpack(f"<{len(bits) // 8}d", bits)))
+
+
+def _cached_sampler(spec: AlternativeSpec) -> _Sampler:
+    """``_sampler(spec)``, kept per family name and exact parameter bits.
+
+    Bits, not values, key the cache: 0.0 == -0.0 would share an entry.  A
+    spec whose parameters are not all floats is checked and built afresh.
+    """
+    params = spec.params
+    if isinstance(spec.family, str) and all(type(p) is float for p in params):
+        return _sampler_of_bits(spec.family, struct.pack(f"<{len(params)}d", *params))
+    return _sampler(spec)
+
+
 def draw(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n iid draws using the supplied generator."""
     if n < 1:
         raise ValueError(f"need n >= 1 draws, got {n}")
-    s = _sampler(spec)
+    s = _cached_sampler(spec)
     return s.transform([getattr(rng, method)(*args, n) for method, args in s.calls])
 
 

@@ -29,10 +29,12 @@ import numpy as np
 
 from .normal import cdf, pdf, quantile
 from .statistic import (
+    _rank_weights,
     _sample_matrix,
     _sorted_row,
     _sorted_rows,
     _standardize_sorted,
+    _standardized_row,
     _weighted_cvm,
 )
 
@@ -113,12 +115,13 @@ def shapiro_wilk(values: Sequence[float]) -> float:
 
 def anderson_darling(values: Sequence[float]) -> float:
     """A^2 with estimated mean and divisor-n scale (order-statistic form)."""
-    return float(_batch_ad(_standardize_sorted(_sorted_row(values)))[0])
+    return float(_batch_ad(_standardized_row(values))[0])
 
 
 def shapiro_francia(values: Sequence[float]) -> float:
     """W' statistic: squared correlation with plain normalized normal scores."""
-    return float(_batch_sw_like(_sorted_row(values))[0])
+    x = _sorted_row(values)
+    return float(_batch_sw_like(x, _standardize_sorted(x)[1])[0])
 
 
 def bcmr(values: Sequence[float]) -> float:
@@ -128,7 +131,8 @@ def bcmr(values: Sequence[float]) -> float:
     normal quantile as weights; 0 <= R <= 1 and small values indicate a
     nearly normal quantile profile.
     """
-    return float(_batch_bcmr(_sorted_row(values))[0])
+    x = _sorted_row(values)
+    return float(_batch_bcmr(x, _standardize_sorted(x)[1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -139,24 +143,27 @@ def bcmr(values: Sequence[float]) -> float:
 
 
 def _batch_ad(y_sorted: np.ndarray) -> np.ndarray:
+    """sum (2i - 1) (log u_i + log(1 - u_(n+1-i))), u = Phi(y) clamped, in place."""
     n = y_sorted.shape[1]
-    u = np.clip(cdf(y_sorted), _U_CLAMP, 1.0 - _U_CLAMP)
-    odd = 2.0 * np.arange(1, n + 1) - 1.0
-    s = ((np.log(u) + np.log1p(-u[:, ::-1])) * odd).sum(axis=1)
-    return -n - s / n
+    u = cdf(y_sorted)
+    np.clip(u, _U_CLAMP, 1.0 - _U_CLAMP, out=u)
+    upper = np.negative(u[:, ::-1])
+    np.log1p(upper, out=upper)
+    np.log(u, out=u)
+    u += upper
+    u *= _rank_weights(n)[0]
+    return -n - u.sum(axis=1) / n
 
 
-def _batch_sw_like(x_sorted: np.ndarray) -> np.ndarray:
-    ssq = np.sum(
-        (x_sorted - x_sorted.mean(axis=1, keepdims=True)) ** 2, axis=1
-    )
+def _batch_sw_like(x_sorted: np.ndarray, ssq: np.ndarray) -> np.ndarray:
+    """Squared correlation with the normal scores; ssq from ``_standardize_sorted``."""
     return (x_sorted * _sf_weights(x_sorted.shape[1])).sum(axis=1) ** 2 / ssq
 
 
-def _batch_bcmr(x_sorted: np.ndarray) -> np.ndarray:
+def _batch_bcmr(x_sorted: np.ndarray, ssq: np.ndarray) -> np.ndarray:
+    """1 - (sum x w)^2 / S_n^2 with S_n^2 = ssq/n from ``_standardize_sorted``."""
     n = x_sorted.shape[1]
-    var = x_sorted.var(axis=1)
-    return 1.0 - (x_sorted * _bcmr_weights(n)).sum(axis=1) ** 2 / var
+    return 1.0 - (x_sorted * _bcmr_weights(n)).sum(axis=1) ** 2 / (ssq / n)
 
 
 def batch_statistics(
@@ -164,9 +171,10 @@ def batch_statistics(
 ) -> Dict[BaselineKind, np.ndarray]:
     """Evaluate several test statistics on a (replications, n) matrix.
 
-    Sorting and standardization are shared across kinds, which is also what
-    makes common-random-number power comparisons cheap.  TCVM and CVM come
-    from one call of the folded kernel, which evaluates psi and H once.
+    Sorting and one moments pass (``_standardize_sorted``: the standardized
+    rows and their sums of squares) are shared across kinds, which is also
+    what makes common-random-number power comparisons cheap.  TCVM and CVM
+    come from one call of the folded kernel, which evaluates psi and H once.
 
     The rows go through in slices of at most ``_CHUNK_ELEMS`` values, so
     that the temporaries stay in cache: each slice is sorted and scaled by
@@ -181,13 +189,12 @@ def batch_statistics(
     x = _sample_matrix(samples)
     folded = [k for k in kinds if k in _TRUNCATED]
     flags = [_TRUNCATED[k] for k in folded]
-    need_std = bool(folded) or BaselineKind.AD in kinds
     out = {kind: np.empty(x.shape[0]) for kind in kinds}
     rows = max(1, _CHUNK_ELEMS // x.shape[1])
     for first in range(0, x.shape[0], rows):
         part = slice(first, first + rows)
         x_sorted = _sorted_rows(x[part])
-        y_sorted = _standardize_sorted(x_sorted) if need_std else None
+        y_sorted, ssq = _standardize_sorted(x_sorted)
         if folded:
             for kind, values in zip(folded, _weighted_cvm(y_sorted, flags)):
                 out[kind][part] = values
@@ -195,7 +202,7 @@ def batch_statistics(
             if kind is BaselineKind.AD:
                 out[kind][part] = _batch_ad(y_sorted)
             elif kind is BaselineKind.SW:
-                out[kind][part] = _batch_sw_like(x_sorted)
+                out[kind][part] = _batch_sw_like(x_sorted, ssq)
             elif kind is BaselineKind.BCMR:
-                out[kind][part] = _batch_bcmr(x_sorted)
+                out[kind][part] = _batch_bcmr(x_sorted, ssq)
     return out

@@ -319,7 +319,12 @@ def cmd_verify_moments(args: argparse.Namespace, out) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="master seed (default: TCVM_SEED or 0)")
-    p.add_argument("--workers", type=int, default=1, help="worker threads for simulation blocks")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker threads for simulation blocks; at most one per block and per CPU core runs",
+    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 

@@ -14,6 +14,7 @@ count, the block size or the kernel slice.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,16 +114,21 @@ def _check_alpha(alpha: float) -> None:
 def _map_blocks(
     spec: AlternativeSpec, n: int, reps: int, seed: int, workers: int, fn: Callable
 ) -> dict:
-    """Each block's dict of per-row arrays from ``fn``, joined in replication order."""
+    """Each block's dict of per-row arrays from ``fn``, joined in replication order.
+
+    At most min(workers, blocks, cores) threads run, since each holds a
+    block of up to ``_BLOCK`` rows in memory.
+    """
 
     def run(start: int):
         return fn(_draw_block(spec, n, seed, start, min(_BLOCK, reps - start)))
 
     starts = range(0, reps, _BLOCK)
-    if workers <= 1 or len(starts) == 1:
+    threads = min(workers, len(starts), os.cpu_count() or 1)
+    if threads <= 1:
         parts = [run(start) for start in starts]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run, starts))
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 

@@ -432,15 +432,15 @@ def _psi_h_tables():
 _P_TAYLOR, _S_TAYLOR = _psi_h_tables()  # (6, 5121) each: 492 KB together
 
 
-def _folded_psi_h(u: np.ndarray):
-    """(psi, H) at x = -sqrt(2) u, for 0 <= u <= 40 (unchecked).
+def _folded_neg_psi_h(u: np.ndarray):
+    """(-psi, -H) at x = -sqrt(2) u, for 0 <= u <= 40 (unchecked).
 
-    psi is -inf, with an overflow warning, past u = 26.6; the folded kernel
+    -psi is +inf, with an overflow warning, past u = 26.6; the folded kernel
     clips u to 26 before it calls this.
     """
     p, s = _taylor(u, _P_TAYLOR, _S_TAYLOR)
     p *= np.exp(u * u)
-    return np.negative(p, out=p), np.negative(s, out=s)
+    return p, s
 
 
 def _q2_integrand(u):
@@ -476,9 +476,9 @@ def recip_and_cdf_over_pdf_antiderivatives(x):
     u = np.abs(x1) / _SQRT2
     _check_range(u)
     with np.errstate(over="ignore"):
-        psi, h = _folded_psi_h(u)  # at -|x|
+        psi, h = _folded_neg_psi_h(u)  # -psi, -H at -|x|
     psi = np.copysign(psi, x1)
-    h = np.where(x1 > 0.0, psi + h, h)
+    h = np.where(x1 > 0.0, psi - h, -h)
     return psi.reshape(x.shape), h.reshape(x.shape)
 
 

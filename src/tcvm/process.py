@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .normal import cdf
-from .statistic import _sorted_row, _standardize_sorted
+from .statistic import _standardized_row
 
 __all__ = [
     "MomentPoint",
@@ -43,7 +43,7 @@ def b_n(values, x: float) -> float | np.ndarray:
 
 def b_hat_n(values: Sequence[float], x: float) -> float:
     """Standardized empirical process: b_n applied to (X_i - mean)/S_n."""
-    return b_n(_standardize_sorted(_sorted_row(values))[0], x)
+    return b_n(_standardized_row(values)[0], x)
 
 
 def ebb2(x) -> float:

@@ -8,8 +8,8 @@ Y_i = (X_i - mean)/S_n and N(x) = #{i : Y_i <= x},
 
 Every route takes its Y from ``_standardize_sorted`` of ``_sorted_row``
 (``_sorted_rows`` for a matrix), the one place that validates, sorts and
-scales a sample and refuses a constant one.  Two production routes and one
-test oracle:
+scales a sample and refuses a constant one; ``_standardized_row`` is that
+pair for one sample.  Two production routes and one test oracle:
 
 * ``compute_tstar``        - the stepwise form behind ``tcvm_test`` (delete,
                              grid, weight integrals by adaptive quadrature,
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +41,7 @@ from .normal import (
     LN2_OVER_2,
     SQRT_2PI,
     _endpoint_terms,
-    _folded_psi_h,
+    _folded_neg_psi_h,
     c_n,
     d_n,
     endpoint,
@@ -82,24 +83,19 @@ def _sample_matrix(samples: np.ndarray) -> np.ndarray:
     return x
 
 
-def _scaled(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(x * 2**-e, e) row by row: max|x| < 2**e <= 2 * max|x| in each row.
-
-    Rows run along the last axis, and e keeps that axis with length 1.  The
-    scaling is exact, so squares and sums of the result cannot overflow and
-    carry the same bits as those of x wherever those do not overflow.
-    """
-    e = np.frexp(np.max(np.abs(x), axis=-1, keepdims=True))[1]
-    return np.ldexp(x, -e), e
-
-
 def _sorted_rows(x: np.ndarray) -> np.ndarray:
     """The rows of a validated matrix sorted, each scaled by a power of two.
 
-    The one place a constant sample is refused: a row that is not constant
-    has a nonzero divisor-n SD once scaled, so every statistic is defined.
+    Row by row, max|x| < 2**e <= 2 * max|x| with max|x| read off the sorted
+    ends, and the row is multiplied by 2**-e.  The scaling is exact, so
+    squares and sums of the result cannot overflow and carry the same bits
+    as those of x wherever those do not overflow.  The one place a constant
+    sample is refused: a row that is not constant has a nonzero divisor-n SD
+    once scaled, so every statistic is defined.
     """
-    xs = _scaled(np.sort(x, axis=1))[0]
+    xs = np.sort(x, axis=1)
+    ends = np.maximum(np.abs(xs[:, :1]), np.abs(xs[:, -1:]))
+    np.ldexp(xs, -np.frexp(ends)[1], out=xs)
     if np.any(xs[:, 0] == xs[:, -1]):
         raise DegenerateSampleError("sample is constant")
     return xs
@@ -113,14 +109,25 @@ def _sorted_row(values: Sequence[float]) -> np.ndarray:
     return _sorted_rows(_sample_matrix(x[np.newaxis, :]))
 
 
-def _standardize_sorted(x_sorted: np.ndarray) -> np.ndarray:
-    """Rowwise (x - mean)/S_n, divisor n, of rows from ``_sorted_rows``.
+def _standardize_sorted(x_sorted: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rowwise (y, ssq): y = (x - mean)/S_n, divisor n, and ssq = sum (x - mean)^2.
 
+    The one moments pass over rows from ``_sorted_rows``: d = x - mean,
+    ssq = sum d*d and y = d / sqrt(ssq/n), written into d.  These are the
+    operations of numpy's ``std``, ``var`` and ``sum((x - mean)**2)``, so SW
+    (divided by ssq) and BCMR (divided by ssq/n) need no pass of their own.
     Reduces over the sorted rows, so every caller feeding the same multiset
     of values per row gets bit-identical output.
     """
-    mean = x_sorted.mean(axis=1, keepdims=True)
-    return (x_sorted - mean) / x_sorted.std(axis=1, keepdims=True)
+    d = x_sorted - x_sorted.mean(axis=1, keepdims=True)
+    ssq = (d * d).sum(axis=1, keepdims=True)
+    d /= np.sqrt(ssq / x_sorted.shape[1])
+    return d, ssq[:, 0]
+
+
+def _standardized_row(values: Sequence[float]) -> np.ndarray:
+    """A validated, non-constant sample standardized and sorted, shape (1, n)."""
+    return _standardize_sorted(_sorted_row(values))[0]
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,7 @@ def compute_tstar(values: Sequence[float]) -> TcvmResult:
 
         T = (1/n) sum (j+k)^2 A_j - 2 sum (j+k) B_j + C_n.
     """
-    y = _standardize_sorted(_sorted_row(values))[0]
+    y = _standardized_row(values)[0]
     n = y.size
     a = endpoint(n).a_n
     k = int(np.count_nonzero(y <= -a))
@@ -180,7 +187,7 @@ def compute_tstar_direct(values: Sequence[float]) -> float:
 
     from scipy import integrate
 
-    y = _standardize_sorted(_sorted_row(values))[0]
+    y = _standardized_row(values)[0]
     n = y.size
     a = endpoint(n).a_n
 
@@ -200,6 +207,16 @@ def compute_tstar_direct(values: Sequence[float]) -> float:
     return total
 
 
+@lru_cache(maxsize=None)
+def _rank_weights(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(2i - 1, 2(n - i) + 1) for i = 1..n, read-only: the odd weights of
+    the order statistics counted from the left and from the right."""
+    i = np.arange(1, n + 1, dtype=float)
+    left, right = 2.0 * i - 1.0, 2.0 * (n - i) + 1.0
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
 def _weighted_cvm(y: np.ndarray, truncated: Sequence[bool]) -> List[np.ndarray]:
     """The folded kernel: one statistic per flag, from one psi/H evaluation.
 
@@ -214,35 +231,40 @@ def _weighted_cvm(y: np.ndarray, truncated: Sequence[bool]) -> List[np.ndarray]:
 
     with G(-inf) = -ln(2)/2.  Each point contributes O(1), so the error
     grows like eps * n rather than with the O(n^2) terms of the unfolded
-    sums.  psi and H come from ``normal._folded_psi_h`` at u = v/sqrt(2),
-    and psi, H, G at -a_n from the per-n cache ``normal._endpoint_terms``.
-    When every flag truncates, psi and H are evaluated at max(-|y|, -a_n),
-    which keeps exp(u^2) in range for any n; otherwise at
-    max(-|y|, -_MAX_ABS_Y), with psi(-a_n), H(-a_n) put in below -a_n for
-    the truncated results, which is the same function, and the whole-line
-    result of a row that reaches past _MAX_ABS_Y is +inf.
+    sums.  -psi and -H come from ``normal._folded_neg_psi_h`` at
+    u = -v/sqrt(2), and the sums take the signs back: negation is exact, so
+    the bits are those of the formula above.  psi, H, G at -a_n come from
+    the per-n cache ``normal._endpoint_terms``.  When every flag truncates,
+    psi and H are evaluated at max(-|y|, -a_n), which keeps exp(u^2) in
+    range for any n; otherwise at max(-|y|, -_MAX_ABS_Y): the whole-line
+    result comes first, and is +inf for a row that reaches past _MAX_ABS_Y;
+    then psi(-a_n), H(-a_n) go in below -a_n for the truncated result,
+    which is the same function.
     """
     n = y.shape[1]
     a, psi_a, h_a, g_a = _endpoint_terms(n)
+    whole, trunc = not all(truncated), any(truncated)
     v = np.abs(y)  # -v is the folded point
-    clipped = all(truncated)
-    if not clipped:
-        overflow = v.max(axis=1) > _MAX_ABS_Y
-    np.minimum(v, a if clipped else _MAX_ABS_Y, out=v)
-    beyond = None if clipped else v > a
+    np.minimum(v, _MAX_ABS_Y if whole else a, out=v)
+    beyond = v > a if whole and trunc else None
     v /= _SQRT2
-    psi, h = _folded_psi_h(v)
-    i = np.arange(1, n + 1, dtype=float)
-    odd = np.where(y < 0.0, 2.0 * i - 1.0, 2.0 * (n - i) + 1.0)
-    out = []
-    for trunc in truncated:
-        p, q = psi, h
-        if trunc and not clipped:
-            p, q = np.where(beyond, psi_a, psi), np.where(beyond, h_a, h)
-        g = g_a if trunc else -LN2_OVER_2
-        t = 2.0 * q.sum(axis=1) - (odd * p).sum(axis=1) / n - 2.0 * n * g
-        out.append(t if trunc else np.where(overflow, np.inf, t))
-    return out
+    p, s = _folded_neg_psi_h(v)
+    odd = np.where(y < 0.0, *_rank_weights(n))
+
+    def total(g: float) -> np.ndarray:
+        return (odd * p).sum(axis=1) / n - 2.0 * s.sum(axis=1) - 2.0 * n * g
+
+    by_flag = {}
+    if whole:
+        t = total(-LN2_OVER_2)
+        t[np.maximum(np.abs(y[:, 0]), np.abs(y[:, -1])) > _MAX_ABS_Y] = np.inf
+        by_flag[False] = t
+    if trunc:
+        if beyond is not None:
+            np.copyto(p, -psi_a, where=beyond)
+            np.copyto(s, -h_a, where=beyond)
+        by_flag[True] = total(g_a)
+    return [by_flag[flag] for flag in truncated]
 
 
 def compute_untruncated(values: Sequence[float]) -> float:
@@ -251,8 +273,7 @@ def compute_untruncated(values: Sequence[float]) -> float:
     Integrates (N(x) - n*Phi(x))^2/(n*phi(x)) over all of R; folded, the
     two unbounded end pieces leave the constant n*ln(2).
     """
-    y = _standardize_sorted(_sorted_row(values))
-    return float(_weighted_cvm(y, [False])[0][0])
+    return float(_weighted_cvm(_standardized_row(values), [False])[0][0])
 
 
 @dataclass(frozen=True)

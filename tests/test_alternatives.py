@@ -16,7 +16,9 @@ from tcvm.alternatives import (
     UnknownFamilyError,
     _ALIASES,
     _FAMILIES,
+    _cached_sampler,
     _sampler,
+    _sampler_of_bits,
     draw,
     parse_spec,
     sample,
@@ -184,6 +186,41 @@ def test_draws_match_pinned_digest(text):
     assert digest.hexdigest() == PINNED_DRAWS[text]
     block = _draw_block(spec, 50, 7, 0, 4)
     assert hashlib.sha256(block.tobytes()).hexdigest() == PINNED_DRAWS[text]
+
+
+class TestSamplerCache:
+    """``draw`` reuses a checked sampler per family and parameter bits."""
+
+    def test_zero_and_negative_zero_keep_their_own_entries(self):
+        # LoConN(1, a) adds a to every raw normal draw; -0.0 + a shows a's sign
+        raw = [np.zeros(1), np.array([-0.0])]
+        for zero in (0.0, -0.0, 0.0, -0.0):
+            out = _cached_sampler(AlternativeSpec("LoConN", (1.0, zero))).transform(raw)
+            assert math.copysign(1.0, out[0]) == math.copysign(1.0, zero)
+
+    def test_invalid_spec_is_never_cached(self):
+        spec = AlternativeSpec("Normal", (0.0, -1.0))
+        before = _sampler_of_bits.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ParamDomainError):
+                draw(spec, 5, np.random.default_rng(1))
+        assert _sampler_of_bits.cache_info().currsize == before
+
+    def test_cache_is_bounded(self):
+        limit = _sampler_of_bits.cache_info().maxsize
+        assert limit is not None
+        for i in range(limit + 10):
+            draw(AlternativeSpec("Normal", (float(i), 1.0)), 2, np.random.default_rng(i))
+        assert _sampler_of_bits.cache_info().currsize <= limit
+
+    @pytest.mark.parametrize("params", [[1.0, 2.0], (1, 2), (np.float64(1.0), 2.0)], ids=str)
+    def test_other_parameter_containers_draw_the_pinned_values(self, params):
+        from tcvm.engine import replication_rng
+
+        digest = hashlib.sha256()
+        for r in range(4):
+            digest.update(draw(AlternativeSpec("Normal", params), 50, replication_rng(7, r)).tobytes())
+        assert digest.hexdigest() == PINNED_DRAWS["Normal(1,2)"]
 
 
 SUPPORT = {

@@ -21,8 +21,10 @@ from tcvm.baselines import (
     _batch_bcmr,
     _batch_sw_like,
     _bcmr_weights,
+    _sf_weights,
 )
 from tcvm.statistic import (
+    _MAX_ABS_Y,
     DegenerateSampleError,
     _standardize_sorted,
     _weighted_cvm,
@@ -185,7 +187,7 @@ class TestBatchStatistics:
                 _row_standardizing_to(-a, n, rng),
             ]
         )
-        y = _standardize_sorted(np.sort(block, axis=1))
+        y = _standardize_sorted(np.sort(block, axis=1))[0]
         assert np.any(y > a) and np.any(y < -a)
         assert np.any(y == a) and np.any(y == -a)
         tcvm, cvm = BaselineKind.TCVM, BaselineKind.CVM
@@ -213,14 +215,14 @@ class TestBatchStatistics:
         # unscaled rows give the same bits
         block = rng.standard_normal((200, 50))
         x_sorted = np.sort(block, axis=1)
-        y_sorted = _standardize_sorted(x_sorted)
+        y_sorted, ssq = _standardize_sorted(x_sorted)
         tcvm, cvm = _weighted_cvm(y_sorted, [True, False])
         unscaled = {
             BaselineKind.TCVM: tcvm,
             BaselineKind.CVM: cvm,
             BaselineKind.AD: _batch_ad(y_sorted),
-            BaselineKind.SW: _batch_sw_like(x_sorted),
-            BaselineKind.BCMR: _batch_bcmr(x_sorted),
+            BaselineKind.SW: _batch_sw_like(x_sorted, ssq),
+            BaselineKind.BCMR: _batch_bcmr(x_sorted, ssq),
         }
         stats = batch_statistics(block, list(BaselineKind))
         for kind, values in unscaled.items():
@@ -248,6 +250,57 @@ class TestBatchStatistics:
             BaselineKind.parse("banana")
 
 
+def _plain_statistics(block: np.ndarray) -> dict:
+    """Every kind by its plain formula, one full-array pass per operation.
+
+    Each operation is the one the kernels run, so the bits must agree: the
+    kernels share one moments pass, work in place and fold signs, but do
+    not reorder any floating-point operation.
+    """
+    n = block.shape[1]
+    xs = np.sort(block, axis=1)
+    xs = np.ldexp(xs, -np.frexp(np.max(np.abs(xs), axis=1, keepdims=True))[1])
+    y = (xs - xs.mean(axis=1, keepdims=True)) / xs.std(axis=1, keepdims=True)
+    i = np.arange(1, n + 1)
+    u = np.clip(nk.cdf(y), 1e-15, 1.0 - 1e-15)
+    ad = -n - ((np.log(u) + np.log1p(-u[:, ::-1])) * (2.0 * i - 1.0)).sum(axis=1) / n
+    ssq = np.sum((xs - xs.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    sw = (xs * _sf_weights(n)).sum(axis=1) ** 2 / ssq
+    bcmr_ = 1.0 - (xs * _bcmr_weights(n)).sum(axis=1) ** 2 / xs.var(axis=1)
+    odd = np.where(y < 0.0, 2.0 * i - 1.0, 2.0 * (n - i) + 1.0)
+
+    def folded(limit, g):
+        psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(-np.minimum(np.abs(y), limit))
+        return 2.0 * h.sum(axis=1) - (odd * psi).sum(axis=1) / n - 2.0 * n * g
+
+    a = nk.endpoint(n).a_n
+    tcvm = folded(a, nk.cdf_sq_over_pdf_antiderivative(-a))
+    cvm = folded(_MAX_ABS_Y, -0.5 * np.log(2.0))
+    cvm[np.max(np.abs(y), axis=1) > _MAX_ABS_Y] = np.inf
+    return {
+        BaselineKind.TCVM: tcvm,
+        BaselineKind.CVM: cvm,
+        BaselineKind.AD: ad,
+        BaselineKind.SW: sw,
+        BaselineKind.BCMR: bcmr_,
+    }
+
+
+@pytest.mark.parametrize("n,reps", [(5, 3000), (50, 1500), (1000, 40), (3000, 6)])
+def test_kernels_have_the_bits_of_the_plain_formulas(rng, n, reps):
+    block = rng.standard_t(3, size=(reps, n))
+    if n == 3000:
+        block[0, 7] = 1e4  # standardizes to ~54.8, past the whole-line limit
+    plain = _plain_statistics(block)
+    if n == 3000:
+        assert plain[BaselineKind.CVM][0] == np.inf
+    together = batch_statistics(block, list(BaselineKind))
+    for kind, values in plain.items():
+        np.testing.assert_array_equal(together[kind], values, err_msg=str(kind))
+        alone = batch_statistics(block, [kind])[kind]
+        np.testing.assert_array_equal(alone, values, err_msg=str(kind))
+
+
 def _row_standardizing_to(target: float, n: int, rng) -> np.ndarray:
     """A sample whose standardized sorted row holds ``target`` exactly.
 
@@ -259,7 +312,7 @@ def _row_standardizing_to(target: float, n: int, rng) -> np.ndarray:
     def y_of(t):
         row = base.copy()
         row[-1] = t
-        y = _standardize_sorted(np.sort(row)[np.newaxis, :])[0]
+        y = _standardize_sorted(np.sort(row)[np.newaxis, :])[0][0]
         return y[-1] if target > 0 else y[0]
 
     for _ in range(20):

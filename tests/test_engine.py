@@ -87,6 +87,39 @@ def test_constant_and_moments_do_not_depend_on_the_worker_count(monkeypatch):
     assert run(3) == run(1)
 
 
+@pytest.mark.parametrize(
+    "workers,cores,reps,pool",
+    [(64, 4, 1000, 4), (3, 8, 1000, 3), (64, 8, 200, 2), (64, 1, 1000, None), (64, None, 1000, None)],
+)
+def test_worker_pool_is_capped_by_blocks_and_cores(monkeypatch, workers, cores, reps, pool):
+    # each thread holds a block in memory: no more threads than blocks or cores
+    sizes = []
+
+    class RecordingPool:
+        """Stand-in for the thread pool: records its size, maps in this thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    kinds = [BaselineKind.AD]
+    serial = estimate_null_critical_values(kinds, 10, 0.05, reps=reps, seed=4)
+    monkeypatch.setattr(engine, "_BLOCK", 100)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+    capped = estimate_null_critical_values(kinds, 10, 0.05, reps=reps, seed=4, workers=workers)
+    assert sizes == ([] if pool is None else [pool])
+    assert capped == serial
+
+
 @pytest.mark.parametrize("block", [1000, 1001])
 def test_results_do_not_depend_on_the_block_size(block, monkeypatch):
     # 2500 reps run as one block of 4096 or as three; each block's rows are

@@ -368,12 +368,12 @@ def test_shared_table_pair_is_bit_identical():
     for i in (0, 1500, 2004):
         assert nk.recip_pdf_antiderivative(float(x[i])) == psi[i]
         assert nk.cdf_over_pdf_antiderivative(float(x[i])) == h[i]
-    # the folded kernel evaluates the same functions at -|x|
+    # the folded kernel evaluates the same functions at -|x|, negated
     inside = -np.abs(x[np.abs(x) <= 36.0])
-    folded = nk._folded_psi_h(np.abs(inside) / math.sqrt(2.0))
+    folded = nk._folded_neg_psi_h(np.abs(inside) / math.sqrt(2.0))
     expected = nk.recip_and_cdf_over_pdf_antiderivatives(inside)
-    np.testing.assert_array_equal(folded[0], expected[0])
-    np.testing.assert_array_equal(folded[1], expected[1])
+    np.testing.assert_array_equal(-folded[0], expected[0])
+    np.testing.assert_array_equal(-folded[1], expected[1])
 
 
 # (x, psi(x), H(x)) by mpmath at 40 digits: psi = pi erfi(x/sqrt(2)), H the

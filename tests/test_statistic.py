@@ -11,8 +11,7 @@ from tcvm.statistic import (
     compute_tstar,
     compute_tstar_direct,
     compute_untruncated,
-    _sorted_row,
-    _standardize_sorted,
+    _standardized_row,
     decide,
     tcvm_test,
 )
@@ -20,7 +19,7 @@ from tcvm.table import TableCoverageError, UnsupportedAlphaError
 
 
 def _standardized(values):
-    return _standardize_sorted(_sorted_row(values))[0]
+    return _standardized_row(values)[0]
 
 
 class TestStandardize:
