@@ -3,40 +3,39 @@ endpoint, and the weight integrals against 1/phi.
 
 The quantile and a_n come from ``scipy.special.ndtri``.  Everything
 downstream integrates combinations of 1/phi(x), Phi(x)/phi(x) and
-Phi(x)^2/phi(x), in closed form: antiderivatives built from Dawson's
-function, erfi/erf and well-conditioned auxiliary integrals (``recip_pdf_antiderivative`` and
-friends) give ``c_n``, ``d_n`` and the folded kernel of the vectorised
-Monte Carlo path.  Only the stepwise weights of the scalar statistic
-(``int_recip_pdf``, ``int_cdf_over_pdf``) still come from quadrature: a
-private fixed-tolerance Gauss-Kronrod integrator, ``_integrate``.
+Phi(x)^2/phi(x).  Their antiderivatives psi, H and G, all 0 at 0
+(``recip_pdf_antiderivative`` and friends), are read from Taylor tables and
+give ``c_n``, ``d_n`` and the folded kernel of the vectorised Monte Carlo
+path.  Only the stepwise weights of the scalar statistic (``int_recip_pdf``,
+``int_cdf_over_pdf``) still come from quadrature: a private
+fixed-tolerance Gauss-Kronrod integrator, ``_integrate``.
 
 The folded kernel reflects the positive half-line onto the negative one, so
-it evaluates psi and H (the antiderivatives of 1/phi and Phi/phi, both 0 at
-0) at non-positive points only, and G (that of Phi^2/phi) only at -a_n;
-over the whole line, -G(-inf) = ln(2)/2 (``LN2_OVER_2``).  The
-derivations:
+it evaluates psi and H at non-positive points only, and G only at -a_n;
+over the whole line, -G(-inf) = ln(2)/2 (``LN2_OVER_2``).  The derivations:
+with u = |x|/sqrt(2), Dawson's function D(u) = exp(-u^2) int_0^u exp(t^2) dt
+and erfcx(u) = exp(u^2) erfc(u), the integrands at x = -sqrt(2) u <= 0 are
 
-    d/dx [ pi*erfi(x/sqrt(2)) ]                        = 1/phi(x)
-    d/dx [ (pi/2)*erfi(z)(1+erf(z)) - sqrt(pi)*Q(|z|) ] = Phi(x)/phi(x)
-    d/dx [ (pi/4)*erfi(z)(1+erf(z))^2
-           - sqrt(pi)*(Q(|z|) + sgn(z)*Q2(|z|)) ]      = Phi(x)^2/phi(x)
+    1/phi = sqrt(2 pi) exp(u^2),     Phi/phi = sqrt(pi/2) erfcx(u),
+    Phi^2/phi = sqrt(pi/8) erfcx(u) erfc(u),
 
-with z = x/sqrt(2), Q(u) = int_0^u exp(-t^2) erfi(t) dt and
-Q2(u) = int_0^u erf(t) erfi(t) exp(-t^2) dt.  Q and Q2 grow only
-logarithmically, so Chebyshev fits give them uniform absolute accuracy.
+so that, with dx = -sqrt(2) du,
 
-psi and H are not evaluated through erfi.  With u = |z| and Dawson's
-function D(u) = (sqrt(pi)/2) exp(-u^2) erfi(u), erfi(u) = (2/sqrt(pi))
-exp(u^2) D(u) and erfc(u) = exp(-u^2) erfcx(u), so the first two lines give
+    psi(x) = sign(x) 2 sqrt(pi) exp(u^2) D(u),
+    H(x)   = -sqrt(pi) R(u),        R = int_0^u erfcx,            x <= 0,
+    G(x)   = -(sqrt(pi)/2) V(u),    V = int_0^u erfcx erfc,       x <= 0.
 
-    psi(x) = sign(x) * 2 sqrt(pi) exp(u^2) D(u)
-    H(x)   = -sqrt(pi) R(u) + [x > 0] psi(x),   R = D erfcx + Q.
+Phi(x) = 1 - Phi(-x) gives the positive half-line, where no table is needed:
 
-D and R stay O(1) (D ~ 1/(2u), R ~ ln(u)/sqrt(pi)), and degree-5 Taylor
-tables on the grid k/128 of [0, 40] hold them to about an ulp, so the huge
-factor exp(x^2/2) is one ``np.exp`` and each point costs a table lookup.
-For x <= 0 nothing cancels: H keeps full absolute accuracy up to x = -56.5,
-where psi itself has long overflowed.
+    H(x) = psi(x) + H(-x),    G(x) = psi(x) + 2 H(-x) - G(-x).
+
+D, R and V stay O(1) (D ~ 1/(2u), R ~ ln(u)/sqrt(pi), V -> ln(2)/sqrt(pi)),
+and degree-5 Taylor tables on the grid k/128 of [0, 40] hold them to about
+an ulp, so the huge factor exp(x^2/2) is one ``np.exp`` and each point
+costs a table lookup.  The grid values of R and V integrate the Taylor
+polynomials of their integrands cell by cell (``_integral``).  For x <= 0
+nothing cancels: H and G keep full absolute accuracy down to
+x = -40 sqrt(2), where psi itself has long overflowed.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 from scipy import special as _sp
 
 __all__ = [
@@ -71,6 +69,9 @@ __all__ = [
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
+# sqrt(pi) - _SQRT_PI: the rounded _SQRT_PI is 8.2e-17 low, which as a factor
+# of H or G would be a one-signed error in sums over many points
+_SQRT_PI_LO = 1.453787399267733e-16
 
 # int_{-inf}^{0} Phi^2/phi dx; also int_x^inf (1-Phi)^2/phi at x = 0.
 LN2_OVER_2 = 0.5 * math.log(2.0)
@@ -256,70 +257,59 @@ def int_cdf_over_pdf(lo: float, hi: float) -> float:
 # Closed-form antiderivatives for the vectorised path.
 # ---------------------------------------------------------------------------
 
-_Q_BREAK = 3.0
-_Q_MAX = 40.0
-_Q2_MAX = 6.0  # erf(u) == 1 to double precision beyond this
-
-
-def _chebyshev_antiderivative(fun, lo: float, hi: float, deg: int) -> np.ndarray:
-    """Coefficients of int_lo^x fun on [lo, hi], in the mapped variable."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    coeffs = _cheb.chebinterpolate(lambda v: fun(mid + half * v), deg)
-    return _cheb.chebint(coeffs, lbnd=-1) * half
-
-
-def _dawsn_scaled(u):
-    return (2.0 / _SQRT_PI) * _sp.dawsn(u)
-
-
-# Fixed lengths at double-precision resolution: the leading 30 of 98 terms
-# here and 52 of 194 for Q2 are each within 4.4e-16 of the whole series.  The
-# [3, 40] piece keeps all its terms: its tail would sum to 1.5e-15, and it
-# only runs for |z| > 3.
-_Q_LO_COEF = _chebyshev_antiderivative(_dawsn_scaled, 0.0, _Q_BREAK, 96)[:30]
-_Q_HI_COEF = _chebyshev_antiderivative(_dawsn_scaled, _Q_BREAK, _Q_MAX, 384)
-_Q_AT_BREAK = float(_cheb.chebval(1.0, _Q_LO_COEF))
+_U_MAX = 40.0  # the tables' range of u = |x|/sqrt(2)
 
 # Taylor tables: a function is a degree-5 polynomial in s = 128u - k about
 # the nearest grid point k/128, |s| <= 1/2, one row per coefficient.  The
-# derivatives come from the recurrences of Dawson's function D and of erfcx,
+# derivatives come from the recurrences of Dawson's function D, of erfcx
+# and of erfc,
 #
-#     D' = 1 - 2uD,                  D^(j+1) = -2u D^(j) - 2j D^(j-1),
-#     erfcx' = 2u erfcx - 2/sqrt(pi), erfcx^(j+1) = 2u erfcx^(j) + 2j erfcx^(j-1),
+#     D' = 1 - 2uD,                    D^(j+1) = -2u D^(j) - 2j D^(j-1),
+#     erfcx' = 2u erfcx - 2/sqrt(pi),  erfcx^(j+1) = 2u erfcx^(j) + 2j erfcx^(j-1),
+#     erfc' = -2/sqrt(pi) exp(-u^2),   erfc^(j+1) = -2u erfc^(j) - 2(j-1) erfc^(j-1),
 #
-# and Q^(j) = (2/sqrt(pi)) D^(j-1).  Q's table on [0, 3] stops at degree 5:
-# its remainder is below 2e-16.  The psi and H tables on [0, 40] also fold
-# in the sixth-degree term (``_taylor_rows``).
+# and those of R = int erfcx and V = int erfcx erfc are their integrands'
+# (by Leibniz's rule for V).  Every table folds in the sixth-degree term
+# (``_taylor_rows``).
 _STEPS = 128  # grid points per unit; a power of two keeps u * 128 exact
 _DEG = 5
 
 
-def _grid(hi: float) -> np.ndarray:
-    return np.arange(int(hi * _STEPS) + 1) / _STEPS
-
-
-def _dawson_derivatives(g: np.ndarray, d: np.ndarray) -> list:
-    """[D, D', ..., D^(6)] on the grid g, from the values d = D(g)."""
-    out = [d, 1.0 - 2.0 * g * d]
+def _derivatives(g: np.ndarray, f, df, sign: float, lag: int = 0) -> list:
+    """[f, f', ..., f^(6)] on the grid g from f, f' and the recurrence
+    f^(j+1) = sign * 2 (g f^(j) + (j - lag) f^(j-1))."""
+    out = [f, df]
     for j in range(1, _DEG + 1):
-        out.append(-2.0 * g * out[j] - 2.0 * j * out[j - 1])
+        out.append(sign * 2.0 * (g * out[j] + (j - lag) * out[j - 1]))
     return out
 
 
-def _erfcx_derivatives(g: np.ndarray) -> list:
-    """[erfcx, erfcx', ..., erfcx^(6)] on the grid g."""
-    out = [_sp.erfcx(g), 2.0 * g * _sp.erfcx(g) - 2.0 / _SQRT_PI]
-    for j in range(1, _DEG + 1):
-        out.append(2.0 * g * out[j] + 2.0 * j * out[j - 1])
-    return out
+def _integral(derivatives: list) -> np.ndarray:
+    """int_0^g f on the grid g, from ``derivatives`` = [f, f', ...] there.
+
+    Each point's Taylor polynomial is integrated exactly over the half-cells
+    of width h = 1/256 on either side of it.  The cells are summed left to
+    right with Neumaier's compensation, so that rounding does not drift over
+    thousands of cells: the running sums are ``np.cumsum``'s, and the
+    rounding error of each addition (by TwoSum) is summed apart and added
+    back.
+    """
+    h = 0.5 / _STEPS
+    terms = [f * (h ** (j + 1) / math.factorial(j + 1)) for j, f in enumerate(derivatives)]
+    even, odd = sum(terms[0::2]), sum(terms[1::2])
+    cells = (even + odd)[:-1] + (even - odd)[1:]  # right half of k-1, left of k
+    total = np.cumsum(cells)
+    before = np.concatenate(([0.0], total[:-1]))
+    added = total - before
+    error = (before - (total - added)) + (cells - added)
+    return np.concatenate(([0.0], total + np.cumsum(error)))
 
 
 def _taylor_rows(values: np.ndarray, derivatives: list, factor: float) -> np.ndarray:
     """Rows of Taylor coefficients in s, highest degree first.
 
-    ``derivatives[j - 1]`` is f^(j) / factor on the grid.  A sixth one is
-    folded into the degree-5 polynomial by Chebyshev economization,
+    ``derivatives[j - 1]`` is f^(j) / factor on the grid, j = 1..6.  The
+    sixth is folded into the degree-5 polynomial by Chebyshev economization,
     s^6 ~ (3/8) s^4 - (9/256) s^2 + 1/2048 on |s| <= 1/2: that leaves an
     error 1/32 of the dropped term's, which, unlike s^6, has nearly zero mean,
     so that sums over many points do not drift.  The constant stays exact at
@@ -329,13 +319,12 @@ def _taylor_rows(values: np.ndarray, derivatives: list, factor: float) -> np.nda
         factor / (math.factorial(j) * float(_STEPS) ** j) * f
         for j, f in enumerate(derivatives, start=1)
     ]
-    if len(c) > _DEG + 1:
-        c6 = c.pop()
-        c[4] = c[4] + 0.375 * c6
-        c[2] = c[2] - (9.0 / 256.0) * c6
-        shift = c6 / 2048.0
-        shift[0] = 0.0
-        c[0] = c[0] + shift
+    c6 = c.pop()
+    c[4] = c[4] + 0.375 * c6
+    c[2] = c[2] - (9.0 / 256.0) * c6
+    shift = c6 / 2048.0
+    shift[0] = 0.0
+    c[0] = c[0] + shift
     return np.array(c[::-1])
 
 
@@ -356,39 +345,12 @@ def _taylor(u: np.ndarray, *tables: np.ndarray) -> list:
 
 
 def _check_range(u: np.ndarray) -> None:
-    """Refuse u = |x|/sqrt(2) beyond the tables and the fit of Q (or nan)."""
-    if not np.all(u <= _Q_MAX):
+    """Refuse u = |x|/sqrt(2) beyond the tables (or nan)."""
+    if not np.all(u <= _U_MAX):
         raise ValueError(
             f"argument |x|/sqrt(2) = {float(np.max(u)):.2f} outside the "
-            f"supported range [0, {_Q_MAX}]"
+            f"supported range [0, {_U_MAX}]"
         )
-
-
-def _q_table() -> np.ndarray:
-    """Q on [0, 3]: values from the Chebyshev fit, derivatives from D.
-
-    D comes from scipy's ``dawsn``: the small-u correction of ``_dawsn``
-    would move Q by less than an ulp and only change the bits of C_n.
-    """
-    g = _grid(_Q_BREAK)
-    q = _cheb.chebval(2.0 * g / _Q_BREAK - 1.0, _Q_LO_COEF)
-    return _taylor_rows(q, _dawson_derivatives(g, _sp.dawsn(g))[:_DEG], 2.0 / _SQRT_PI)
-
-
-_Q_TAYLOR = _q_table()  # (6, 385): 18 KB
-
-
-def _q(u: np.ndarray) -> np.ndarray:
-    """Q(u) = int_0^u exp(-t^2) erfi(t) dt for u >= 0 (even extension)."""
-    _check_range(u)
-    lo = u <= _Q_BREAK
-    if lo.all():
-        return _taylor(u, _Q_TAYLOR)[0]
-    out = np.empty_like(u)
-    out[lo] = _taylor(u[lo], _Q_TAYLOR)[0]
-    v = (2.0 * u[~lo] - (_Q_MAX + _Q_BREAK)) / (_Q_MAX - _Q_BREAK)
-    out[~lo] = _Q_AT_BREAK + _cheb.chebval(v, _Q_HI_COEF)
-    return out
 
 
 def _dawsn(g: np.ndarray) -> np.ndarray:
@@ -408,28 +370,34 @@ def _dawsn(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _psi_h_tables():
-    """Tables of P = 2 sqrt(pi) D and S = sqrt(pi) R, R = D erfcx + Q, on [0, 40].
+def _tables():
+    """Taylor tables of P = 2 sqrt(pi) D, S = sqrt(pi) R and
+    W = (sqrt(pi)/2) V on [0, 40].
 
-    With u = |x|/sqrt(2), psi(x) = sign(x) exp(u^2) P(u) and
-    H(x) = -S(u) + [x > 0] psi(x).  Values of R from ``dawsn``, ``erfcx``
-    and ``_q``; its derivatives by Leibniz's rule for D erfcx plus those of Q.
+    With u = |x|/sqrt(2): psi(x) = sign(x) exp(u^2) P(u),
+    H(x) = -S(u) + [x > 0] psi(x), and G(x) = -W(u) for x <= 0.
     """
-    g = _grid(_Q_MAX)
-    d = _dawson_derivatives(g, _dawsn(g))
-    e = _erfcx_derivatives(g)
-    r = [
-        sum(math.comb(j, i) * d[i] * e[j - i] for i in range(j + 1))
-        + (2.0 / _SQRT_PI) * d[j - 1]
-        for j in range(1, _DEG + 2)
+    g = np.arange(int(_U_MAX * _STEPS) + 1) / _STEPS
+    d = _dawsn(g)
+    d = _derivatives(g, d, 1.0 - 2.0 * g * d, -1.0)
+    e = _sp.erfcx(g)
+    e = _derivatives(g, e, 2.0 * g * e - 2.0 / _SQRT_PI, 1.0)
+    c = _derivatives(g, _sp.erfc(g), (-2.0 / _SQRT_PI) * np.exp(-g * g), -1.0, lag=1)
+    # S' = sqrt(pi) erfcx and W' = (sqrt(pi)/2) erfcx erfc, with sqrt(pi)
+    # to twice double precision: S and W then round once, in ``_integral``
+    ds = [_SQRT_PI * x + _SQRT_PI_LO * x for x in e]
+    dw = [
+        0.5 * sum(math.comb(j, i) * ds[i] * c[j - i] for i in range(j + 1))
+        for j in range(_DEG + 2)
     ]
     return (
         _taylor_rows(2.0 * _SQRT_PI * d[0], d[1:], 2.0 * _SQRT_PI),
-        _taylor_rows(_SQRT_PI * (d[0] * e[0] + _q(g)), r, _SQRT_PI),
+        _taylor_rows(_integral(ds), ds[:-1], 1.0),
+        _taylor_rows(_integral(dw), dw[:-1], 1.0),
     )
 
 
-_P_TAYLOR, _S_TAYLOR = _psi_h_tables()  # (6, 5121) each: 492 KB together
+_P_TAYLOR, _S_TAYLOR, _W_TAYLOR = _tables()  # (6, 5121) each: 737 KB together
 
 
 def _folded_neg_psi_h(u: np.ndarray):
@@ -443,31 +411,10 @@ def _folded_neg_psi_h(u: np.ndarray):
     return p, s
 
 
-def _q2_integrand(u):
-    return _sp.erf(u) * _sp.erfi(u) * np.exp(-u * u)
-
-
-_Q2_COEF = _chebyshev_antiderivative(_q2_integrand, 0.0, _Q2_MAX, 192)[:52]
-_Q2_AT_MAX = float(_cheb.chebval(1.0, _Q2_COEF))
-_Q_AT_Q2_MAX = float(_q(np.array([_Q2_MAX]))[0])
-
-
-def _q2(u: np.ndarray) -> np.ndarray:
-    """Q2(u) = int_0^u erf(t) erfi(t) exp(-t^2) dt for u >= 0 (odd extension)."""
-    inside = u <= _Q2_MAX
-    out = np.empty_like(u)
-    if np.any(inside):
-        out[inside] = _cheb.chebval(2.0 * u[inside] / _Q2_MAX - 1.0, _Q2_COEF)
-    if not np.all(inside):
-        # erf == 1 there, so Q2 continues exactly like Q
-        out[~inside] = _Q2_AT_MAX + _q(u[~inside]) - _Q_AT_Q2_MAX
-    return out
-
-
 def recip_and_cdf_over_pdf_antiderivatives(x):
     """Arrays (psi, H): the antiderivatives of 1/phi and of Phi/phi, F(0) = 0.
 
-    From the tables at u = |x|/sqrt(2) (``_psi_h_tables``).  psi is +-inf
+    From the tables at u = |x|/sqrt(2) (``_tables``).  psi is +-inf
     past the overflow of exp(u^2) (|x| > 37.7), and so is H for x > 0;
     u > 40 raises ValueError.
     """
@@ -495,23 +442,31 @@ def cdf_over_pdf_antiderivative(x):
 
 
 def cdf_sq_over_pdf_antiderivative(x):
-    """F with F' = Phi^2/phi and F(0) = 0."""
+    """F with F' = Phi^2/phi and F(0) = 0; finite at every x <= 0 in range.
+
+    G(x) = -(sqrt(pi)/2) V(u) at x <= 0 and psi(x) + 2 H(-x) - G(-x) at
+    x > 0, so +inf past the overflow of psi; u > 40 raises ValueError.
+    """
     x = np.asarray(x, dtype=float)
-    z = np.atleast_1d(x / _SQRT2)
-    absz = np.abs(z)
-    out = 0.25 * math.pi * _sp.erfi(z) * _sp.erfc(-z) ** 2 - _SQRT_PI * (
-        _q(absz) + np.sign(z) * _q2(absz)
-    )
-    out = out.reshape(x.shape)
+    x1 = np.atleast_1d(x)
+    u = np.abs(x1) / _SQRT2
+    _check_range(u)
+    with np.errstate(over="ignore"):
+        p, s = _folded_neg_psi_h(u)  # psi(|x|), -H(-|x|)
+    g = -_taylor(u, _W_TAYLOR)[0]  # G(-|x|)
+    out = np.where(x1 > 0.0, p - 2.0 * s - g, g).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=None)
 def c_n(n: int) -> float:
-    """C_n = n * int_{-a_n}^{a_n} Phi^2(x)/phi(x) dx, in closed form."""
-    a = endpoint(n).a_n
-    g = cdf_sq_over_pdf_antiderivative(np.array([-a, a]))
-    return n * float(g[1] - g[0])
+    """C_n = n * int_{-a_n}^{a_n} Phi^2(x)/phi(x) dx, in closed form.
+
+    Phi^2 = Phi - Phi (1 - Phi), and Phi/phi integrates to psi(a_n) over the
+    interval, so C_n = n (psi(a_n) - D_n).
+    """
+    _, psi, _, _ = _endpoint_terms(n)  # psi(-a_n) = -psi(a_n)
+    return n * (-psi - d_n(n))
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -303,6 +304,26 @@ class TestAntiderivatives:
             tail = nk.cdf_sq_over_pdf_antiderivative(-x) + nk.LN2_OVER_2
             assert tail == pytest.approx(self._upper_tail_sq(x), rel=1e-9)
 
+    # G by mpmath at 40 digits: -(sqrt(pi)/2) V(|x|/sqrt(2)), where V has long
+    # reached ln(2)/sqrt(pi).  Here erfi overflows to -inf and erfc^2
+    # underflows to 0, which once made G nan.
+    @pytest.mark.parametrize(
+        "x,ref",
+        [
+            (-40.0, "-0.3465735902799726547086160607290882840378"),
+            (-45.0, "-0.3465735902799726547086160607290882840378"),
+            (-56.0, "-0.3465735902799726547086160607290882840378"),
+        ],
+    )
+    def test_cdf_sq_over_pdf_antiderivative_far_left(self, x, ref):
+        g = nk.cdf_sq_over_pdf_antiderivative(x)
+        assert abs(g - float(ref)) <= np.spacing(abs(float(ref)))
+
+    def test_cdf_sq_over_pdf_antiderivative_over_the_half_line(self):
+        # at the tables' end G is the whole-line kernel's constant -ln(2)/2
+        g = nk.cdf_sq_over_pdf_antiderivative(-40.0 * math.sqrt(2.0))
+        assert abs(g + nk.LN2_OVER_2) <= np.spacing(nk.LN2_OVER_2)
+
     def test_interval_weights_match_scalar_ops(self, rng):
         # differences of the closed forms against the stepwise integrals
         grid = np.sort(rng.uniform(-2.0, 2.0, size=12))
@@ -317,45 +338,75 @@ class TestAntiderivatives:
             )
 
 
-class TestChoppedSeries:
-    """The Q and Q2 series agree with high-degree fits to 1e-15."""
+# (u, R(u), V(u)) by mpmath at 40 digits: R = int_0^u erfcx and
+# V = int_0^u erfcx erfc by quadrature (R cross-checked up to u = 6 against
+# (sqrt(pi)/2) erfi(u) - (u^2/sqrt(pi)) 2F2(1, 1; 3/2, 2; u^2), and
+# V(inf) = ln(2)/sqrt(pi)).  Grid points k/128 and midpoints of the tables,
+# u < 1/4, both sides of u = 3, 6 and 26.6, and u up to 40.
+_R_V_REFERENCE = [
+    (9.5367431640625e-07, "0.0000009536738032791020882645832379960614708873", "0.0000009536732901520331757046360143491893262117"),
+    (0.0078125, "0.007778222848641969638760775131849079634855", "0.007743989127099977207763678464640887258874"),
+    (0.01171875, "0.0116418032684181540509414936222275641286", "0.0115650031106093592253896454778909926679"),
+    (0.1, "0.09467358330615255560111088330221493299351", "0.08943809553291806623219676681727619382049"),
+    (0.2, "0.1798272520417719571889448602592351781117", "0.1603783366632377636563427357198641501421"),
+    (0.24999999906867743, "0.2192985795864180323753482461981017487187", "0.1900056686639662997125034441279079712186"),
+    (0.5, "0.3913582448274258996044767521280765840112", "0.293647614105110187190180156913985405117"),
+    (1.00390625, "0.6489273921299781224440380647687531400204", "0.3728853026290439500606112704205874120375"),
+    (1.5, "0.8322917978159503547769270550574030049764", "0.3885690358701517679710206114360642581731"),
+    (2.0, "0.975362087484156024192974268615867458895", "0.3908345886475489766250176387068227864542"),
+    (2.50390625, "1.092063288787275768836455398904745471935", "0.3910524332598332236042557166934109179021"),
+    (2.99609375, "1.18757829559120551987882680267277439537", "0.391065827608291450843518004759259664209"),
+    (2.9999999999999996, "1.188277933981285955326223593828100877313", "0.3910658432554708595709548251621766424893"),
+    (3.0, "1.188277933981286034818703384223171711682", "0.3910658432554708595727108535483964811152"),
+    (3.0000000000000004, "1.188277933981286114311183174618231823013", "0.3910658432554708595744668819346163145884"),
+    (3.0000009536743164, "1.188278104690061798025966472821622016665", "0.3910658432592418899361238803795160116677"),
+    (3.00390625, "1.188976742715998774115551165959982155128", "0.3910658585039558797179059762093083192403"),
+    (4.25, "1.37774344725336628804977284350903672944", "0.3910664191112618878384690382265358274323"),
+    (5.00390625, "1.467839217655887429679997844851921234087", "0.39106641913740151818015717156949012879"),
+    (5.99609375, "1.568265343729438494131784910255027817439", "0.391066419137416976386979648923472833425"),
+    (6.0, "1.568627867146780916721920940945444852853", "0.391066419137416976394969325794084811122"),
+    (6.00390625, "1.568990160761321720336165066404152267161", "0.3910664191374169764025834672709494235857"),
+    (8.0, "1.729273894789901764152167376419884645454", "0.3910664191374169765549598054653186409122"),
+    (11.25390625, "1.920745468733469587562730894339889105124", "0.3910664191374169765549598054653666394881"),
+    (17.0, "2.152852202559002954407285921964162979867", "0.3910664191374169765549598054653666394881"),
+    (26.6, "2.405151016996002429642954517207592648014", "0.3910664191374169765549598054653666394881"),
+    (26.59765625, "2.405101338611638555892896935267512249829", "0.3910664191374169765549598054653666394881"),
+    (26.6015625, "2.405184133490613968907927775170937939339", "0.3910664191374169765549598054653666394881"),
+    (26.60390625, "2.405233804590654157446604648659807750806", "0.3910664191374169765549598054653666394881"),
+    (31.00390625, "2.49153347091368618508965621114176900049", "0.3910664191374169765549598054653666394881"),
+    (35.5, "2.567900971077632643722364940994915503571", "0.3910664191374169765549598054653666394881"),
+    (39.00390625, "2.620988447010239367719225270233849145863", "0.3910664191374169765549598054653666394881"),
+    (39.99609375, "2.635156346128418355385866493776903497831", "0.3910664191374169765549598054653666394881"),
+    (40.0, "2.635211428253775642934970001462722340953", "0.3910664191374169765549598054653666394881"),
+]
+_SQRT_PI_40 = Fraction("1.772453850905516027298167483341145182798")
 
-    def test_matches_unchopped_fits(self):
-        # the unchopped fits are evaluated here with chebval: _q reads a
-        # table built from the chopped fit at import, which patching the
-        # coefficients would not reach
-        from numpy.polynomial import chebyshev as cheb
 
-        lo = nk._chebyshev_antiderivative(nk._dawsn_scaled, 0.0, nk._Q_BREAK, 96)
-        mid = nk._chebyshev_antiderivative(nk._q2_integrand, 0.0, nk._Q2_MAX, 192)
+class TestIntegralTables:
+    """R = S/sqrt(pi) and V = 2W/sqrt(pi), the tables whose values come from
+    ``_integral``, against mpmath.  The errors are taken in exact rational
+    arithmetic, so the test's own rounding stays out of them."""
 
-        def q_ref(u):
-            out = np.empty_like(u)
-            hi = u > nk._Q_BREAK
-            out[~hi] = cheb.chebval(2.0 * u[~hi] / nk._Q_BREAK - 1.0, lo)
-            v = (2.0 * u[hi] - (nk._Q_MAX + nk._Q_BREAK)) / (nk._Q_MAX - nk._Q_BREAK)
-            out[hi] = cheb.chebval(1.0, lo) + cheb.chebval(v, nk._Q_HI_COEF)
-            return out
+    @staticmethod
+    def _errors():
+        u = np.array([row[0] for row in _R_V_REFERENCE])
+        s, w = nk._taylor(u, nk._S_TAYLOR, nk._W_TAYLOR)
+        r_err, v_err = [], []
+        for si, wi, (_, r, v) in zip(s.tolist(), w.tolist(), _R_V_REFERENCE):
+            r_err.append(float(Fraction(si) / _SQRT_PI_40 - Fraction(r)))
+            v_err.append(float(2 * Fraction(wi) / _SQRT_PI_40 - Fraction(v)))
+        return np.array(r_err), np.array(v_err)
 
-        def q2_ref(u):
-            out = np.empty_like(u)
-            far = u > nk._Q2_MAX
-            out[~far] = cheb.chebval(2.0 * u[~far] / nk._Q2_MAX - 1.0, mid)
-            at_max = q_ref(np.array([nk._Q2_MAX]))[0]
-            out[far] = cheb.chebval(1.0, mid) + q_ref(u[far]) - at_max
-            return out
+    def test_r(self):
+        assert np.max(np.abs(self._errors()[0])) <= 4.4e-16
 
-        grid = np.arange(385) / 128.0  # the Taylor table's points on [0, 3]
-        u = np.concatenate(
-            [
-                np.linspace(0.0, 40.0, 400_001),
-                grid,
-                grid[:-1] + 1.0 / 256.0,  # midpoints: the farthest from a point
-                [np.nextafter(3.0, 0.0), 3.0, np.nextafter(3.0, 4.0), 3.0 + 2**-20],
-            ]
-        )
-        assert np.max(np.abs(nk._q(u) - q_ref(u))) <= 1e-15
-        assert np.max(np.abs(nk._q2(u) - q2_ref(u))) <= 1e-15
+    def test_r_has_no_one_signed_error(self):
+        # a one-signed error in H = -sqrt(pi) R adds up over the n points of a
+        # row in the folded kernel's sum
+        assert abs(np.mean(self._errors()[0])) <= 5e-17
+
+    def test_v(self):
+        assert np.max(np.abs(self._errors()[1])) <= 1.1e-16
 
 
 def test_shared_table_pair_is_bit_identical():
@@ -462,6 +513,7 @@ class TestPsiHTables:
             nk.recip_pdf_antiderivative,
             nk.cdf_over_pdf_antiderivative,
             nk.recip_and_cdf_over_pdf_antiderivatives,
+            nk.cdf_sq_over_pdf_antiderivative,
         ):
             with pytest.raises(ValueError, match="supported range"):
                 fn(np.array([0.5, x]))
