@@ -19,10 +19,12 @@ the rest use transforms of normal draws or the generator's dedicated
 methods.  Every draw consumes a caller-provided ``numpy.random.Generator``,
 so identical (spec, n, seed) triples reproduce bit-identical samples.
 
-Each family declares its raw generator calls, in order, and an elementwise
-transform of their arrays.  ``_sampler`` hands out both, so the engine can
-fill many rows of raw draws, each from its own stream, and transform them
-in one pass with the same bits as ``draw`` gives row by row.
+Each family declares its parameters' names and domains, which every spec
+is checked against (an error names the parameter), and its raw generator
+calls, in order, with an elementwise transform of their arrays.
+``_sampler`` hands out calls and transform, so the engine can fill many
+rows of raw draws, each from its own stream, and transform them in one
+pass with the same bits as ``draw`` gives row by row.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
@@ -105,62 +107,32 @@ _Z: _RawCall = ("standard_normal", ())
 _FILLS_IN_PLACE = frozenset({"random", "standard_normal"})  # accept out=
 
 
+# A parameter domain is a test of one value and the rule it states.  nan
+# is refused before any domain is tested, since it fails every comparison.
+_Domain = Tuple[Callable[[float], bool], str]
+_REAL: _Domain = (math.isfinite, "must be finite")
+_POSITIVE: _Domain = (lambda p: math.isfinite(p) and p > 0.0, "must be finite and > 0")
+_PROB: _Domain = (lambda p: 0.0 <= p <= 1.0, "must lie in [0, 1]")
+# N(0,1) conditioned on a half-line draws finite values
+_BOUND: _Domain = (lambda p: not math.isnan(p), "must not be nan")
+
+
 @dataclass(frozen=True)
 class _Family:
-    """A family's raw generator calls, in order, and their transform.
+    """A family's parameters, its raw generator calls, in order, and their
+    transform.
 
-    ``transform(raw, params)`` maps the arrays of the raw calls to the
-    sample elementwise, so it gives the same bits on one row or on many.
+    ``params`` holds one (label, domain) pair per parameter; ``ordered``
+    asks for params[0] < params[1].  ``transform(raw, params)`` maps the
+    arrays of the raw calls to the sample elementwise, so it gives the same
+    bits on one row or on many.
     """
 
     name: str
-    arity: int
-    validate: Callable[[Tuple[float, ...]], Optional[str]]
+    params: Tuple[Tuple[str, _Domain], ...]
     raw: Tuple[_RawCall, ...]
     transform: Callable[[Sequence[np.ndarray], Tuple[float, ...]], np.ndarray]
-    infinite_ok: bool = False  # may a parameter be +-inf (never nan)?
-
-
-def _ok(_params: Tuple[float, ...]) -> Optional[str]:
-    return None
-
-
-def _positive(idx: int, label: str):
-    def check(params: Tuple[float, ...]) -> Optional[str]:
-        if params[idx] <= 0:
-            return f"{label} must be > 0, got {params[idx]}"
-        return None
-
-    return check
-
-
-def _all(*checks):
-    def check(params):
-        for c in checks:
-            msg = c(params)
-            if msg:
-                return msg
-        return None
-
-    return check
-
-
-def _prob(idx: int, label: str):
-    def check(params):
-        if not 0.0 <= params[idx] <= 1.0:
-            return f"{label} must lie in [0, 1], got {params[idx]}"
-        return None
-
-    return check
-
-
-def _ordered(i: int, j: int):
-    def check(params):
-        if not params[i] < params[j]:
-            return f"interval requires {params[i]} < {params[j]}"
-        return None
-
-    return check
+    ordered: bool = False
 
 
 def _inverse_cdf(quantile_of):
@@ -210,177 +182,97 @@ def _tukey(u, p):
     return _tukey_quantile(np.asarray(u, float), p[0])
 
 
-_FAMILIES: Dict[str, _Family] = {}
+_LOCATION = ("location", _REAL)
+_SCALE = ("scale", _POSITIVE)
+_DELTA = ("Johnson delta", _POSITIVE)
+_DF = ("degrees of freedom", _POSITIVE)
 
-
-def _register(fam: _Family) -> None:
-    _FAMILIES[fam.name.lower()] = fam
-
-
-_register(
-    _Family(
-        "LoConN",
-        2,
-        _prob(0, "mixing probability"),
-        (_U, _Z),
-        lambda raw, p: raw[1] + np.where(raw[0] < p[0], p[1], 0.0),
+_FAMILIES: Dict[str, _Family] = {
+    fam.name.lower(): fam
+    for fam in (
+        _Family(
+            "LoConN",
+            (("mixing probability", _PROB), ("shift", _REAL)),
+            (_U, _Z),
+            lambda raw, p: raw[1] + np.where(raw[0] < p[0], p[1], 0.0),
+        ),
+        _Family(
+            "ScConN",
+            (("mixing probability", _PROB), ("contaminating variance", _POSITIVE)),
+            (_U, _Z),
+            lambda raw, p: raw[1] * np.where(raw[0] < p[0], math.sqrt(p[1]), 1.0),
+        ),
+        _Family(
+            "TruncN",
+            (("lower bound", _BOUND), ("upper bound", _BOUND)),
+            (_U,),
+            _inverse_cdf(_truncn_quantile),
+            ordered=True,
+        ),
+        _Family(
+            "SB",
+            (("Johnson gamma", _REAL), _DELTA),
+            (_Z,),
+            lambda raw, p: 1.0 / (1.0 + np.exp(-(raw[0] - p[0]) / p[1])),
+        ),
+        _Family(
+            "SU",
+            (("Johnson gamma", _REAL), _DELTA),
+            (_Z,),
+            lambda raw, p: np.sinh((raw[0] - p[0]) / p[1]),
+        ),
+        _Family(
+            "TriangleI",
+            (("half-width", _POSITIVE),),
+            (_U,),
+            _inverse_cdf(_triangle1_quantile),
+        ),
+        _Family("TriangleII", (("width", _POSITIVE),), (_U,), _inverse_cdf(_triangle2)),
+        _Family(
+            "Unif",
+            (("lower bound", _REAL), ("upper bound", _REAL)),
+            (_U,),
+            _inverse_cdf(_unif),
+            ordered=True,
+        ),
+        _Family(
+            "Beta",
+            (("alpha", _POSITIVE), ("beta", _POSITIVE)),
+            (("beta", (0, 1)),),
+            _as_drawn,
+        ),
+        _Family("StudentT", (_DF,), (("standard_t", (0,)),), _as_drawn),
+        _Family("Logistic", (_LOCATION, _SCALE), (_U,), _inverse_cdf(_logistic)),
+        _Family("Laplace", (_LOCATION, _SCALE), (_U,), _inverse_cdf(_laplace_quantile)),
+        _Family(
+            "Weibull",
+            (("shape", _POSITIVE),),
+            (_U,),
+            # draws in [0, 1) are used unclipped: log1p(-u) is finite there
+            lambda raw, p: (-np.log1p(-raw[0])) ** (1.0 / p[0]),
+        ),
+        _Family(
+            "HalfN",
+            (_LOCATION, _SCALE),
+            (_Z,),
+            lambda raw, p: p[0] + p[1] * np.abs(raw[0]),
+        ),
+        _Family("ChiSq", (_DF,), (("chisquare", (0,)),), _as_drawn),
+        _Family(
+            "Lognormal",
+            (("log-mean mu", _REAL), ("log-scale sigma", _POSITIVE)),
+            (_Z,),
+            lambda raw, p: np.exp(p[0] + p[1] * raw[0]),
+        ),
+        _Family("Tukey", (("lambda", _REAL),), (_U,), _inverse_cdf(_tukey)),
+        _Family(
+            "Normal",
+            (("mean", _REAL), ("standard deviation", _POSITIVE)),
+            (_Z,),
+            lambda raw, p: p[0] + p[1] * raw[0],
+        ),
     )
-)
-_register(
-    _Family(
-        "ScConN",
-        2,
-        _all(_prob(0, "mixing probability"), _positive(1, "contaminating variance")),
-        (_U, _Z),
-        lambda raw, p: raw[1] * np.where(raw[0] < p[0], math.sqrt(p[1]), 1.0),
-    )
-)
-_register(
-    _Family(
-        "TruncN",
-        2,
-        _ordered(0, 1),
-        (_U,),
-        _inverse_cdf(_truncn_quantile),
-        infinite_ok=True,  # N(0,1) conditioned on a half-line draws finite values
-    )
-)
-_register(
-    _Family(
-        "SB",
-        2,
-        _positive(1, "Johnson delta"),
-        (_Z,),
-        lambda raw, p: 1.0 / (1.0 + np.exp(-(raw[0] - p[0]) / p[1])),
-    )
-)
-_register(
-    _Family(
-        "SU",
-        2,
-        _positive(1, "Johnson delta"),
-        (_Z,),
-        lambda raw, p: np.sinh((raw[0] - p[0]) / p[1]),
-    )
-)
-_register(
-    _Family(
-        "TriangleI",
-        1,
-        _positive(0, "half-width"),
-        (_U,),
-        _inverse_cdf(_triangle1_quantile),
-    )
-)
-_register(
-    _Family(
-        "TriangleII",
-        1,
-        _positive(0, "width"),
-        (_U,),
-        _inverse_cdf(_triangle2),
-    )
-)
-_register(
-    _Family(
-        "Unif",
-        2,
-        _ordered(0, 1),
-        (_U,),
-        _inverse_cdf(_unif),
-    )
-)
-_register(
-    _Family(
-        "Beta",
-        2,
-        _all(_positive(0, "alpha"), _positive(1, "beta")),
-        (("beta", (0, 1)),),
-        _as_drawn,
-    )
-)
-_register(
-    _Family(
-        "StudentT",
-        1,
-        _positive(0, "degrees of freedom"),
-        (("standard_t", (0,)),),
-        _as_drawn,
-    )
-)
-_register(
-    _Family(
-        "Logistic",
-        2,
-        _positive(1, "scale"),
-        (_U,),
-        _inverse_cdf(_logistic),
-    )
-)
-_register(
-    _Family(
-        "Laplace",
-        2,
-        _positive(1, "scale"),
-        (_U,),
-        _inverse_cdf(_laplace_quantile),
-    )
-)
-_register(
-    _Family(
-        "Weibull",
-        1,
-        _positive(0, "shape"),
-        (_U,),
-        # draws in [0, 1) are used unclipped: log1p(-u) is finite there
-        lambda raw, p: (-np.log1p(-raw[0])) ** (1.0 / p[0]),
-    )
-)
-_register(
-    _Family(
-        "HalfN",
-        2,
-        _positive(1, "scale"),
-        (_Z,),
-        lambda raw, p: p[0] + p[1] * np.abs(raw[0]),
-    )
-)
-_register(
-    _Family(
-        "ChiSq",
-        1,
-        _positive(0, "degrees of freedom"),
-        (("chisquare", (0,)),),
-        _as_drawn,
-    )
-)
-_register(
-    _Family(
-        "Lognormal",
-        2,
-        _positive(1, "log-scale sigma"),
-        (_Z,),
-        lambda raw, p: np.exp(p[0] + p[1] * raw[0]),
-    )
-)
-_register(
-    _Family(
-        "Tukey",
-        1,
-        _ok,
-        (_U,),
-        _inverse_cdf(_tukey),
-    )
-)
-_register(
-    _Family(
-        "Normal",
-        2,
-        _positive(1, "standard deviation"),
-        (_Z,),
-        lambda raw, p: p[0] + p[1] * raw[0],
-    )
-)
+}
 
 _ALIASES = {
     "t": "studentt",
@@ -425,19 +317,19 @@ def _family(name: str) -> _Family:
 
 
 def _check(fam: _Family, params: Tuple[float, ...]) -> None:
-    """Arity, then finiteness, then the family's own domain."""
-    if len(params) != fam.arity:
+    """Arity, then nan, then each parameter's domain, then the order."""
+    if len(params) != len(fam.params):
         raise ArityError(
-            f"{fam.name} takes {fam.arity} parameter(s), got {len(params)}: {params}"
+            f"{fam.name} takes {len(fam.params)} parameter(s), got {len(params)}: {params}"
         )
-    # nan fails every comparison, so checks like `p <= 0` below would let it pass
     if any(math.isnan(p) for p in params):
         raise ParamDomainError(f"{fam.name}: parameters must not be nan, got {params}")
-    if not (fam.infinite_ok or all(map(math.isfinite, params))):
-        raise ParamDomainError(f"{fam.name}: parameters must be finite, got {params}")
-    msg = fam.validate(params)
-    if msg:
-        raise ParamDomainError(f"{fam.name}: {msg}")
+    for p, (label, (test, rule)) in zip(params, fam.params):
+        if not test(p):
+            raise ParamDomainError(f"{fam.name}: {label} {rule}, got {p}")
+    if fam.ordered and not params[0] < params[1]:
+        (low, _), (high, _) = fam.params
+        raise ParamDomainError(f"{fam.name}: {low} must be < {high}, got {params}")
 
 
 @dataclass(frozen=True)

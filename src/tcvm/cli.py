@@ -139,7 +139,7 @@ def _parse_sizes(args: argparse.Namespace) -> List[int]:
         if lo_i > hi_i or lo_i < 3:
             raise DataError(f"bad n-range {args.n_range!r}")
         return list(range(lo_i, hi_i + 1))
-    if args.n:
+    if args.n is not None:
         return [args.n]
     raise DataError("one of --n or --n-range is required")
 
@@ -173,6 +173,8 @@ def cmd_test(args: argparse.Namespace, out) -> int:
     try:
         outcome = decide(result.t_star, result.n, args.alpha, table)
     except TableCoverageError as exc:
+        if result.n < 4:  # where critvals refuses to simulate
+            raise DataError(f"{args.data}: n={result.n} has no critical value: TCVM needs n >= 4") from exc
         raise DataError(
             f"{exc} (simulate one with: tcvm critvals --n {result.n})"
         ) from exc

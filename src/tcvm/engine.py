@@ -156,14 +156,22 @@ def _null_critical_values(
     """Per kind and level, order statistic ceil((1-alpha)*reps) of the rejection tail."""
     _check_run(n, reps, workers, min_reps=100)
     _check_atom(n, kinds)
+    levels = {}  # order-statistic index -> level
     for a in alphas:
         _check_alpha(a)
+        i = _upper_index(a, reps)
+        if i in levels:
+            raise ValueError(
+                f"alpha = {levels[i]} and {a} both pick order statistic {i} of "
+                f"reps = {reps}: give distinct levels, or more reps"
+            )
+        levels[i] = a
     out = {}
     for kind, values in _statistics(NULL_SPEC, kinds, n, reps, seed, workers).items():
         s = np.sort(values)
         s = s if REJECTION_TAIL[kind] == "upper" else s[::-1]
         # 0 < a < 1 puts the index in 1..reps
-        out[kind] = {float(a): float(s[_upper_index(a, reps) - 1]) for a in alphas}
+        out[kind] = {float(a): float(s[i - 1]) for i, a in levels.items()}
     return out
 
 

@@ -30,7 +30,8 @@ Phi(x) = 1 - Phi(-x) gives the positive half-line, where no table is needed:
     H(x) = psi(x) + H(-x),    G(x) = psi(x) + 2 H(-x) - G(-x).
 
 D, R and V stay O(1) (D ~ 1/(2u), R ~ ln(u)/sqrt(pi), V -> ln(2)/sqrt(pi)),
-and degree-5 Taylor tables on the grid k/128 of [0, 40] hold them to about
+and degree-5 Taylor tables on the grid k/128 of [0, 40] (of [0, 6] for V,
+which is constant to double precision past 6) hold them to about
 an ulp, so the huge factor exp(x^2/2) is one ``np.exp`` and each point
 costs a table lookup.  The grid values of R and V integrate the Taylor
 polynomials of their integrands cell by cell (``_integral``).  For x <= 0
@@ -258,6 +259,7 @@ def int_cdf_over_pdf(lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 
 _U_MAX = 40.0  # the tables' range of u = |x|/sqrt(2)
+_V_FLAT = 6.0  # V is ln(2)/sqrt(pi) to double precision past here
 
 # Taylor tables: a function is a degree-5 polynomial in s = 128u - k about
 # the nearest grid point k/128, |s| <= 1/2, one row per coefficient.  The
@@ -329,17 +331,21 @@ def _taylor_rows(values: np.ndarray, derivatives: list, factor: float) -> np.nda
 
 
 def _taylor(u: np.ndarray, *tables: np.ndarray) -> list:
-    """Taylor tables on one grid at 0 <= u <= their last point, by Horner."""
+    """Taylor tables on one grid at 0 <= u <= 40, by Horner.
+
+    Past a table's last point its last row is read: W ends at ``_V_FLAT``,
+    where that row's polynomial is V's constant to double precision.
+    """
     s = u * float(_STEPS)
     k = np.rint(s)  # nearest grid point
     s -= k  # exact: |s| <= 1/2
     k = k.astype(np.intp)
     outs = []
     for table in tables:
-        out = table[0].take(k)
+        out = table[0].take(k, mode="clip")
         for row in table[1:]:
             out *= s
-            out += row.take(k)
+            out += row.take(k, mode="clip")
         outs.append(out)
     return outs
 
@@ -371,8 +377,8 @@ def _dawsn(g: np.ndarray) -> np.ndarray:
 
 
 def _tables():
-    """Taylor tables of P = 2 sqrt(pi) D, S = sqrt(pi) R and
-    W = (sqrt(pi)/2) V on [0, 40].
+    """Taylor tables of P = 2 sqrt(pi) D and S = sqrt(pi) R on [0, 40], and
+    of W = (sqrt(pi)/2) V on [0, 6].
 
     With u = |x|/sqrt(2): psi(x) = sign(x) exp(u^2) P(u),
     H(x) = -S(u) + [x > 0] psi(x), and G(x) = -W(u) for x <= 0.
@@ -386,8 +392,9 @@ def _tables():
     # S' = sqrt(pi) erfcx and W' = (sqrt(pi)/2) erfcx erfc, with sqrt(pi)
     # to twice double precision: S and W then round once, in ``_integral``
     ds = [_SQRT_PI * x + _SQRT_PI_LO * x for x in e]
+    w = int(_V_FLAT * _STEPS) + 1
     dw = [
-        0.5 * sum(math.comb(j, i) * ds[i] * c[j - i] for i in range(j + 1))
+        0.5 * sum(math.comb(j, i) * ds[i][:w] * c[j - i][:w] for i in range(j + 1))
         for j in range(_DEG + 2)
     ]
     return (
@@ -397,7 +404,7 @@ def _tables():
     )
 
 
-_P_TAYLOR, _S_TAYLOR, _W_TAYLOR = _tables()  # (6, 5121) each: 737 KB together
+_P_TAYLOR, _S_TAYLOR, _W_TAYLOR = _tables()  # (6, 5121), (6, 5121), (6, 769): 528 KB
 
 
 def _folded_neg_psi_h(u: np.ndarray):

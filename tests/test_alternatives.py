@@ -17,6 +17,7 @@ from tcvm.alternatives import (
     _ALIASES,
     _FAMILIES,
     _cached_sampler,
+    _family,
     _sampler,
     _sampler_of_bits,
     draw,
@@ -115,6 +116,59 @@ class TestOneSpecCheck:
         draws = sample(spec, 10_000, seed=3)
         assert np.isfinite(draws).all()
         assert params[0] < draws.min() and draws.max() < params[1]
+
+
+# One out-of-domain value per parameter of every family (nan aside), and
+# the parameter's label; TruncN's bounds may be infinite, so only their
+# order can fail
+_OUT_OF_DOMAIN = [
+    ("LoConN(1.5,1)", "mixing probability"),
+    ("LoConN(0.5,inf)", "shift"),
+    ("ScConN(-0.1,3)", "mixing probability"),
+    ("ScConN(0.1,0)", "contaminating variance"),
+    ("TruncN(1,-inf)", "lower bound"),
+    ("TruncN(inf,inf)", "upper bound"),
+    ("SB(-inf,1)", "Johnson gamma"),
+    ("SB(0,-1)", "Johnson delta"),
+    ("SU(inf,1)", "Johnson gamma"),
+    ("SU(0,inf)", "Johnson delta"),
+    ("TriangleI(0)", "half-width"),
+    ("TriangleII(-1)", "width"),
+    ("Unif(-inf,1)", "lower bound"),
+    ("Unif(1,0.5)", "upper bound"),
+    ("Beta(0,2)", "alpha"),
+    ("Beta(2,inf)", "beta"),
+    ("t(0)", "degrees of freedom"),
+    ("Logistic(inf,1)", "location"),
+    ("Logistic(0,0)", "scale"),
+    ("Laplace(-inf,1)", "location"),
+    ("Laplace(0,-1)", "scale"),
+    ("Weibull(0)", "shape"),
+    ("HalfN(inf,1)", "location"),
+    ("HalfN(0,0)", "scale"),
+    ("ChiSq(-1)", "degrees of freedom"),
+    ("Lognormal(-inf,1)", "log-mean mu"),
+    ("Lognormal(0,0)", "log-scale sigma"),
+    ("Tukey(inf)", "lambda"),
+    ("Normal(inf,1)", "mean"),
+    ("Normal(0,inf)", "standard deviation"),
+]
+
+
+@pytest.mark.parametrize("text, label", _OUT_OF_DOMAIN)
+def test_domain_error_names_the_parameter(text, label):
+    # an infinite mean was refused as "parameters must be finite, got (...)"
+    with pytest.raises(ParamDomainError) as err:
+        parse_spec(text)
+    assert str(err.value).startswith(f"{_family(text.split('(')[0]).name}: ")
+    assert label in str(err.value)
+
+
+def test_out_of_domain_cases_name_every_parameter():
+    named = {(_family(text.split("(")[0]).name, label) for text, label in _OUT_OF_DOMAIN}
+    assert named == {
+        (fam.name, label) for fam in _FAMILIES.values() for label, _ in fam.params
+    }
 
 
 _NAMES = sorted({fam.name for fam in _FAMILIES.values()} | set(_ALIASES))

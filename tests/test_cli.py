@@ -127,6 +127,18 @@ class TestTest:
         np.savetxt(path, rng.normal(size=7))
         assert run_cli(["test", str(path)])[0] == 3
 
+    @pytest.mark.parametrize(
+        "n, message", [(3, "TCVM needs n >= 4"), (7, "tcvm critvals --n 7")]
+    )
+    def test_coverage_error_hint(self, tmp_path, rng, capsys, n, message):
+        # critvals refuses n = 3, so the hint to run it was one more error
+        path = tmp_path / "small.txt"
+        np.savetxt(path, rng.normal(size=n))
+        assert run_cli(["test", str(path)])[0] == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert ("critvals" in err) == (n >= 4)
+
     def test_user_table_override(self, normal_file, tmp_path):
         custom = tmp_path / "table.csv"
         custom.write_text("n,0.05,a_n,C_n\n50,0.0001,2.0537,534.8787\n")
@@ -173,6 +185,12 @@ class TestCritvals:
         assert (a1, c1) == (a2, c2)
         assert float(a1) == pytest.approx(nk.endpoint(15).a_n, rel=1e-12)
         assert float(c1) == pytest.approx(nk.c_n(15), rel=1e-12)
+
+    def test_n0_exit_2_names_the_bound(self, capsys):
+        # --n 0 read as missing: "one of --n or --n-range is required", exit 3
+        code, text = run_cli(["critvals", "--n", "0", "--reps", "200"])
+        assert (code, text) == (2, "")
+        assert "need 1 <= n" in capsys.readouterr().err
 
     def test_bad_range_exit(self):
         code, _ = run_cli(["critvals", "--n-range", "12..4"])

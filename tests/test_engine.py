@@ -20,6 +20,7 @@ from tcvm.engine import (
     verify_fourth_moments,
 )
 from tcvm.process import MomentPoint, fourth_moment_exact
+from tcvm.table import ALPHA_LEVELS
 
 
 class TestStreams:
@@ -192,6 +193,30 @@ class TestCriticalValues:
             estimate_null_critical_values(kinds, 3, 0.05, reps=200)
         with pytest.raises(ValueError, match="atom"):
             estimate_power(kinds, NULL_SPEC, 3, 0.05, 200, 0, {k: 1.0 for k in kinds})
+
+    @pytest.mark.parametrize(
+        "alphas, reps, index", [((0.001, 0.0005), 100, 100), ((0.05, 0.05), 200, 190)]
+    )
+    def test_levels_sharing_an_order_statistic_rejected_before_drawing(
+        self, monkeypatch, alphas, reps, index
+    ):
+        # both levels picked one order statistic, so a table row failed its
+        # monotonicity check after every replication was drawn, or printed a
+        # repeated column
+        def refuse(*args):
+            raise AssertionError("drew a block")
+
+        monkeypatch.setattr(engine, "_draw_block", refuse)
+        match = f"order statistic {index} of reps = {reps}"
+        with pytest.raises(ValueError, match=match):
+            estimate_critical_values(20, alphas, reps=reps, seed=0)
+        with pytest.raises(ValueError, match=match):
+            simulate_table([20], alphas, reps=reps, seed=0)
+
+    def test_default_levels_pick_distinct_order_statistics(self):
+        # past reps = 112 the levels' smallest gap, 0.009, exceeds one index
+        for reps in range(100, 1000):
+            assert len({_upper_index(a, reps) for a in ALPHA_LEVELS}) == len(ALPHA_LEVELS)
 
     def test_n4_levels_separate(self):
         row = estimate_critical_values(4, reps=4000, seed=1)

@@ -409,6 +409,19 @@ class TestIntegralTables:
         assert np.max(np.abs(self._errors()[1])) <= 1.1e-16
 
 
+def test_g_with_w_on_0_6_has_the_bits_of_a_w_on_0_40(monkeypatch):
+    # V is constant to double precision past u = 6, so W's table stops there
+    u = np.concatenate([np.linspace(0.0, nk._U_MAX, 400_001), np.arange(5121) / 128])
+    x = np.concatenate([-u, u]) * math.sqrt(2.0)
+    x = x[np.abs(x) / math.sqrt(2.0) <= nk._U_MAX]
+    g = nk.cdf_sq_over_pdf_antiderivative(x)
+    monkeypatch.setattr(nk, "_V_FLAT", nk._U_MAX)
+    monkeypatch.setattr(nk, "_W_TAYLOR", nk._tables()[2])
+    assert nk._W_TAYLOR.shape == (6, 5121)
+    full = nk.cdf_sq_over_pdf_antiderivative(x)
+    np.testing.assert_array_equal(full.view(np.uint64), g.view(np.uint64))
+
+
 def test_shared_table_pair_is_bit_identical():
     x = np.concatenate(
         [np.linspace(-9.0, 9.0, 2001), [0.0, -0.0, -4.25, 4.25, 30.0, -38.0, 38.0, -56.0]]
