@@ -16,8 +16,8 @@ block, of:
   each of the eight units of a ``power_n50`` cycle at n = 50, the null
   calibration and the seven power rows, timed in interleaved rounds;
 * ``kernel_<kind>``: each kind alone on the LoConN(0.5,4) block, and
-  ``kernel_tcvm+cvm``: the pair that one call of the folded kernel
-  evaluates;
+  ``kernel_tcvm+cvm``: the pair (one call of the folded kernel returns
+  both, whichever of the two is asked for);
 * ``moment_products``: ``engine._fourth_products``, the moment check's
   per-row work, on a null block at n = 20 at the two points of the
   ``moments_n20`` benchmark workload.
@@ -26,9 +26,10 @@ block, of:
 slice of the LoConN(0.5,4) block (``_CHUNK_ELEMS // 50`` rows at n = 50),
 best of 50 interleaved rounds, in microseconds: ``sort_scale``
 (``statistic._sorted_rows``), ``moments`` (``_standardize_sorted``),
-``tcvm_cvm`` (``_weighted_cvm`` with both flags), ``ad``, ``sw`` and
-``bcmr`` (``baselines._batch_*``; a checkout whose SW and BCMR kernels
-take the rows alone computes their moments inside them).
+``tcvm_cvm`` (``_weighted_cvm``, which returns both; a checkout whose
+kernel takes a list of truncation flags gets both flags), ``ad``, ``sw``
+and ``bcmr`` (``baselines._batch_*``; a checkout whose SW and BCMR
+kernels take the rows alone computes their moments inside them).
 
 ``us_per_row`` times the traced benchmark replay's way of drawing, one
 ``engine.replication_rng(seed, r)`` and one ``alternatives.draw`` per row,
@@ -46,6 +47,7 @@ over the fastest.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -137,11 +139,14 @@ def main() -> int:
     # (y, ssq), or y alone where SW and BCMR compute their own moments
     y, ssq = moments if isinstance(moments, tuple) else (moments, None)
     by_rows = () if ssq is None else (ssq,)
+    # (TCVM, CVM) from y alone, or one result per truncation flag
+    takes_flags = "truncated" in inspect.signature(statistic._weighted_cvm).parameters
+    flags = ([True, False],) if takes_flags else ()
     stage_ms = interleaved_best_ms(
         {
             "sort_scale": lambda: statistic._sorted_rows(part),
             "moments": lambda: statistic._standardize_sorted(x_sorted),
-            "tcvm_cvm": lambda: statistic._weighted_cvm(y, [True, False]),
+            "tcvm_cvm": lambda: statistic._weighted_cvm(y, *flags),
             "ad": lambda: baselines._batch_ad(y),
             "sw": lambda: baselines._batch_sw_like(x_sorted, *by_rows),
             "bcmr": lambda: baselines._batch_bcmr(x_sorted, *by_rows),

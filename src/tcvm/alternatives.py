@@ -50,6 +50,7 @@ __all__ = [
     "parse_spec",
     "sample",
     "draw",
+    "replication_rng",
     "TABLE1_ALTERNATIVES",
 ]
 
@@ -389,6 +390,12 @@ def _cached_sampler(spec: AlternativeSpec) -> _Sampler:
     return _sampler(spec)
 
 
+def replication_rng(seed: int, rep: int) -> np.random.Generator:
+    """Independent stream for one replication of one run: Philox keyed (seed, rep)."""
+    key = np.array([seed & (2**64 - 1), rep & (2**64 - 1)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def draw(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n iid draws using the supplied generator."""
     if n < 1:
@@ -399,8 +406,7 @@ def draw(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample(spec: AlternativeSpec, n: int, seed: int) -> np.ndarray:
     """n iid draws; bit-identical for identical (spec, n, seed)."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed & (2**64 - 1), 0], dtype=np.uint64)))
-    return draw(spec, n, rng)
+    return draw(spec, n, replication_rng(seed, 0))
 
 
 # The 35 alternatives of the published n = 50 power comparison, in table

@@ -16,7 +16,7 @@ Five test kinds enter the comparison harness:
 All statistics are location-scale invariant, and all critical values are
 obtained by simulation (never from published asymptotic tables), so the
 rejection decisions are internally consistent.  The scalar AD, BCMR and
-normal-scores functions are one-row calls of the batch kernels.
+normal-scores functions are one-row calls of ``batch_statistics``.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ import numpy as np
 
 from .normal import cdf, pdf, quantile
 from .statistic import (
+    _WEIGHT_CACHE_SIZE,
     _rank_weights,
     _sample_matrix,
-    _sorted_row,
+    _sample_row,
     _sorted_rows,
     _standardize_sorted,
-    _standardized_row,
     _weighted_cvm,
 )
 
@@ -70,9 +70,6 @@ class BaselineKind(enum.Enum):
             raise ValueError(f"unknown test kind {name!r}; choose from {valid}") from None
 
 
-# the kinds of the folded kernel: does the integral stop at +-a_n?
-_TRUNCATED: Dict[BaselineKind, bool] = {BaselineKind.TCVM: True, BaselineKind.CVM: False}
-
 # which tail of the null distribution rejects
 REJECTION_TAIL: Dict[BaselineKind, str] = {
     BaselineKind.TCVM: "upper",
@@ -83,27 +80,23 @@ REJECTION_TAIL: Dict[BaselineKind, str] = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def _sf_weights(n: int) -> np.ndarray:
     """Normal scores m_i = quantile((i - 3/8)/(n + 1/4)), scaled to unit length."""
     m = quantile((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     return m / np.sqrt(float(m @ m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def _bcmr_weights(n: int) -> np.ndarray:
     """w_i = int_{(i-1)/n}^{i/n} of the normal quantile = phi drop across the block."""
-    qs = pdf(quantile(np.arange(1, n) / n))
-    w = np.empty(n)
-    w[0] = -qs[0]
-    w[1:-1] = qs[:-1] - qs[1:]
-    w[-1] = qs[-1]
-    return w
+    qs = np.concatenate(([0.0], pdf(quantile(np.arange(1, n) / n)), [0.0]))
+    return qs[:-1] - qs[1:]  # phi is 0 at the quantiles of 0 and 1
 
 
 def shapiro_wilk(values: Sequence[float]) -> float:
     """Royston's W (3 <= n <= 5000), by ``scipy.stats.shapiro`` (AS R94)."""
-    row = _sorted_row(values)
+    row = _sorted_rows(_sample_row(values))
     if row.shape[1] > 5000:
         raise ValueError(f"n = {row.shape[1]} exceeds the supported range for W (<= 5000)")
     # imported here: at module level scipy.stats would more than double the
@@ -113,15 +106,19 @@ def shapiro_wilk(values: Sequence[float]) -> float:
     return float(shapiro(row[0]).statistic)
 
 
+def _one_row(values: Sequence[float], kind: BaselineKind) -> float:
+    """``kind``'s statistic of one sample: a one-row ``batch_statistics`` call."""
+    return float(batch_statistics(_sample_row(values), [kind])[kind][0])
+
+
 def anderson_darling(values: Sequence[float]) -> float:
     """A^2 with estimated mean and divisor-n scale (order-statistic form)."""
-    return float(_batch_ad(_standardized_row(values))[0])
+    return _one_row(values, BaselineKind.AD)
 
 
 def shapiro_francia(values: Sequence[float]) -> float:
     """W' statistic: squared correlation with plain normalized normal scores."""
-    x = _sorted_row(values)
-    return float(_batch_sw_like(x, _standardize_sorted(x)[1])[0])
+    return _one_row(values, BaselineKind.SW)
 
 
 def bcmr(values: Sequence[float]) -> float:
@@ -131,8 +128,7 @@ def bcmr(values: Sequence[float]) -> float:
     normal quantile as weights; 0 <= R <= 1 and small values indicate a
     nearly normal quantile profile.
     """
-    x = _sorted_row(values)
-    return float(_batch_bcmr(x, _standardize_sorted(x)[1])[0])
+    return _one_row(values, BaselineKind.BCMR)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +170,7 @@ def batch_statistics(
     Sorting and one moments pass (``_standardize_sorted``: the standardized
     rows and their sums of squares) are shared across kinds, which is also
     what makes common-random-number power comparisons cheap.  TCVM and CVM
-    come from one call of the folded kernel, which evaluates psi and H once.
+    come from one call of the folded kernel per slice, whichever is asked.
 
     The rows go through in slices of at most ``_CHUNK_ELEMS`` values, so
     that the temporaries stay in cache: each slice is sorted and scaled by
@@ -187,22 +183,21 @@ def batch_statistics(
     """
     kinds = list(kinds)
     x = _sample_matrix(samples)
-    folded = [k for k in kinds if k in _TRUNCATED]
-    flags = [_TRUNCATED[k] for k in folded]
     out = {kind: np.empty(x.shape[0]) for kind in kinds}
     rows = max(1, _CHUNK_ELEMS // x.shape[1])
     for first in range(0, x.shape[0], rows):
         part = slice(first, first + rows)
         x_sorted = _sorted_rows(x[part])
         y_sorted, ssq = _standardize_sorted(x_sorted)
-        if folded:
-            for kind, values in zip(folded, _weighted_cvm(y_sorted, flags)):
-                out[kind][part] = values
+        values = {}
+        if BaselineKind.TCVM in kinds or BaselineKind.CVM in kinds:
+            values[BaselineKind.TCVM], values[BaselineKind.CVM] = _weighted_cvm(y_sorted)
         for kind in kinds:
             if kind is BaselineKind.AD:
-                out[kind][part] = _batch_ad(y_sorted)
+                values[kind] = _batch_ad(y_sorted)
             elif kind is BaselineKind.SW:
-                out[kind][part] = _batch_sw_like(x_sorted, ssq)
+                values[kind] = _batch_sw_like(x_sorted, ssq)
             elif kind is BaselineKind.BCMR:
-                out[kind][part] = _batch_bcmr(x_sorted, ssq)
+                values[kind] = _batch_bcmr(x_sorted, ssq)
+            out[kind][part] = values[kind]
     return out

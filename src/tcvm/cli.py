@@ -16,6 +16,7 @@ result, not a failure), 2 usage errors, 3 data errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from .engine import (
     verify_fourth_moments,
 )
 from .statistic import compute_tstar, decide
-from .table import ALPHA_LEVELS, CriticalValueTable, TableCoverageError, embedded_table
+from .table import ALPHA_LEVELS, MIN_TCVM_N, CriticalValueTable, TableCoverageError, embedded_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -81,7 +82,8 @@ def _emit_record(record: Dict[str, object], fmt: str, out) -> None:
 def read_sample_file(path: str) -> np.ndarray:
     """One real per line, or a single-column CSV with an optional header."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, which float() would refuse
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -136,7 +138,7 @@ def _parse_sizes(args: argparse.Namespace) -> List[int]:
             lo_i, hi_i = int(lo), int(hi)
         except ValueError:
             raise DataError(f"bad n-range {args.n_range!r}; expected A..B") from None
-        if lo_i > hi_i or lo_i < 3:
+        if lo_i > hi_i:
             raise DataError(f"bad n-range {args.n_range!r}")
         return list(range(lo_i, hi_i + 1))
     if args.n is not None:
@@ -173,11 +175,10 @@ def cmd_test(args: argparse.Namespace, out) -> int:
     try:
         outcome = decide(result.t_star, result.n, args.alpha, table)
     except TableCoverageError as exc:
-        if result.n < 4:  # where critvals refuses to simulate
-            raise DataError(f"{args.data}: n={result.n} has no critical value: TCVM needs n >= 4") from exc
-        raise DataError(
-            f"{exc} (simulate one with: tcvm critvals --n {result.n})"
-        ) from exc
+        message = str(exc)
+        if result.n >= MIN_TCVM_N:  # below it critvals refuses too; the message says why
+            message += f" (simulate one with: tcvm critvals --n {result.n})"
+        raise DataError(message) from exc
     record = {
         "n": result.n,
         "a_n": result.a_n,
@@ -303,19 +304,7 @@ def cmd_verify_moments(args: argparse.Namespace, out) -> int:
         seed=_seed_from(args),
         workers=args.workers,
     )
-    ch = checks[0]
-    record = {
-        "x": ch.x,
-        "y": ch.y,
-        "n": ch.n,
-        "reps": ch.reps,
-        "seed": ch.seed,
-        "empirical": ch.empirical,
-        "exact": ch.exact,
-        "stderr": ch.stderr,
-        "z_score": ch.z_score,
-    }
-    _emit_record(record, args.format, out)
+    _emit_record(dataclasses.asdict(checks[0]), args.format, out)
     return EXIT_OK
 
 

@@ -23,11 +23,11 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .alternatives import AlternativeSpec, _sampler
+from .alternatives import AlternativeSpec, _sampler, replication_rng
 from .baselines import _CHUNK_ELEMS, REJECTION_TAIL, BaselineKind, batch_statistics
 from .normal import MAX_ENDPOINT_N, c_n, d_n, endpoint
 from .process import MomentPoint, b_n, fourth_moment_exact
-from .table import ALPHA_LEVELS, CriticalValueRow, CriticalValueTable
+from .table import ALPHA_LEVELS, CriticalValueRow, CriticalValueTable, _check_tcvm_n
 
 __all__ = [
     "NULL_SPEC",
@@ -48,12 +48,6 @@ NULL_SPEC = AlternativeSpec("Normal", (0.0, 1.0))
 _BLOCK = 4096  # replications per work block
 
 
-def replication_rng(seed: int, rep: int) -> np.random.Generator:
-    """Independent stream for one replication of one run."""
-    key = np.array([seed & (2**64 - 1), rep & (2**64 - 1)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _draw_block(
     spec: AlternativeSpec, n: int, seed: int, start: int, count: int
 ) -> np.ndarray:
@@ -68,10 +62,11 @@ def _draw_block(
     warnings: ``batch_statistics`` refuses rows that reach inf or nan.
     """
     sam = _sampler(spec)
-    bit_gen = np.random.Philox(key=np.array([seed & (2**64 - 1), 0], dtype=np.uint64))
+    rng = replication_rng(seed, start)
+    bit_gen = rng.bit_generator
     fresh = bit_gen.state  # holds copies; the setter copies them back in
     key = fresh["state"]["key"]
-    fillers = sam.row_fillers(np.random.Generator(bit_gen))
+    fillers = sam.row_fillers(rng)
     rows = max(1, min(count, _CHUNK_ELEMS // n))
     raw = [np.empty((rows, n)) for _ in fillers]
     out = np.empty((count, n))
@@ -98,12 +93,8 @@ def _check_run(n: int, reps: int, workers: int, min_reps: int) -> None:
 
 
 def _check_atom(n: int, kinds: Sequence[BaselineKind]) -> None:
-    # at n = 3 all samples with |y_(2)| >= a_3 give the same TCVM value
-    if n < 4 and BaselineKind.TCVM in kinds:
-        raise ValueError(
-            f"TCVM needs n >= 4, got {n}: at n = 3 the statistic's null law has "
-            "an atom at its maximum (~41% of samples)"
-        )
+    if BaselineKind.TCVM in kinds:
+        _check_tcvm_n(n)
 
 
 def _check_alpha(alpha: float) -> None:

@@ -350,15 +350,6 @@ def _taylor(u: np.ndarray, *tables: np.ndarray) -> list:
     return outs
 
 
-def _check_range(u: np.ndarray) -> None:
-    """Refuse u = |x|/sqrt(2) beyond the tables (or nan)."""
-    if not np.all(u <= _U_MAX):
-        raise ValueError(
-            f"argument |x|/sqrt(2) = {float(np.max(u)):.2f} outside the "
-            f"supported range [0, {_U_MAX}]"
-        )
-
-
 def _dawsn(g: np.ndarray) -> np.ndarray:
     """Dawson's function; below 1/4 from its Maclaurin series.
 
@@ -418,6 +409,20 @@ def _folded_neg_psi_h(u: np.ndarray):
     return p, s
 
 
+def _folded_at(x: np.ndarray):
+    """(x at least 1-d, u = |x|/sqrt(2), -psi(-|x|), -H(-|x|)); u beyond the
+    tables (or nan) raises ValueError, and -psi overflows to +inf silently."""
+    x = np.atleast_1d(x)
+    u = np.abs(x) / _SQRT2
+    if not np.all(u <= _U_MAX):
+        raise ValueError(
+            f"argument |x|/sqrt(2) = {float(np.max(u)):.2f} outside the "
+            f"supported range [0, {_U_MAX}]"
+        )
+    with np.errstate(over="ignore"):
+        return (x, u) + _folded_neg_psi_h(u)
+
+
 def recip_and_cdf_over_pdf_antiderivatives(x):
     """Arrays (psi, H): the antiderivatives of 1/phi and of Phi/phi, F(0) = 0.
 
@@ -426,11 +431,7 @@ def recip_and_cdf_over_pdf_antiderivatives(x):
     u > 40 raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    x1 = np.atleast_1d(x)
-    u = np.abs(x1) / _SQRT2
-    _check_range(u)
-    with np.errstate(over="ignore"):
-        psi, h = _folded_neg_psi_h(u)  # -psi, -H at -|x|
+    x1, _, psi, h = _folded_at(x)
     psi = np.copysign(psi, x1)
     h = np.where(x1 > 0.0, psi - h, -h)
     return psi.reshape(x.shape), h.reshape(x.shape)
@@ -455,22 +456,17 @@ def cdf_sq_over_pdf_antiderivative(x):
     x > 0, so +inf past the overflow of psi; u > 40 raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    x1 = np.atleast_1d(x)
-    u = np.abs(x1) / _SQRT2
-    _check_range(u)
-    with np.errstate(over="ignore"):
-        p, s = _folded_neg_psi_h(u)  # psi(|x|), -H(-|x|)
+    x1, u, p, s = _folded_at(x)  # psi(|x|), -H(-|x|)
     g = -_taylor(u, _W_TAYLOR)[0]  # G(-|x|)
     out = np.where(x1 > 0.0, p - 2.0 * s - g, g).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=None)
 def c_n(n: int) -> float:
     """C_n = n * int_{-a_n}^{a_n} Phi^2(x)/phi(x) dx, in closed form.
 
     Phi^2 = Phi - Phi (1 - Phi), and Phi/phi integrates to psi(a_n) over the
-    interval, so C_n = n (psi(a_n) - D_n).
+    interval, so C_n = n (psi(a_n) - D_n), from ``_endpoint_terms``'s cache.
     """
     _, psi, _, _ = _endpoint_terms(n)  # psi(-a_n) = -psi(a_n)
     return n * (-psi - d_n(n))
@@ -484,7 +480,6 @@ def _endpoint_terms(n: int):
     return a, float(psi), float(h), cdf_sq_over_pdf_antiderivative(-a)
 
 
-@lru_cache(maxsize=None)
 def d_n(n: int) -> float:
     """D_n = int_{-a_n}^{a_n} Phi(x)(1 - Phi(x))/phi(x) dx, in closed form.
 

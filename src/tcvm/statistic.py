@@ -6,16 +6,16 @@ Y_i = (X_i - mean)/S_n and N(x) = #{i : Y_i <= x},
 
     T = (1/n) * int_{-a_n}^{a_n} (N(x) - n*Phi(x))^2 / phi(x) dx.
 
-Every route takes its Y from ``_standardize_sorted`` of ``_sorted_row``
-(``_sorted_rows`` for a matrix), the one place that validates, sorts and
-scales a sample and refuses a constant one; ``_standardized_row`` is that
-pair for one sample.  Two production routes and one test oracle:
+Every route takes its Y from ``_standardize_sorted`` of ``_sorted_rows``,
+the one place that sorts and scales a validated sample and refuses a
+constant one; ``_standardized_row`` is that pair for one sample.  Two
+production routes and one test oracle:
 
 * ``compute_tstar``        - the stepwise form behind ``tcvm_test`` (delete,
                              grid, weight integrals by adaptive quadrature,
                              C_n in closed form); returns the counts k, m.
 * ``_weighted_cvm``        - the folded closed-form kernel behind
-                             ``batch_statistics`` (one row per sample).
+                             ``batch_statistics``: TCVM and CVM per row.
 * ``compute_tstar_direct`` - the oracle: ``scipy.integrate.quad`` of the
                              defining integral, split at the data points.
                              It shares no integrator with either route, and
@@ -24,8 +24,8 @@ pair for one sample.  Two production routes and one test oracle:
 The same functional over the whole real line, ``compute_untruncated``, is
 the "CVM" column of the power study: it differs only in the endpoint,
 infinity instead of a_n.  The folded kernel splits the integral at 0 and
-reflects the right half onto the left, so that every observation
-contributes a bounded closed-form term.
+reflects the right half onto the left, so every observation contributes a
+bounded closed-form term; one psi/H evaluation serves both endpoints.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,12 +101,12 @@ def _sorted_rows(x: np.ndarray) -> np.ndarray:
     return xs
 
 
-def _sorted_row(values: Sequence[float]) -> np.ndarray:
-    """A validated, non-constant sample as one ascending row, shape (1, n)."""
+def _sample_row(values: Sequence[float]) -> np.ndarray:
+    """A validated one-dimensional sample as a one-row matrix, shape (1, n)."""
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"sample must be one-dimensional, got shape {x.shape}")
-    return _sorted_rows(_sample_matrix(x[np.newaxis, :]))
+    return _sample_matrix(x[np.newaxis, :])
 
 
 def _standardize_sorted(x_sorted: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -127,7 +127,7 @@ def _standardize_sorted(x_sorted: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _standardized_row(values: Sequence[float]) -> np.ndarray:
     """A validated, non-constant sample standardized and sorted, shape (1, n)."""
-    return _standardize_sorted(_sorted_row(values))[0]
+    return _standardize_sorted(_sorted_rows(_sample_row(values)))[0]
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,11 @@ def compute_tstar_direct(values: Sequence[float]) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
+# n kept per weight cache: the rank weights of every n in 10..10^4 take 763 MiB
+_WEIGHT_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def _rank_weights(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """(2i - 1, 2(n - i) + 1) for i = 1..n, read-only: the odd weights of
     the order statistics counted from the left and from the right."""
@@ -217,36 +221,30 @@ def _rank_weights(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def _weighted_cvm(y: np.ndarray, truncated: Sequence[bool]) -> List[np.ndarray]:
-    """The folded kernel: one statistic per flag, from one psi/H evaluation.
+def _weighted_cvm(y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The folded kernel: (TCVM, CVM) per row, from one psi/H evaluation.
 
-    Rows must be standardized and ascending.  A true flag integrates over
-    (-a_n, a_n) (TCVM), a false one over the whole line (CVM).  Folding at 0
-    reflects the right half onto the left: y_i goes to -|y_i|, and its
-    count there is its rank j_i among the points of its sign, counted from
-    the outside in (j_i = i for y_i < 0, n + 1 - i otherwise).  With
-    v_i = max(-|y_i|, -a) and psi, H, G anchored at 0,
+    Rows must be standardized and ascending.  Folding at 0 reflects the
+    right half onto the left: y_i goes to -|y_i|, and its count there is its
+    rank j_i among the points of its sign, counted from the outside in
+    (j_i = i for y_i < 0, n + 1 - i otherwise).  With v_i = max(-|y_i|, -a)
+    and psi, H, G anchored at 0,
 
         T = -(1/n) sum (2 j_i - 1) psi(v_i) + 2 sum H(v_i) - 2n G(-a),
 
-    with G(-inf) = -ln(2)/2.  Each point contributes O(1), so the error
-    grows like eps * n rather than with the O(n^2) terms of the unfolded
-    sums.  -psi and -H come from ``normal._folded_neg_psi_h`` at
-    u = -v/sqrt(2), and the sums take the signs back: negation is exact, so
-    the bits are those of the formula above.  psi, H, G at -a_n come from
-    the per-n cache ``normal._endpoint_terms``.  When every flag truncates,
-    psi and H are evaluated at max(-|y|, -a_n), which keeps exp(u^2) in
-    range for any n; otherwise at max(-|y|, -_MAX_ABS_Y): the whole-line
-    result comes first, and is +inf for a row that reaches past _MAX_ABS_Y;
-    then psi(-a_n), H(-a_n) go in below -a_n for the truncated result,
-    which is the same function.
+    a = a_n for TCVM and a = inf, G(-inf) = -ln(2)/2, for CVM.  Each point
+    contributes O(1), so the error grows like eps * n, not with the O(n^2)
+    terms of the unfolded sums.  -psi and -H come from
+    ``normal._folded_neg_psi_h`` at |y|/sqrt(2), |y| clipped at _MAX_ABS_Y,
+    and the sums take the signs back (negation is exact).  CVM comes first,
+    +inf for a row reaching past _MAX_ABS_Y; then psi(-a_n), H(-a_n) from
+    ``normal._endpoint_terms`` go in below -a_n and the same sums give TCVM.
     """
     n = y.shape[1]
     a, psi_a, h_a, g_a = _endpoint_terms(n)
-    whole, trunc = not all(truncated), any(truncated)
     v = np.abs(y)  # -v is the folded point
-    np.minimum(v, _MAX_ABS_Y if whole else a, out=v)
-    beyond = v > a if whole and trunc else None
+    np.minimum(v, _MAX_ABS_Y, out=v)
+    beyond = v > a
     v /= _SQRT2
     p, s = _folded_neg_psi_h(v)
     odd = np.where(y < 0.0, *_rank_weights(n))
@@ -254,17 +252,11 @@ def _weighted_cvm(y: np.ndarray, truncated: Sequence[bool]) -> List[np.ndarray]:
     def total(g: float) -> np.ndarray:
         return (odd * p).sum(axis=1) / n - 2.0 * s.sum(axis=1) - 2.0 * n * g
 
-    by_flag = {}
-    if whole:
-        t = total(-LN2_OVER_2)
-        t[np.maximum(np.abs(y[:, 0]), np.abs(y[:, -1])) > _MAX_ABS_Y] = np.inf
-        by_flag[False] = t
-    if trunc:
-        if beyond is not None:
-            np.copyto(p, -psi_a, where=beyond)
-            np.copyto(s, -h_a, where=beyond)
-        by_flag[True] = total(g_a)
-    return [by_flag[flag] for flag in truncated]
+    cvm = total(-LN2_OVER_2)
+    cvm[np.maximum(np.abs(y[:, 0]), np.abs(y[:, -1])) > _MAX_ABS_Y] = np.inf
+    np.copyto(p, -psi_a, where=beyond)
+    np.copyto(s, -h_a, where=beyond)
+    return total(g_a), cvm
 
 
 def compute_untruncated(values: Sequence[float]) -> float:
@@ -273,7 +265,7 @@ def compute_untruncated(values: Sequence[float]) -> float:
     Integrates (N(x) - n*Phi(x))^2/(n*phi(x)) over all of R; folded, the
     two unbounded end pieces leave the constant n*ln(2).
     """
-    return float(_weighted_cvm(_standardized_row(values), [False])[0][0])
+    return float(_weighted_cvm(_standardized_row(values))[1][0])
 
 
 @dataclass(frozen=True)

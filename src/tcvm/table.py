@@ -22,6 +22,16 @@ __all__ = [
 
 ALPHA_LEVELS: Tuple[float, ...] = (0.15, 0.1, 0.075, 0.05, 0.025, 0.01, 0.001)
 
+MIN_TCVM_N = 4  # at n = 3 all samples with |y_(2)| >= a_3 give one TCVM value
+
+
+def _check_tcvm_n(n: int, error: type = ValueError) -> None:
+    if n < MIN_TCVM_N:
+        raise error(
+            f"TCVM needs n >= {MIN_TCVM_N}, got {n}: at n = 3 the statistic's null "
+            "law has an atom at its maximum (~41% of samples)"
+        )
+
 
 class TableCoverageError(LookupError):
     """Requested sample size is outside the table's range."""
@@ -80,7 +90,8 @@ class CriticalValueTable:
         """Critical value at (n, alpha); second element marks interpolation.
 
         Sample sizes between table rows interpolate linearly in ln(n); sizes
-        outside the covered range raise TableCoverageError.
+        outside the covered range raise TableCoverageError (below MIN_TCVM_N
+        its message names that rule).
         """
         alpha = float(alpha)
         if alpha not in self.alphas:
@@ -89,6 +100,7 @@ class CriticalValueTable:
             )
         sizes = self.sizes
         if not sizes or n < sizes[0] or n > sizes[-1]:
+            _check_tcvm_n(n, TableCoverageError)
             covered = f"[{sizes[0]}, {sizes[-1]}]" if sizes else "(empty)"
             raise TableCoverageError(
                 f"n={n} outside the table range {covered}; simulate critical "

@@ -216,7 +216,7 @@ class TestBatchStatistics:
         block = rng.standard_normal((200, 50))
         x_sorted = np.sort(block, axis=1)
         y_sorted, ssq = _standardize_sorted(x_sorted)
-        tcvm, cvm = _weighted_cvm(y_sorted, [True, False])
+        tcvm, cvm = _weighted_cvm(y_sorted)
         unscaled = {
             BaselineKind.TCVM: tcvm,
             BaselineKind.CVM: cvm,
@@ -364,6 +364,18 @@ def _batch_of(kind):
 
     fn.__name__ = f"batch_{kind.value}"
     return fn
+
+
+def test_weight_caches_stay_bounded(rng):
+    from tcvm.statistic import _WEIGHT_CACHE_SIZE, _rank_weights
+
+    caches = (_rank_weights, _sf_weights, _bcmr_weights)
+    for n in range(4, 204):
+        batch_statistics(rng.standard_normal((1, n)), list(BaselineKind))
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == _WEIGHT_CACHE_SIZE
+        assert info.currsize <= _WEIGHT_CACHE_SIZE
 
 
 @pytest.mark.parametrize(

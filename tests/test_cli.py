@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcvm import normal as nk
-from tcvm.cli import main
+from tcvm.cli import main, read_sample_file
 from tcvm.table import embedded_table
 
 
@@ -153,6 +153,16 @@ class TestTest:
         assert code == 3
         assert "single value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["", "value\n"])
+    def test_byte_order_mark_keeps_every_value(self, tmp_path, header):
+        values = [1.5, -0.25, 3.0, 0.75, -2.0, 1.0, 0.5, -1.25, 2.25, 0.0, -0.5]
+        path = tmp_path / "bom.csv"
+        path.write_text(header + "\n".join(map(str, values)) + "\n", encoding="utf-8-sig")
+        assert read_sample_file(str(path)).tolist() == values
+        code, text = run_cli(["test", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(text)["n"] == len(values)
+
     def test_interpolated_flag_between_rows(self, tmp_path, rng):
         path = tmp_path / "n210.txt"
         np.savetxt(path, rng.standard_normal(210))
@@ -195,6 +205,12 @@ class TestCritvals:
     def test_bad_range_exit(self):
         code, _ = run_cli(["critvals", "--n-range", "12..4"])
         assert code == 3
+
+    def test_range_below_one_exit_2_names_the_bound(self, capsys):
+        # the engine's rules decide, as for --n 0
+        code, text = run_cli(["critvals", "--n-range", "0..2", "--reps", "200"])
+        assert (code, text) == (2, "")
+        assert "need 1 <= n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra", [["--alphas", "0.0"], ["--alphas", "0.05,1"], ["--workers", "-3"]]
@@ -359,6 +375,13 @@ class TestOtherCommands:
         assert code == 0
         record = json.loads(text)
         assert abs(record["z_score"]) < 6.0
+
+    def test_verify_moments_keys_in_field_order(self):
+        code, text = run_cli(
+            ["verify-moments", "--x", "0", "--y", "0.5", "--n", "10", "--reps", "10000"]
+        )
+        assert code == 0
+        assert text.splitlines()[0] == "x,y,n,reps,seed,empirical,exact,stderr,z_score"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_verify_moments_without_spread_reads_z_zero(self, fmt):

@@ -284,6 +284,12 @@ class TestDecision:
         with pytest.raises(UnsupportedAlphaError):
             decide(1.0, 50, 0.03)
 
+    def test_below_four_names_the_rule_not_simulation(self):
+        # critical values cannot be simulated below n = 4 either
+        with pytest.raises(TableCoverageError, match="TCVM needs n >= 4") as info:
+            tcvm_test([1.0, 2.5, 0.3])
+        assert "simulate" not in str(info.value)
+
     def test_end_to_end_normal_accepts(self, rng):
         x = rng.standard_normal(50)
         outcome, result = tcvm_test(x, alpha=0.05)

@@ -71,6 +71,12 @@ def test_coverage_errors(table):
         table.critical_value(10001, 0.05)
 
 
+def test_coverage_error_below_four_names_the_rule(table):
+    with pytest.raises(TableCoverageError, match="TCVM needs n >= 4, got 3") as info:
+        table.critical_value(3, 0.05)
+    assert "simulate" not in str(info.value)
+
+
 def test_unsupported_alpha(table):
     with pytest.raises(UnsupportedAlphaError):
         table.critical_value(50, 0.07)
