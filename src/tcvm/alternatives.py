@@ -37,6 +37,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import log_ndtr, ndtri_exp
 
 from .normal import cdf, quantile
@@ -346,17 +347,20 @@ class _Sampler:
     calls: Tuple[Tuple[str, Tuple[float, ...]], ...]
     transform: Callable[[Sequence[np.ndarray]], np.ndarray]
 
-    def row_fillers(self, rng: np.random.Generator) -> List[Callable[[np.ndarray], None]]:
-        """One callable per raw call, filling a 1-d row in place from ``rng``."""
+    def row_fillers(self, rng: np.random.Generator) -> List[Callable[..., None]]:
+        """One callable per raw call: ``fill(out=row)`` fills a 1-d row from ``rng``.
+
+        Where the Generator method takes ``out=`` itself, it is the callable.
+        """
         fillers = []
         for method, args in self.calls:
             fn = getattr(rng, method)
             if method in _FILLS_IN_PLACE:
-                fillers.append(lambda row, fn=fn: fn(out=row))
+                fillers.append(fn)
             else:
 
-                def fill(row, fn=fn, args=args):
-                    row[...] = fn(*args, row.size)
+                def fill(out, fn=fn, args=args):
+                    out[...] = fn(*args, out.size)
 
                 fillers.append(fill)
         return fillers
@@ -378,22 +382,57 @@ def _sampler_of_bits(family: str, bits: bytes) -> _Sampler:
     return _sampler(AlternativeSpec(family, struct.unpack(f"<{len(bits) // 8}d", bits)))
 
 
+# the last (spec, sampler) pair handed out by _cached_sampler
+_last_sampler: Tuple[object, object] = (None, None)
+
+
 def _cached_sampler(spec: AlternativeSpec) -> _Sampler:
     """``_sampler(spec)``, kept per family name and exact parameter bits.
 
     Bits, not values, key the cache: 0.0 == -0.0 would share an entry.  A
     spec whose parameters are not all floats is checked and built afresh.
+    The sampler of the last spec object, when its parameters are a tuple
+    of floats, is also kept by identity, which skips packing the bits on
+    the common repeat call (the spec is frozen and the tuple immutable).
     """
+    global _last_sampler
+    last_spec, last = _last_sampler
+    if spec is last_spec:
+        return last
     params = spec.params
     if isinstance(spec.family, str) and all(type(p) is float for p in params):
-        return _sampler_of_bits(spec.family, struct.pack(f"<{len(params)}d", *params))
+        sam = _sampler_of_bits(spec.family, struct.pack(f"<{len(params)}d", *params))
+        if type(params) is tuple:
+            _last_sampler = (spec, sam)
+        return sam
     return _sampler(spec)
+
+
+class _PhiloxKey(ISeedSequence):
+    """A seed sequence whose state is a given Philox key.
+
+    Given ``key=``, numpy's ``Philox`` still builds an entropy-seeded
+    ``SeedSequence`` and then drops it, which is over half of its
+    construction time.  ``Philox(_PhiloxKey(key))`` reads the key from this
+    sequence instead: the same stream, with this object as its
+    ``seed_seq`` where ``Philox(key=key)`` has None.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        if n_words != 2:
+            raise ValueError(f"a Philox key is 2 words, not {n_words}")
+        return self.key
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
     """Independent stream for one replication of one run: Philox keyed (seed, rep)."""
     key = np.array([seed & (2**64 - 1), rep & (2**64 - 1)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def draw(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -182,6 +182,13 @@ def batch_statistics(
     the engine's block size or on its worker count.
     """
     kinds = list(kinds)
+    for kind in kinds:
+        if not isinstance(kind, BaselineKind):
+            valid = ", ".join(f"BaselineKind.{k.name}" for k in BaselineKind)
+            raise ValueError(
+                f"unknown test kind {kind!r}; choose from {valid} "
+                "(BaselineKind.parse reads a name)"
+            )
     x = _sample_matrix(samples)
     out = {kind: np.empty(x.shape[0]) for kind in kinds}
     rows = max(1, _CHUNK_ELEMS // x.shape[1])

@@ -28,6 +28,7 @@ import numpy as np
 from .alternatives import SpecError, parse_spec
 from .baselines import BaselineKind
 from .engine import (
+    _check_n,
     estimate_constant_c,
     estimate_null_critical_values,
     estimate_power,
@@ -131,7 +132,7 @@ def _parse_alphas(text: Optional[str]) -> Sequence[float]:
         raise DataError(f"bad alpha list {text!r}") from None
 
 
-def _parse_sizes(args: argparse.Namespace) -> List[int]:
+def _parse_sizes(args: argparse.Namespace) -> Sequence[int]:
     if args.n_range:
         try:
             lo, hi = args.n_range.split("..")
@@ -140,7 +141,11 @@ def _parse_sizes(args: argparse.Namespace) -> List[int]:
             raise DataError(f"bad n-range {args.n_range!r}; expected A..B") from None
         if lo_i > hi_i:
             raise DataError(f"bad n-range {args.n_range!r}")
-        return list(range(lo_i, hi_i + 1))
+        # both ends meet the engine's size rule before any row is simulated,
+        # and the range stays lazy, so a huge range allocates nothing
+        _check_n(lo_i)
+        _check_n(hi_i)
+        return range(lo_i, hi_i + 1)
     if args.n is not None:
         return [args.n]
     raise DataError("one of --n or --n-range is required")
@@ -159,7 +164,8 @@ def _load_table(path: Optional[str]) -> CriticalValueTable:
     if path is None:
         return embedded_table()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, as read_sample_file does
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return CriticalValueTable.from_csv(fh.read(), provenance=path)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load critical-value table {path}: {exc}") from exc

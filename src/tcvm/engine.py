@@ -13,6 +13,7 @@ count, the block size or the kernel slice.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -48,44 +49,141 @@ NULL_SPEC = AlternativeSpec("Normal", (0.0, 1.0))
 _BLOCK = 4096  # replications per work block
 
 
+_MASK64 = 2**64 - 1
+# Keys the in-place reset is checked on, one of them at or above 2^63.
+_CHECK_KEYS = (7, 0xD1B54A32D192ED03)
+# numpy's philox_state starts with pointers to the counter and the key,
+# then holds buffer_pos, a 4-word buffer, has_uint32 and uinteger.  On
+# numpy 2.4 the key and then the counter follow it inside the Philox object.
+_STATE_BYTES = 64
+
+
+def _uint64_view(owner: object, address: int, words: int) -> np.ndarray:
+    """``words`` uint64 at ``address`` inside ``owner``, which the view keeps alive."""
+    buf = (ctypes.c_uint64 * words).from_address(address)
+    buf.owner = owner
+    return np.frombuffer(buf, np.uint64)
+
+
+def _after_reset(rng: np.random.Generator, reset: Callable[[int], None], key: int):
+    """The ``state`` dict and next draws of ``rng`` reset to ``key`` from a used state.
+
+    The draws before the reset leave the counter, the buffer and the cached
+    32-bit half in use; the draws after it read doubles, normals and 32-bit
+    integers.  Returns the state's repr, exact for its ints and integer
+    arrays, and the draws' bytes.
+    """
+    rng.random(3)
+    rng.integers(0, 2**32, 3, dtype=np.uint32)
+    reset(key)
+    state = repr(rng.bit_generator.state)
+    draws = (rng.random(5), rng.standard_normal(5), rng.integers(0, 2**32, 5, dtype=np.uint32))
+    return state, b"".join(d.tobytes() for d in draws)
+
+
+def _in_place_reset(
+    rng: np.random.Generator, set_state: Callable[[int], None]
+) -> Callable[[int], None] | None:
+    """``set_state`` as three writes into numpy's Philox state, or None.
+
+    The counter and key addresses are read from the state struct, and every
+    address is checked to lie inside the bit generator object, so no write
+    can land outside it.  The rest of the struct (buffer_pos, buffer,
+    has_uint32, uinteger) is copied back from a snapshot of the state
+    ``set_state`` leaves.  None unless, for each key of ``_CHECK_KEYS``, a
+    used generator reset both ways reads the same ``state`` dict and draws
+    the same values after.
+    """
+    bit_gen = rng.bit_generator
+    try:
+        base = id(bit_gen)  # CPython: the object's address
+        end = base + type(bit_gen).__basicsize__
+        addr = bit_gen.ctypes.state_address
+        if not base <= addr <= end - _STATE_BYTES:
+            return None
+        ctr_at, key_at = (int(w) for w in _uint64_view(bit_gen, addr, 2))
+        if not (base <= ctr_at <= end - 32 and base <= key_at <= end - 16):
+            return None
+        ctr, key = _uint64_view(bit_gen, ctr_at, 4), _uint64_view(bit_gen, key_at, 2)
+        fields = _uint64_view(bit_gen, addr + 16, (_STATE_BYTES - 16) // 8)
+        set_state(_CHECK_KEYS[0])
+        fresh = fields.copy()
+    except (AttributeError, TypeError, ValueError):
+        return None
+
+    def reset(k: int) -> None:
+        key[1] = k
+        ctr.fill(0)
+        fields[:] = fresh
+
+    for k in _CHECK_KEYS:
+        if _after_reset(rng, reset, k) != _after_reset(rng, set_state, k):
+            return None
+    return reset
+
+
+def _stream_reset(rng: np.random.Generator) -> Callable[[int], None]:
+    """A function that makes ``rng`` the fresh stream keyed (key word 0, k).
+
+    The in-place writer where it passes its check, else the state setter.
+    """
+    bit_gen = rng.bit_generator
+    fresh = bit_gen.state  # holds copies; the setter copies them back in
+    fresh_key = fresh["state"]["key"]
+
+    def set_state(k: int) -> None:
+        fresh_key[1] = k
+        bit_gen.state = fresh
+
+    return _in_place_reset(rng, set_state) or set_state
+
+
 def _draw_block(
     spec: AlternativeSpec, n: int, seed: int, start: int, count: int
 ) -> np.ndarray:
     """Rows for replications start .. start + count - 1.
 
     Row i equals ``draw(spec, n, replication_rng(seed, start + i))`` bit for
-    bit.  One Philox serves the whole block: before each row its key becomes
-    (seed, start + i) and its counter, buffer and cached 32-bit half return
-    to their freshly built values, which is cheaper than a new generator.
-    Each row only fills the family's raw draws; the elementwise transform
-    runs once per chunk of at most ``_CHUNK_ELEMS`` values, without overflow
-    warnings: ``batch_statistics`` refuses rows that reach inf or nan.
+    bit.  One Philox serves the whole block: before each row its key word 1
+    becomes (start + i) mod 2^64 and its counter, buffer and cached 32-bit
+    half return to their freshly built values, which is cheaper than a new
+    generator.  The reset writes those words straight into numpy's
+    ``philox_state`` through views on ``bit_gen.ctypes.state_address``;
+    the writer is used only after a self-check against the ``state``
+    setter, which serves instead wherever the check fails or the layout
+    cannot be read.  Each row only fills the family's raw draws; the
+    elementwise transform runs once per chunk of at most ``_CHUNK_ELEMS``
+    values, without overflow warnings: ``batch_statistics`` refuses rows
+    that reach inf or nan.
     """
     sam = _sampler(spec)
     rng = replication_rng(seed, start)
-    bit_gen = rng.bit_generator
-    fresh = bit_gen.state  # holds copies; the setter copies them back in
-    key = fresh["state"]["key"]
+    reset = _stream_reset(rng)
     fillers = sam.row_fillers(rng)
     rows = max(1, min(count, _CHUNK_ELEMS // n))
     raw = [np.empty((rows, n)) for _ in fillers]
+    # per row, each filler with its view into its raw buffer, made once
+    jobs = [tuple(zip(fillers, views)) for views in zip(*(list(buf) for buf in raw))]
     out = np.empty((count, n))
     for first in range(0, count, rows):
         m = min(rows, count - first)
         for i in range(m):
-            key[1] = (start + first + i) & (2**64 - 1)
-            bit_gen.state = fresh
-            for fill, buf in zip(fillers, raw):
-                fill(buf[i])
+            reset((start + first + i) & _MASK64)
+            for fill, row in jobs[i]:
+                fill(out=row)
         with np.errstate(over="ignore", invalid="ignore"):
             out[first : first + m] = sam.transform([buf[:m] for buf in raw])
     return out
 
 
-def _check_run(n: int, reps: int, workers: int, min_reps: int) -> None:
+def _check_n(n: int) -> None:
     # before anything is drawn: a block holds up to _BLOCK rows of n values
     if not 1 <= n <= MAX_ENDPOINT_N:
         raise ValueError(f"need 1 <= n <= {MAX_ENDPOINT_N:,}, got {n}")
+
+
+def _check_run(n: int, reps: int, workers: int, min_reps: int) -> None:
+    _check_n(n)
     if reps < min_reps:
         raise ValueError(f"need reps >= {min_reps:,}, got {reps}")
     if workers < 1:

@@ -16,12 +16,14 @@ from tcvm.alternatives import (
     UnknownFamilyError,
     _ALIASES,
     _FAMILIES,
+    _PhiloxKey,
     _cached_sampler,
     _family,
     _sampler,
     _sampler_of_bits,
     draw,
     parse_spec,
+    replication_rng,
     sample,
 )
 from tcvm.baselines import BaselineKind
@@ -275,6 +277,42 @@ class TestSamplerCache:
         for r in range(4):
             digest.update(draw(AlternativeSpec("Normal", params), 50, replication_rng(7, r)).tobytes())
         assert digest.hexdigest() == PINNED_DRAWS["Normal(1,2)"]
+
+    def test_identity_memo_follows_the_spec_object(self):
+        a = AlternativeSpec("Normal", (1.0, 2.0))
+        b = AlternativeSpec("Normal", (3.0, 2.0))
+        assert _cached_sampler(a) is _cached_sampler(a)
+        assert _cached_sampler(b) is not _cached_sampler(a)
+
+    def test_mutable_parameters_are_not_kept_by_identity(self):
+        # a list inside the frozen spec can change between calls
+        params = [1.0, 2.0]
+        spec = AlternativeSpec("Normal", params)
+        draw(spec, 4, replication_rng(7, 0))
+        params[0] = 5.0
+        np.testing.assert_array_equal(
+            draw(spec, 4, replication_rng(7, 0)),
+            draw(AlternativeSpec("Normal", (5.0, 2.0)), 4, replication_rng(7, 0)),
+        )
+
+
+@pytest.mark.parametrize(
+    "seed, rep", [(0, 0), (7, 3), (2**63, 2**63 + 1), (2**64 - 1, 2**64 - 1), (-1, 2**64 + 5)]
+)
+def test_replication_rng_is_the_keyed_philox(seed, rep):
+    key = np.array([seed % 2**64, rep % 2**64], dtype=np.uint64)
+    ours, keyed = replication_rng(seed, rep), np.random.Generator(np.random.Philox(key=key))
+    assert repr(ours.bit_generator.state) == repr(keyed.bit_generator.state)
+    for method in ("random", "standard_normal"):
+        np.testing.assert_array_equal(getattr(ours, method)(5), getattr(keyed, method)(5))
+    np.testing.assert_array_equal(
+        ours.integers(0, 2**32, 5, dtype=np.uint32), keyed.integers(0, 2**32, 5, dtype=np.uint32)
+    )
+
+
+def test_philox_key_refuses_other_state_sizes():
+    with pytest.raises(ValueError, match="2 words"):
+        _PhiloxKey(np.zeros(2, np.uint64)).generate_state(4, np.uint32)
 
 
 SUPPORT = {

@@ -249,6 +249,11 @@ class TestBatchStatistics:
         with pytest.raises(ValueError, match="unknown test kind"):
             BaselineKind.parse("banana")
 
+    @pytest.mark.parametrize("kind", ["ad", None, 3])
+    def test_kinds_must_be_members(self, rng, kind):
+        with pytest.raises(ValueError, match="unknown test kind.*BaselineKind.AD"):
+            batch_statistics(rng.standard_normal((2, 10)), [BaselineKind.TCVM, kind])
+
 
 def _plain_statistics(block: np.ndarray) -> dict:
     """Every kind by its plain formula, one full-array pass per operation.

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,14 @@ class TestTest:
         assert code == 0
         assert text.strip().splitlines()[1].split(",")[8] == "true"  # reject
 
+    def test_user_table_with_byte_order_mark(self, normal_file, tmp_path):
+        custom = tmp_path / "bom_table.csv"
+        custom.write_text("n,0.05,a_n,C_n\n50,0.0001,2.0537,534.8787\n", encoding="utf-8-sig")
+        code, text = run_cli(["test", normal_file, "--table", str(custom), "--format", "json"])
+        assert code == 0
+        record = json.loads(text)
+        assert (record["critical_value"], record["reject"]) == (0.0001, True)
+
     def test_multi_field_line_exit_3(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"
         path.write_text("1.0,2.0\n3.0\n4.0\n")
@@ -211,6 +220,22 @@ class TestCritvals:
         code, text = run_cli(["critvals", "--n-range", "0..2", "--reps", "200"])
         assert (code, text) == (2, "")
         assert "need 1 <= n" in capsys.readouterr().err
+
+    def test_huge_range_is_refused_before_it_is_built(self, capsys):
+        tracemalloc.start()
+        try:
+            code, text = run_cli(["critvals", "--n-range", "0..10000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, text) == (2, "")
+        assert peak < 1 << 20
+        assert "need 1 <= n" in capsys.readouterr().err
+
+    def test_range_past_the_largest_n_exit_2(self, capsys):
+        code, text = run_cli(["critvals", "--n-range", "10..1000000000000"])
+        assert (code, text) == (2, "")
+        assert "got 1000000000000" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra", [["--alphas", "0.0"], ["--alphas", "0.05,1"], ["--workers", "-3"]]

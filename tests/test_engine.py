@@ -1,10 +1,13 @@
+import gc
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from tcvm import engine
 from tcvm import normal as nk
+from tcvm.alternatives import _FAMILIES as alt_families
 from tcvm.alternatives import TABLE1_ALTERNATIVES, draw, parse_spec
 from tcvm.baselines import BaselineKind, batch_statistics
 from tcvm.engine import (
@@ -56,6 +59,108 @@ class TestStreams:
         for i, row in enumerate(block):
             ref = draw(spec, n, replication_rng(seed, start + i))
             np.testing.assert_array_equal(row, ref)
+
+
+# one spec per family, each family's raw calls as the engine fills them
+FAMILY_SPECS = (
+    "LoConN(0.3,2.5)", "ScConN(0.3,4)", "TruncN(-1.5,0.5)", "SB(0.5,0.707)",
+    "SU(0.5,2)", "TriangleI(1.5)", "TriangleII(2)", "Unif(-1,3)", "Beta(2,3)",
+    "t(4)", "Logistic(1,2)", "Laplace(1,2)", "Weibull(1.5)", "HalfN(1,2)",
+    "ChiSq(3)", "Lognormal(0.5,1)", "Tukey(0.14)", "Normal(1,2)",
+)
+
+
+def _per_row(spec, n, seed, start, count):
+    return np.vstack(
+        [draw(spec, n, replication_rng(seed, start + i)) for i in range(count)]
+    )
+
+
+def _mixed_draws(gen):
+    return [
+        gen.integers(0, 2**32, 3, dtype=np.uint32),
+        gen.random(3),
+        gen.integers(0, 2**32, 7, dtype=np.uint32),
+        gen.standard_normal(5),
+    ]
+
+
+def _refuse_check(monkeypatch):
+    # no two results of the self-check compare equal, so the setter serves
+    monkeypatch.setattr(engine, "_after_reset", lambda *args: object())
+
+
+class TestInPlaceReset:
+    """``_draw_block`` resets one Philox per row by writing its state."""
+
+    def test_family_specs_cover_every_family(self):
+        assert {parse_spec(t).family for t in FAMILY_SPECS} == {
+            fam.name for fam in alt_families.values()
+        }
+
+    @pytest.mark.parametrize("n", [1, 3, 20, 50, 3000])
+    @pytest.mark.parametrize("text", FAMILY_SPECS)
+    def test_block_equals_per_row_draws(self, text, n):
+        spec = parse_spec(text)
+        for seed, start in ((11, 0), (2**63 + 5, 2**63 - 2), (2**64 - 1, 2**64 - 2)):
+            block = _draw_block(spec, n, seed, start, 4)
+            np.testing.assert_array_equal(block, _per_row(spec, n, seed, start, 4))
+
+    @pytest.mark.parametrize("text", ["Normal(1,2)", "LoConN(0.3,2.5)", "Beta(2,3)"])
+    def test_setter_fallback_gives_the_same_bits(self, monkeypatch, text):
+        spec, n = parse_spec(text), engine._CHUNK_ELEMS // 4 + 1  # chunks of 3 rows
+        seed, start = 2**63 + 9, 2**64 - 3
+        expected = _draw_block(spec, n, seed, start, 7)
+        _refuse_check(monkeypatch)
+        np.testing.assert_array_equal(_draw_block(spec, n, seed, start, 7), expected)
+        np.testing.assert_array_equal(expected, _per_row(spec, n, seed, start, 7))
+
+    def test_check_picks_the_writer(self):
+        rng = replication_rng(3, 0)
+        reset = engine._stream_reset(rng)
+        assert reset.__qualname__.startswith("_in_place_reset")
+        bit_gen = rng.bit_generator
+        del rng
+        gc.collect()
+        # the writer's views hold the bit generator, so it outlives the Generator
+        assert sys.getrefcount(bit_gen) > 2
+        reset(9)
+        assert bit_gen.state["state"]["key"].tolist() == [3, 9]
+
+    def test_failed_check_picks_the_setter(self, monkeypatch):
+        _refuse_check(monkeypatch)
+        reset = engine._stream_reset(replication_rng(3, 0))
+        assert reset.__qualname__.startswith("_stream_reset")
+
+    def test_check_catches_a_writer_that_misses_the_32_bit_half(self, monkeypatch):
+        # 56 bytes leave has_uint32 and uinteger out of the written fields
+        monkeypatch.setattr(engine, "_STATE_BYTES", 56)
+        reset = engine._stream_reset(replication_rng(3, 0))
+        assert reset.__qualname__.startswith("_stream_reset")
+
+    def test_unreadable_layout_picks_the_setter(self, monkeypatch):
+        # a struct larger than the object fails the address check: no write
+        monkeypatch.setattr(engine, "_STATE_BYTES", 1 << 20)
+        reset = engine._stream_reset(replication_rng(3, 0))
+        assert reset.__qualname__.startswith("_stream_reset")
+
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_reset_streams_match_fresh_ones_on_every_path(self, monkeypatch, refused):
+        if refused:
+            _refuse_check(monkeypatch)
+        seed = 2**63 + 1
+        rng = replication_rng(seed, 0)
+        reset = engine._stream_reset(rng)
+        for k in (1, 2**63, 2**64 - 1):
+            # odd counts of 32-bit draws leave has_uint32 and uinteger set
+            rng.random(3)
+            rng.integers(0, 2**32, 5, dtype=np.uint32)
+            reset(k)
+            fresh = replication_rng(seed, k)
+            assert rng.bit_generator.state["has_uint32"] == 0
+            assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+            for a, b in zip(_mixed_draws(rng), _mixed_draws(fresh)):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestQuantileIndex:
