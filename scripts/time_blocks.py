@@ -26,10 +26,13 @@ block, of:
 slice of the LoConN(0.5,4) block (``_CHUNK_ELEMS // 50`` rows at n = 50),
 best of 50 interleaved rounds, in microseconds: ``sort_scale``
 (``statistic._sorted_rows``), ``moments`` (``_standardize_sorted``),
-``tcvm_cvm`` (``_weighted_cvm``, which returns both; a checkout whose
-kernel takes a list of truncation flags gets both flags), ``ad``, ``sw``
-and ``bcmr`` (``baselines._batch_*``; a checkout whose SW and BCMR
-kernels take the rows alone computes their moments inside them).
+``tcvm_cvm`` (``_weighted_cvm``, which returns both), ``ad``, ``sw`` and
+``bcmr`` (``baselines._batch_*``).
+
+``us_per_call`` times ``statistic.compute_tstar``, the stepwise statistic
+behind ``tcvm_test``, on one seeded normal sample at each of n = 50, 1,000
+and 2,000, best of 15 interleaved rounds, in microseconds:
+``compute_tstar_n<n>``.
 
 ``us_per_row`` times the traced benchmark replay's way of drawing, one
 ``engine.replication_rng(seed, r)`` and one ``alternatives.draw`` per row,
@@ -47,7 +50,6 @@ over the fastest.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -57,6 +59,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROWS, REPEAT, SEED = 4096, 10, 11
 STAGE_REPEAT, REPLAY_ROWS, REPLAY_REPEAT = 50, 2048, 5
+TSTAR_SIZES, TSTAR_REPEAT = (50, 1000, 2000), 15
 LARGE_N, LARGE_ROWS, LARGE_REPEAT = 10_000, 256, 5
 MOMENT_POINTS = ((0.0, 0.0), (0.3, 1.1))
 POWER_ROWS = (
@@ -135,21 +138,15 @@ def main() -> int:
     rows = baselines._CHUNK_ELEMS // block.shape[1]
     part = block[:rows]
     x_sorted = statistic._sorted_rows(part)
-    moments = statistic._standardize_sorted(x_sorted)
-    # (y, ssq), or y alone where SW and BCMR compute their own moments
-    y, ssq = moments if isinstance(moments, tuple) else (moments, None)
-    by_rows = () if ssq is None else (ssq,)
-    # (TCVM, CVM) from y alone, or one result per truncation flag
-    takes_flags = "truncated" in inspect.signature(statistic._weighted_cvm).parameters
-    flags = ([True, False],) if takes_flags else ()
+    y, ssq = statistic._standardize_sorted(x_sorted)
     stage_ms = interleaved_best_ms(
         {
             "sort_scale": lambda: statistic._sorted_rows(part),
             "moments": lambda: statistic._standardize_sorted(x_sorted),
-            "tcvm_cvm": lambda: statistic._weighted_cvm(y, *flags),
+            "tcvm_cvm": lambda: statistic._weighted_cvm(y),
             "ad": lambda: baselines._batch_ad(y),
-            "sw": lambda: baselines._batch_sw_like(x_sorted, *by_rows),
-            "bcmr": lambda: baselines._batch_bcmr(x_sorted, *by_rows),
+            "sw": lambda: baselines._batch_sw_like(x_sorted, ssq),
+            "bcmr": lambda: baselines._batch_bcmr(x_sorted, ssq),
         },
         STAGE_REPEAT,
     )
@@ -176,6 +173,15 @@ def main() -> int:
         replay[f"replay_draw_n{n}"] = 1e3 * row_ms / REPLAY_ROWS
         replay[f"replay_n{n}"] = replay[f"replay_rng_n{n}"] + replay[f"replay_draw_n{n}"]
 
+    tstar_samples = {n: np.random.default_rng(SEED + n).standard_normal(n) for n in TSTAR_SIZES}
+    call_ms = interleaved_best_ms(
+        {
+            f"compute_tstar_n{n}": (lambda x=x: statistic.compute_tstar(x))
+            for n, x in tstar_samples.items()
+        },
+        TSTAR_REPEAT,
+    )
+
     large = engine._draw_block(engine.NULL_SPEC, LARGE_N, SEED, 0, LARGE_ROWS)
     large_ms = best_ms(lambda: batch_statistics(large, kinds), LARGE_REPEAT)
     record = {
@@ -185,6 +191,7 @@ def main() -> int:
         "slice_rows": rows,
         "us_per_slice": {k: round(1e3 * v, 1) for k, v in stage_ms.items()},
         "us_per_row": {k: round(v, 2) for k, v in replay.items()},
+        "us_per_call": {k: round(1e3 * v, 1) for k, v in call_ms.items()},
         "kernels_max_over_min": round(max(unit_ms.values()) / min(unit_ms.values()), 3),
         "ns_per_value": {"kernels_all_n10000": round(1e6 * large_ms / large.size, 1)},
         "machine": platform.machine(),

@@ -5,10 +5,9 @@ The quantile and a_n come from ``scipy.special.ndtri``.  Everything
 downstream integrates combinations of 1/phi(x), Phi(x)/phi(x) and
 Phi(x)^2/phi(x).  Their antiderivatives psi, H and G, all 0 at 0
 (``recip_pdf_antiderivative`` and friends), are read from Taylor tables and
-give ``c_n``, ``d_n`` and the folded kernel of the vectorised Monte Carlo
-path.  Only the stepwise weights of the scalar statistic (``int_recip_pdf``,
-``int_cdf_over_pdf``) still come from quadrature: a private
-fixed-tolerance Gauss-Kronrod integrator, ``_integrate``.
+give every such integral: ``c_n``, ``d_n``, the folded kernel of the
+vectorised Monte Carlo path and the stepwise weights of the scalar
+statistic (``int_recip_pdf``, ``int_cdf_over_pdf``).
 
 The folded kernel reflects the positive half-line onto the negative one, so
 it evaluates psi and H at non-positive points only, and G only at -a_n;
@@ -41,7 +40,7 @@ x = -40 sqrt(2), where psi itself has long overflowed.
 
 from __future__ import annotations
 
-import heapq
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -127,139 +126,12 @@ def endpoint(n: int) -> Endpoint:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive quadrature for the stepwise weights.
-# ---------------------------------------------------------------------------
-
-# Stop once the summed error estimate is within max(abs, rel * |integral|);
-# give up after this many bisections.
-_REL_TOL = 1e-10
-_ABS_TOL = 1e-12
-_MAX_BISECTIONS = 2000
-
-# 7-15 Gauss-Kronrod pair on [-1, 1].  Positive abscissae; even indices are
-# the Kronrod-only points, odd indices the embedded 7-point Gauss nodes.
-_XGK = np.array(
-    [
-        0.991455371120813,
-        0.949107912342759,
-        0.864864423359769,
-        0.741531185599394,
-        0.586087235467691,
-        0.405845151377397,
-        0.207784955007898,
-        0.000000000000000,
-    ]
-)
-_WGK = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-    ]
-)
-_WG = np.array(
-    [
-        0.129484966168870,
-        0.279705391489277,
-        0.381830050505119,
-        0.417959183673469,
-    ]
-)
-
-_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))  # 15 ascending abscissae
-
-
-def _gk15(f, lo: float, hi: float):
-    """One Gauss-Kronrod panel; returns (value, error_estimate)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    fx = f(mid + half * _NODES)
-    if not np.all(np.isfinite(fx)):
-        raise ArithmeticError(f"integrand returned a non-finite value on [{lo!r}, {hi!r}]")
-    # fold symmetric nodes back onto the positive-abscissa table:
-    # pairs[i] = f(-xgk[i]) + f(+xgk[i]) with xgk descending as in _XGK
-    pairs = fx[:7] + fx[14:7:-1]
-    resk = half * (np.dot(pairs, _WGK[:7]) + fx[7] * _WGK[7])
-    resg = half * (np.dot(pairs[1::2], _WG[:3]) + fx[7] * _WG[3])
-    # |K15 - G7| overestimates the K15 error for smooth integrands, which
-    # just costs a few extra bisections
-    return resk, abs(resk - resg)
-
-
-def _integrate(f, lo: float, hi: float) -> float:
-    """Integrate the array function ``f`` over the finite interval [lo, hi].
-
-    Splits at 0 first when the interval straddles it, so the subdivision
-    tracks integrands like exp(x^2/2) that grow towards both ends, then
-    bisects the piece with the largest error estimate until the tolerance
-    holds.  Raises ValueError for invalid bounds and ArithmeticError for a
-    non-finite integrand value or an exhausted bisection budget.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"integration bounds must be finite, got [{lo}, {hi}]")
-    if lo > hi:
-        raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
-    if lo == hi:
-        return 0.0
-
-    heap = []  # (-error, tie-breaker, a, b, value)
-    total_val = 0.0
-    total_err = 0.0
-    for a, b in [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]:
-        val, err = _gk15(f, a, b)
-        total_val += val
-        total_err += err
-        heapq.heappush(heap, (-err, len(heap), a, b, val))
-    counter = len(heap)
-
-    splits = 0
-    while total_err > max(_ABS_TOL, _REL_TOL * abs(total_val)):
-        if splits >= _MAX_BISECTIONS:
-            raise ArithmeticError(
-                f"quadrature did not reach tolerance after {_MAX_BISECTIONS} "
-                f"bisections (estimate={total_val!r}, error~{total_err:.3e})"
-            )
-        neg_err, _, a, b, val = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            # interval at floating-point resolution; accept its estimate
-            total_err += neg_err  # remove this interval's error from the sum
-            if not heap:
-                break
-            continue
-        lval, lerr = _gk15(f, a, mid)
-        rval, rerr = _gk15(f, mid, b)
-        total_val += lval + rval - val
-        total_err += lerr + rerr + neg_err  # neg_err subtracts the old error
-        heapq.heappush(heap, (-lerr, counter, a, mid, lval))
-        heapq.heappush(heap, (-rerr, counter + 1, mid, b, rval))
-        counter += 2
-        splits += 1
-
-    return float(total_val)
-
-
-def int_recip_pdf(lo: float, hi: float) -> float:
-    """A-integral: int_lo^hi dx / phi(x), by adaptive quadrature."""
-    return _integrate(lambda x: SQRT_2PI * np.exp(0.5 * x * x), lo, hi)
-
-
-def int_cdf_over_pdf(lo: float, hi: float) -> float:
-    """B-integral: int_lo^hi Phi(x)/phi(x) dx, by adaptive quadrature."""
-    return _integrate(lambda x: _sp.ndtr(x) * SQRT_2PI * np.exp(0.5 * x * x), lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form antiderivatives for the vectorised path.
+# Closed-form antiderivatives and weights.
 # ---------------------------------------------------------------------------
 
 _U_MAX = 40.0  # the tables' range of u = |x|/sqrt(2)
 _V_FLAT = 6.0  # V is ln(2)/sqrt(pi) to double precision past here
+_RANGE_ERROR = f"argument |x|/sqrt(2) = {{:.2f}} outside the supported range [0, {_U_MAX}]"
 
 # Taylor tables: a function is a degree-5 polynomial in s = 128u - k about
 # the nearest grid point k/128, |s| <= 1/2, one row per coefficient.  The
@@ -415,12 +287,15 @@ def _folded_at(x: np.ndarray):
     x = np.atleast_1d(x)
     u = np.abs(x) / _SQRT2
     if not np.all(u <= _U_MAX):
-        raise ValueError(
-            f"argument |x|/sqrt(2) = {float(np.max(u)):.2f} outside the "
-            f"supported range [0, {_U_MAX}]"
-        )
+        raise ValueError(_RANGE_ERROR.format(float(np.max(u))))
     with np.errstate(over="ignore"):
         return (x, u) + _folded_neg_psi_h(u)
+
+
+def _unfold(x: np.ndarray, p: np.ndarray, s: np.ndarray):
+    """(psi(x), H(x)) from p = -psi(-|x|), s = -H(-|x|); H(x) = psi(x) + H(-x) at x > 0."""
+    psi = np.copysign(p, x)
+    return psi, np.where(x > 0.0, psi - s, -s)
 
 
 def recip_and_cdf_over_pdf_antiderivatives(x):
@@ -431,10 +306,46 @@ def recip_and_cdf_over_pdf_antiderivatives(x):
     u > 40 raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    x1, _, psi, h = _folded_at(x)
-    psi = np.copysign(psi, x1)
-    h = np.where(x1 > 0.0, psi - h, -h)
+    x1, _, p, s = _folded_at(x)
+    psi, h = _unfold(x1, p, s)
     return psi.reshape(x.shape), h.reshape(x.shape)
+
+
+def _interval_weights(lo: float, hi: float):
+    """(A, B) = (psi(hi) - psi(lo), H(hi) - H(lo)), the integrals of 1/phi
+    and of Phi/phi over [lo, hi], from one table lookup at both bounds.
+
+    Bounds that are not finite, reversed or past the tables raise ValueError;
+    A, and B for hi > 37.7, is +-inf or nan.  For two values numpy's checks
+    and ``errstate`` cost more than the arithmetic: the checks are on floats,
+    and errstate is entered only where exp(u^2) can overflow (u > 26)."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"need finite integration bounds lo <= hi, got [{lo}, {hi}]")
+    if lo == hi:
+        return 0.0, 0.0
+    u = (abs(lo) / _SQRT2, abs(hi) / _SQRT2)
+    if max(u) > _U_MAX:
+        raise ValueError(_RANGE_ERROR.format(max(u)))
+    with np.errstate(over="ignore") if max(u) > 26.0 else contextlib.nullcontext():
+        psi, h = _unfold(np.array((lo, hi)), *_folded_neg_psi_h(np.array(u)))
+    (psi_lo, psi_hi), (h_lo, h_hi) = psi.tolist(), h.tolist()
+    return psi_hi - psi_lo, h_hi - h_lo  # inf - inf is a quiet nan in Python
+
+
+def _finite(value: float, lo: float, hi: float) -> float:
+    if not math.isfinite(value):
+        raise ArithmeticError(f"the integral over [{lo!r}, {hi!r}] overflows")
+    return value
+
+
+def int_recip_pdf(lo: float, hi: float) -> float:
+    """A-integral: int_lo^hi dx / phi(x); ArithmeticError past |x| = 37.7."""
+    return _finite(_interval_weights(lo, hi)[0], lo, hi)
+
+
+def int_cdf_over_pdf(lo: float, hi: float) -> float:
+    """B-integral: int_lo^hi Phi(x)/phi(x) dx; ArithmeticError past hi = 37.7."""
+    return _finite(_interval_weights(lo, hi)[1], lo, hi)
 
 
 def recip_pdf_antiderivative(x):

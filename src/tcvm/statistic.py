@@ -12,13 +12,13 @@ constant one; ``_standardized_row`` is that pair for one sample.  Two
 production routes and one test oracle:
 
 * ``compute_tstar``        - the stepwise form behind ``tcvm_test`` (delete,
-                             grid, weight integrals by adaptive quadrature,
-                             C_n in closed form); returns the counts k, m.
+                             grid, weight integrals and C_n in closed form);
+                             returns the counts k, m.
 * ``_weighted_cvm``        - the folded closed-form kernel behind
                              ``batch_statistics``: TCVM and CVM per row.
 * ``compute_tstar_direct`` - the oracle: ``scipy.integrate.quad`` of the
                              defining integral, split at the data points.
-                             It shares no integrator with either route, and
+                             The package's only numerical integration; it
                              loads scipy.integrate only when first called.
 
 The same functional over the whole real line, ``compute_untruncated``, is
@@ -42,11 +42,10 @@ from .normal import (
     SQRT_2PI,
     _endpoint_terms,
     _folded_neg_psi_h,
+    _interval_weights,
     c_n,
     d_n,
     endpoint,
-    int_cdf_over_pdf,
-    int_recip_pdf,
 )
 from .table import CriticalValueTable, embedded_table
 
@@ -147,8 +146,9 @@ def compute_tstar(values: Sequence[float]) -> TcvmResult:
     """Stepwise evaluation of the truncated statistic.
 
     Deletes the k standardized observations at or below -a_n and those at
-    or above a_n, grids the m retained ones between -a_n and a_n, computes
-    the weight integrals A_j, B_j by adaptive quadrature and assembles
+    or above a_n, grids the m retained ones between -a_n and a_n, takes the
+    weight integrals A_j, B_j in closed form (``normal._interval_weights``)
+    and assembles
 
         T = (1/n) sum (j+k)^2 A_j - 2 sum (j+k) B_j + C_n.
     """
@@ -159,11 +159,10 @@ def compute_tstar(values: Sequence[float]) -> TcvmResult:
     grid = np.concatenate(([-a], y[(y > -a) & (y < a)], [a]))
     m = grid.size - 2
 
-    a_int = np.empty(m + 1)
-    b_int = np.empty(m + 1)
+    a_int, b_int = np.empty((2, m + 1))
+    bounds = grid.tolist()
     for j in range(m + 1):
-        a_int[j] = int_recip_pdf(grid[j], grid[j + 1])
-        b_int[j] = int_cdf_over_pdf(grid[j], grid[j + 1])
+        a_int[j], b_int[j] = _interval_weights(bounds[j], bounds[j + 1])
 
     weights = np.arange(m + 1, dtype=float) + k
     cn = c_n(n)

@@ -3,16 +3,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from conftest import composite_simpson
 from tcvm import normal as nk
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+EPS = np.finfo(float).eps
 
 
 def recip_pdf(x):
     return SQRT_2PI * np.exp(0.5 * np.asarray(x) ** 2)
+
+
+def cdf_over_pdf(x):
+    # Phi/phi = sqrt(pi/2) erfcx(-x/sqrt(2)): finite where Phi underflows
+    return math.sqrt(0.5 * math.pi) * special.erfcx(-x / math.sqrt(2.0))
 
 
 def _tight_quad(f, lo: float, hi: float) -> float:
@@ -136,7 +142,7 @@ def test_mills_ratio_bounds_on_grid():
 
 class TestWeightIntegrals:
     def test_zero_width(self):
-        for c in (-2.0, 0.0, 1.7):
+        for c in (-50.0, -2.0, 0.0, 1.7, 40.0):
             assert nk.int_recip_pdf(c, c) == 0.0
             assert nk.int_cdf_over_pdf(c, c) == 0.0
 
@@ -171,31 +177,45 @@ class TestWeightIntegrals:
         )
 
     def test_bound_errors(self):
-        with pytest.raises(ValueError):
-            nk.int_recip_pdf(1.0, 0.0)
-        with pytest.raises(ValueError):
-            nk.int_cdf_over_pdf(0.0, math.inf)
+        for fn in (nk.int_recip_pdf, nk.int_cdf_over_pdf):
+            for lo, hi in [(1.0, 0.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 0.0)]:
+                with pytest.raises(ValueError, match="bound"):
+                    fn(lo, hi)
 
-    # the private integrator behind both weights
+    @pytest.mark.parametrize("fn", [nk.int_recip_pdf, nk.int_cdf_over_pdf])
+    @pytest.mark.parametrize("lo,hi", [(0.0, 57.0), (-57.0, 0.0), (-57.0, 57.0)])
+    def test_bounds_past_the_tables_raise_value_error(self, fn, lo, hi):
+        with pytest.raises(ValueError, match="supported range"):
+            fn(lo, hi)
 
-    def test_integrate_polynomial_exact(self):
-        assert nk._integrate(lambda x: 3.0 * x**2, 0.0, 1.0) == pytest.approx(1.0, abs=1e-13)
+    @pytest.mark.parametrize("lo,hi", [(30.0, 38.0), (-38.0, -30.0), (-50.0, -40.0)])
+    def test_recip_pdf_overflow_raises_arithmetic_error(self, lo, hi):
+        # psi overflows past |x| = 37.7
+        with pytest.raises(ArithmeticError, match="overflows"):
+            nk.int_recip_pdf(lo, hi)
 
-    def test_integrate_exponential(self):
-        assert nk._integrate(np.exp, 0.0, 2.0) == pytest.approx(math.e**2 - 1.0, rel=1e-12)
+    @pytest.mark.parametrize("lo,hi", [(30.0, 38.0), (-50.0, 38.0)])
+    def test_cdf_over_pdf_overflow_raises_arithmetic_error(self, lo, hi):
+        with pytest.raises(ArithmeticError, match="overflows"):
+            nk.int_cdf_over_pdf(lo, hi)
 
-    def test_integrate_oscillatory(self):
-        assert nk._integrate(np.sin, 0.0, 3.0 * math.pi) == pytest.approx(2.0, rel=1e-11)
+    def test_cdf_over_pdf_is_finite_on_the_far_left(self):
+        # Phi/phi ~ 1/|x| there, although Phi underflows and 1/phi overflows
+        ref = _tight_quad(cdf_over_pdf, -50.0, -40.0)
+        assert nk.int_cdf_over_pdf(-50.0, -40.0) == pytest.approx(ref, rel=1e-13)
 
-    def test_integrate_nonfinite_integrand_rejected(self):
-        with np.errstate(over="ignore"):
-            with pytest.raises(ArithmeticError, match="non-finite"):
-                nk._integrate(lambda x: np.exp(x * x), 0.0, 40.0)
-
-    def test_integrate_budget_exhaustion_raises(self, monkeypatch):
-        monkeypatch.setattr(nk, "_MAX_BISECTIONS", 2)
-        with pytest.raises(ArithmeticError, match="after 2 bisections"):
-            nk.int_recip_pdf(0.0, 5.5)
+    @pytest.mark.parametrize("n", [10**4, 10**7])
+    def test_tiny_intervals_next_to_the_endpoints(self, n):
+        # A and B are differences of values of size up to psi(a_n), and each
+        # psi carries the rounding of u^2 = a_n^2/2 inside exp(u^2): at most
+        # eps (1 + u^2) psi(a_n) per bound
+        a = nk.endpoint(n).a_n
+        bound = 2.0 * EPS * (1.0 + 0.5 * a * a) * nk.recip_pdf_antiderivative(a)
+        for width in (8.0 * np.spacing(a), 1e-12, 1e-9, 1e-6, 1e-3):
+            for lo, hi in ((a - width, a), (-a, -a + width)):
+                assert abs(nk.int_recip_pdf(lo, hi) - _tight_quad(recip_pdf, lo, hi)) <= bound
+                b_ref = _tight_quad(cdf_over_pdf, lo, hi)
+                assert abs(nk.int_cdf_over_pdf(lo, hi) - b_ref) <= bound
 
 
 # D_n = 2 * int_0^{a_n} Phi(x) Phi(-x) / phi(x) dx by mpmath.quad at 40 digits,
@@ -284,8 +304,6 @@ class TestAntiderivatives:
     @staticmethod
     def _upper_tail_sq(x: float) -> float:
         """int_x^inf (1-Phi)^2/phi by Simpson, stable in the far tail."""
-        from scipy import special
-
         return composite_simpson(
             lambda t: nk.pdf(t) * (0.5 * SQRT_2PI * special.erfcx(t / math.sqrt(2.0))) ** 2,
             x,
@@ -325,17 +343,18 @@ class TestAntiderivatives:
         assert abs(g + nk.LN2_OVER_2) <= np.spacing(nk.LN2_OVER_2)
 
     def test_interval_weights_match_scalar_ops(self, rng):
-        # differences of the closed forms against the stepwise integrals
+        # the stepwise weights against quadrature, and against differences
+        # of the vectorised antiderivatives, whose fold they share bit for bit
         grid = np.sort(rng.uniform(-2.0, 2.0, size=12))
         psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(grid)
-        a_vec, b_vec = np.diff(psi), np.diff(h)
         for j in range(len(grid) - 1):
-            assert a_vec[j] == pytest.approx(
-                nk.int_recip_pdf(grid[j], grid[j + 1]), rel=1e-10, abs=1e-12
-            )
-            assert b_vec[j] == pytest.approx(
-                nk.int_cdf_over_pdf(grid[j], grid[j + 1]), rel=1e-10, abs=1e-12
-            )
+            lo, hi = grid[j], grid[j + 1]
+            a, b = nk.int_recip_pdf(lo, hi), nk.int_cdf_over_pdf(lo, hi)
+            assert (a, b) == (psi[j + 1] - psi[j], h[j + 1] - h[j])
+            a_ref = integrate.quad(recip_pdf, lo, hi)[0]
+            b_ref = integrate.quad(cdf_over_pdf, lo, hi)[0]
+            assert a == pytest.approx(a_ref, rel=1e-10, abs=1e-12)
+            assert b == pytest.approx(b_ref, rel=1e-10, abs=1e-12)
 
 
 # (u, R(u), V(u)) by mpmath at 40 digits: R = int_0^u erfcx and

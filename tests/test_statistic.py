@@ -103,6 +103,11 @@ class TestComputeTstar:
             direct = compute_tstar_direct(x)
             assert step == pytest.approx(direct, abs=1e-6)
 
+    def test_matches_direct_at_n_2000(self, rng):
+        # the closed-form weights read 9.3e-12 relative on this sample
+        x = rng.standard_normal(2000)
+        assert compute_tstar(x).t_star == pytest.approx(compute_tstar_direct(x), rel=2e-10)
+
     def test_matches_direct_on_bounded_support_data(self, rng):
         # no observation beyond a_n: the top and bottom grid gaps are wide
         x = nk.quantile(nk.cdf(-1.0) + rng.random(50) * (nk.cdf(1.0) - nk.cdf(-1.0)))
@@ -165,8 +170,8 @@ class TestBatch:
             x = makers[trial % len(makers)](n)
             if np.std(x) == 0.0:
                 continue
-            # the stepwise route carries ~n adaptive-quadrature tolerances,
-            # so the agreement floor is a notch above the per-integral 1e-10
+            # the stepwise sums cancel against C_n ~ n psi(a_n), so the two
+            # routes agree to a floor well above eps
             assert _batch(x[np.newaxis, :])[0] == pytest.approx(
                 compute_tstar(x).t_star, rel=1e-8, abs=1e-8
             ), (trial, n)
