@@ -20,6 +20,12 @@ as floats):
   ``compute_tstar`` (every field), the direct oracle and ``tcvm_test``
   (statistic, critical value, decision, interpolation flag) on seeded
   samples;
+* ``cli_test``: exit code, stdout and stderr of ``tcvm.cli.main(["test",
+  file])``, in CSV and in JSON, with each of the ``scalar_`` samples
+  written to a temporary file; ``cli_test_errors``: the same for four
+  refused inputs: ``--alpha 0.03`` (not a table level), a constant sample,
+  n = 3 and n = 20,000 (past the table); the temporary directory is masked
+  in stderr;
 * ``psi``, ``H``, ``G``: the antiderivatives on a grid of [-56, 56];
   ``c_n``, ``d_n``, ``a_n``: the per-n constants;
 * ``sample``, ``replication_rng``: the seeded draws.
@@ -30,10 +36,13 @@ Runs in about 4 s on one core (x86-64, numpy 2.4).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -47,6 +56,18 @@ def digest(values) -> str:
     return hashlib.sha256(",".join(v.hex() for v in flat).encode()).hexdigest()
 
 
+def run_cli(main, argv, tmp: str) -> list:
+    """[exit code, stdout, stderr] of ``main(argv)``, with ``tmp`` masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv, out=out)
+    return [code, out.getvalue(), err.getvalue().replace(tmp, "<tmp>")]
+
+
+def digest_runs(runs) -> str:
+    return hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
@@ -55,7 +76,7 @@ def main() -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
     import tcvm
-    from tcvm import BaselineKind, normal
+    from tcvm import BaselineKind, cli, normal
 
     t0 = time.perf_counter()
     out = {}
@@ -118,6 +139,30 @@ def main() -> int:
             [outcome.statistic, outcome.critical_value, outcome.reject, outcome.interpolated]
         )
     out["scalar_tcvm_test"] = digest(decisions)
+
+    cli_rng = np.random.default_rng(23)
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def write(name, values):
+            path = os.path.join(tmp, name)
+            with open(path, "w") as fh:
+                fh.write("".join(f"{float(v)!r}\n" for v in values))
+            return path
+
+        files = [write(f"sample{i}.txt", x) for i, x in enumerate(samples)]
+        out["cli_test"] = digest_runs(
+            [run_cli(cli.main, ["test", f, "--format", fmt], tmp)
+             for f in files for fmt in ("csv", "json")]
+        )
+        refused = [
+            [files[3], "--alpha", "0.03"],
+            [write("constant.txt", np.full(10, 2.0))],
+            [write("n3.txt", cli_rng.standard_normal(3))],
+            [write("n20000.txt", cli_rng.standard_normal(20_000))],
+        ]
+        out["cli_test_errors"] = digest_runs(
+            [run_cli(cli.main, ["test"] + argv, tmp) for argv in refused]
+        )
 
     grid = np.concatenate([np.linspace(-56.0, 56.0, 40_001), [-0.0, 1e-300, -37.7, 37.7]])
     out["psi"] = digest(normal.recip_pdf_antiderivative(grid))

@@ -47,8 +47,6 @@ from .normal import (
     cdf,
     d_n,
     endpoint,
-    int_cdf_over_pdf,
-    int_recip_pdf,
     pdf,
     quantile,
 )
@@ -117,8 +115,6 @@ __all__ = [
     "estimate_null_critical_values",
     "estimate_power",
     "fourth_moment_exact",
-    "int_cdf_over_pdf",
-    "int_recip_pdf",
     "parse_spec",
     "pdf",
     "quantile",

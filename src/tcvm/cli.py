@@ -35,8 +35,11 @@ from .engine import (
     simulate_table,
     verify_fourth_moments,
 )
-from .statistic import compute_tstar, decide
-from .table import ALPHA_LEVELS, MIN_TCVM_N, CriticalValueTable, TableCoverageError, embedded_table
+from .statistic import tcvm_test
+from .table import (
+    ALPHA_LEVELS, MIN_TCVM_N, CriticalValueTable, TableCoverageError, UnsupportedAlphaError,
+    embedded_table,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,7 +89,7 @@ def read_sample_file(path: str) -> np.ndarray:
         # utf-8-sig drops a byte-order mark, which float() would refuse
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     values: List[float] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -160,9 +163,9 @@ def _parse_kinds(text: Optional[str]) -> List[BaselineKind]:
         raise DataError(str(exc)) from None
 
 
-def _load_table(path: Optional[str]) -> CriticalValueTable:
+def _load_table(path: Optional[str]) -> Optional[CriticalValueTable]:
     if path is None:
-        return embedded_table()
+        return None
     try:
         # utf-8-sig drops a byte-order mark, as read_sample_file does
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -175,15 +178,15 @@ def cmd_test(args: argparse.Namespace, out) -> int:
     data = read_sample_file(args.data)
     table = _load_table(args.table)
     try:
-        result = compute_tstar(data)
+        outcome, result = tcvm_test(data, args.alpha, table)
+    except UnsupportedAlphaError:
+        raise  # a usage error, although it is a ValueError
     except ValueError as exc:  # DegenerateSampleError included
         raise DataError(f"{args.data}: {exc}") from exc
-    try:
-        outcome = decide(result.t_star, result.n, args.alpha, table)
     except TableCoverageError as exc:
         message = str(exc)
-        if result.n >= MIN_TCVM_N:  # below it critvals refuses too; the message says why
-            message += f" (simulate one with: tcvm critvals --n {result.n})"
+        if data.size >= MIN_TCVM_N:  # below it critvals refuses too; the message says why
+            message += f" (simulate one with: tcvm critvals --n {data.size})"
         raise DataError(message) from exc
     record = {
         "n": result.n,

@@ -11,9 +11,10 @@ the one place that sorts and scales a validated sample and refuses a
 constant one; ``_standardized_row`` is that pair for one sample.  Two
 production routes and one test oracle:
 
-* ``compute_tstar``        - the stepwise form behind ``tcvm_test`` (delete,
-                             grid, weight integrals and C_n in closed form);
-                             returns the counts k, m.
+* ``compute_tstar``        - the stepwise form behind ``tcvm_test`` and
+                             ``tcvm test``: delete, grid, one unchecked
+                             ``normal._interval_weights`` lookup per interval
+                             and C_n in closed form; returns the counts k, m.
 * ``_weighted_cvm``        - the folded closed-form kernel behind
                              ``batch_statistics``: TCVM and CVM per row.
 * ``compute_tstar_direct`` - the oracle: ``scipy.integrate.quad`` of the

@@ -57,7 +57,10 @@ class CriticalValueRow:
     c_n: float
 
     def __post_init__(self) -> None:
+        _check_tcvm_n(self.n)
         vals = [self.critical_values[a] for a in sorted(self.critical_values, reverse=True)]
+        if not all(math.isfinite(v) for v in vals + [self.a_n, self.c_n]):
+            raise ValueError(f"the row for n={self.n} holds a non-finite value")
         if any(lo >= hi for lo, hi in zip(vals, vals[1:])):
             raise ValueError(
                 f"critical values for n={self.n} must increase as alpha decreases"
@@ -131,12 +134,16 @@ class CriticalValueTable:
         if header[0].lower() != "n" or len(header) < 4:
             raise ValueError("critical-value table must start with a header row")
         alphas = tuple(float(a) for a in header[1:-2])
+        if len(set(alphas)) < len(alphas) or not all(0.0 < a < 1.0 for a in alphas):
+            raise ValueError(f"levels must be distinct and inside (0, 1), got {alphas}")
         rows: Dict[int, CriticalValueRow] = {}
         for ln in lines[1:]:
             cells = ln.split(",")
             if len(cells) != len(alphas) + 3:
                 raise ValueError(f"malformed table row: {ln!r}")
             n = int(cells[0])
+            if n in rows:
+                raise ValueError(f"n={n} appears in more than one row")
             crits = {a: float(v) for a, v in zip(alphas, cells[1:-2])}
             rows[n] = CriticalValueRow(
                 n=n, critical_values=crits, a_n=float(cells[-2]), c_n=float(cells[-1])

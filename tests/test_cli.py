@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import MEANINGLESS_TABLES
 from tcvm import normal as nk
 from tcvm.cli import main, read_sample_file
-from tcvm.table import embedded_table
+from tcvm.table import ALPHA_LEVELS, embedded_table
 
 
 def _refuse_non_json(name):
@@ -171,6 +172,25 @@ class TestTest:
         code, text = run_cli(["test", str(path), "--format", "json"])
         assert code == 0
         assert json.loads(text)["n"] == len(values)
+
+    def test_non_utf8_data_exit_3_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1.0\n\xff2.0\n3.0\n4.0\n")
+        assert run_cli(["test", str(path)])[0] == 3
+        assert str(path) in capsys.readouterr().err
+
+    def test_alpha_not_a_level_exit_2_lists_the_levels(self, normal_file, capsys):
+        assert run_cli(["test", normal_file, "--alpha", "0.03"])[0] == 2
+        assert str(ALPHA_LEVELS) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", MEANINGLESS_TABLES.values(), ids=MEANINGLESS_TABLES.keys())
+    def test_meaningless_table_exit_3_names_the_file(self, tmp_path, rng, capsys, text):
+        data = tmp_path / "n30.txt"
+        np.savetxt(data, rng.standard_normal(30))
+        custom = tmp_path / "table.csv"
+        custom.write_text(text)
+        assert run_cli(["test", str(data), "--table", str(custom)])[0] == 3
+        assert str(custom) in capsys.readouterr().err
 
     def test_interpolated_flag_between_rows(self, tmp_path, rng):
         path = tmp_path / "n210.txt"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import MEANINGLESS_TABLES
 from tcvm import normal as nk
 from tcvm.table import (
     ALPHA_LEVELS,
@@ -110,3 +111,9 @@ def test_row_monotonicity_enforced():
         CriticalValueRow(
             n=10, critical_values={0.05: 1.0, 0.01: 0.9}, a_n=1.28, c_n=28.0
         )
+
+
+@pytest.mark.parametrize("text", MEANINGLESS_TABLES.values(), ids=MEANINGLESS_TABLES.keys())
+def test_meaningless_tables_refused(text):
+    with pytest.raises(ValueError):
+        CriticalValueTable.from_csv(text)
