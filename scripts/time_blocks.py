@@ -37,7 +37,12 @@ and 2,000, best of 15 interleaved rounds, in microseconds:
 ``us_per_row`` times the traced benchmark replay's way of drawing, one
 ``engine.replication_rng(seed, r)`` and one ``alternatives.draw`` per row,
 on 2048 null rows at n = 20 and n = 50 (best of 5): ``replay_rng_n<n>``,
-``replay_draw_n<n>`` and their sum ``replay_n<n>``.
+``replay_draw_n<n>`` and their sum ``replay_n<n>``.  ``reset_n20`` times
+the per-row stream reset alone as ``engine._draw_block`` uses it on a
+4096-row block: ``engine._row_reset`` (its image table, and its layout
+check where that has not yet run) and one reset per row, best of 5; in a
+checkout without ``_row_reset``, ``engine._stream_reset`` (with its
+per-block check) and one reset per row instead.
 
 ``ns_per_value`` holds ``kernels_all_n10000``: ``batch_statistics`` with
 all five kinds on a 256-row null block at n = 10^4 (best of 5).
@@ -172,6 +177,20 @@ def main() -> int:
         replay[f"replay_rng_n{n}"] = 1e3 * rng_ms / REPLAY_ROWS
         replay[f"replay_draw_n{n}"] = 1e3 * row_ms / REPLAY_ROWS
         replay[f"replay_n{n}"] = replay[f"replay_rng_n{n}"] + replay[f"replay_draw_n{n}"]
+
+    def reset_rows():
+        rng = engine.replication_rng(SEED, 0)
+        if hasattr(engine, "_row_reset"):
+            reset = engine._row_reset(rng, 0, ROWS)
+            for _ in range(ROWS):
+                reset()
+        else:  # keyed by the replication, which is the row from start 0
+            reset = engine._stream_reset(rng)
+            for i in range(ROWS):
+                reset(i)
+
+    reset_rows()  # runs the layout check where it is cached
+    replay["reset_n20"] = 1e3 * best_ms(reset_rows, REPLAY_REPEAT) / ROWS
 
     tstar_samples = {n: np.random.default_rng(SEED + n).standard_normal(n) for n in TSTAR_SIZES}
     call_ms = interleaved_best_ms(

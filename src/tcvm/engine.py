@@ -1,19 +1,21 @@
 """Seeded Monte Carlo: critical values, power, size, and moment checks.
 
 Reproducibility contract: replication ``r`` of a run with master seed ``s``
-draws from a counter-based Philox stream keyed by ``(s, r)``.  Work is
-partitioned into blocks of ``_BLOCK`` replication indices.  Each block
-returns per-replication arrays, computed from each row alone, and they are
-joined in replication order whatever the worker count, so no worker writes
-shared arrays and every count, sort, sum or mean runs once over all
-replications.  ``batch_statistics`` computes each row's statistics in the
-same bits however the rows are sliced, so no result depends on the worker
-count, the block size or the kernel slice.
+draws from a counter-based Philox stream keyed by ``(s, r)``, whose fresh
+state is a fixed image that differs between streams in one key word; a
+block of ``_BLOCK`` replications resets one Philox to each row's stream by
+copying that image in.  Each block returns per-replication arrays, computed
+from each row alone, and they are joined in replication order whatever the
+worker count, so no worker writes shared arrays and every count, sort, sum
+or mean runs once over all replications.  ``batch_statistics`` computes
+each row's statistics in the same bits however the rows are sliced, so no
+result depends on the worker count, the block size or the kernel slice.
 """
 
 from __future__ import annotations
 
 import ctypes
+import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -50,12 +52,15 @@ _BLOCK = 4096  # replications per work block
 
 
 _MASK64 = 2**64 - 1
-# Keys the in-place reset is checked on, one of them at or above 2^63.
+# Keys the image copy is checked on, one of them at or above 2^63.
 _CHECK_KEYS = (7, 0xD1B54A32D192ED03)
 # numpy's philox_state starts with pointers to the counter and the key,
 # then holds buffer_pos, a 4-word buffer, has_uint32 and uinteger.  On
 # numpy 2.4 the key and then the counter follow it inside the Philox object.
 _STATE_BYTES = 64
+_IMAGE_BYTES = 96  # a state image: buffer_pos to the counter's end, key word 1 at word 7
+# (state, key, counter) offsets from id(bit_gen) that passed; racing threads repeat the check
+_CHECKED_LAYOUTS: set = set()
 
 
 def _uint64_view(owner: object, address: int, words: int) -> np.ndarray:
@@ -81,61 +86,56 @@ def _after_reset(rng: np.random.Generator, reset: Callable[[int], None], key: in
     return state, b"".join(d.tobytes() for d in draws)
 
 
-def _in_place_reset(
-    rng: np.random.Generator, set_state: Callable[[int], None]
-) -> Callable[[int], None] | None:
-    """``set_state`` as three writes into numpy's Philox state, or None.
+def _row_reset(rng: np.random.Generator, start: int, count: int) -> Callable[[], None]:
+    """A function whose i-th call makes ``rng`` the fresh stream keyed (key word 0, start + i).
 
-    The counter and key addresses are read from the state struct, and every
-    address is checked to lie inside the bit generator object, so no write
-    can land outside it.  The rest of the struct (buffer_pos, buffer,
-    has_uint32, uinteger) is copied back from a snapshot of the state
-    ``set_state`` leaves.  None unless, for each key of ``_CHECK_KEYS``, a
-    used generator reset both ways reads the same ``state`` dict and draws
-    the same values after.
-    """
-    bit_gen = rng.bit_generator
-    try:
-        base = id(bit_gen)  # CPython: the object's address
-        end = base + type(bit_gen).__basicsize__
-        addr = bit_gen.ctypes.state_address
-        if not base <= addr <= end - _STATE_BYTES:
-            return None
-        ctr_at, key_at = (int(w) for w in _uint64_view(bit_gen, addr, 2))
-        if not (base <= ctr_at <= end - 32 and base <= key_at <= end - 16):
-            return None
-        ctr, key = _uint64_view(bit_gen, ctr_at, 4), _uint64_view(bit_gen, key_at, 2)
-        fields = _uint64_view(bit_gen, addr + 16, (_STATE_BYTES - 16) // 8)
-        set_state(_CHECK_KEYS[0])
-        fresh = fields.copy()
-    except (AttributeError, TypeError, ValueError):
-        return None
-
-    def reset(k: int) -> None:
-        key[1] = k
-        ctr.fill(0)
-        fields[:] = fresh
-
-    for k in _CHECK_KEYS:
-        if _after_reset(rng, reset, k) != _after_reset(rng, set_state, k):
-            return None
-    return reset
-
-
-def _stream_reset(rng: np.random.Generator) -> Callable[[int], None]:
-    """A function that makes ``rng`` the fresh stream keyed (key word 0, k).
-
-    The in-place writer where it passes its check, else the state setter.
+    Each call copies the next 96-byte row of a table of fresh state images,
+    made from the state the setter leaves, where this generator's key and
+    counter follow its struct inside the object at offsets from
+    ``id(bit_gen)`` that passed the check once in this process: for each key
+    of ``_CHECK_KEYS``, a used generator reset both ways reads the same
+    ``state`` dict and draws the same values after.  Else the state setter.
     """
     bit_gen = rng.bit_generator
     fresh = bit_gen.state  # holds copies; the setter copies them back in
     fresh_key = fresh["state"]["key"]
+    keys = iter(range(start, start + count))
 
     def set_state(k: int) -> None:
         fresh_key[1] = k
         bit_gen.state = fresh
 
-    return _in_place_reset(rng, set_state) or set_state
+    def set_next() -> None:
+        set_state(next(keys) & _MASK64)
+
+    try:
+        base = id(bit_gen)  # CPython: the object's address
+        addr = bit_gen.ctypes.state_address
+        if not base <= addr <= base + type(bit_gen).__basicsize__ - 16 - _IMAGE_BYTES:
+            return set_next
+        ctr_at, key_at = (int(w) for w in _uint64_view(bit_gen, addr, 2))
+        if (key_at, ctr_at) != (addr + _STATE_BYTES, addr + _STATE_BYTES + 16):
+            return set_next
+        words = _uint64_view(bit_gen, addr + 16, _IMAGE_BYTES // 8)
+    except (AttributeError, TypeError, ValueError):
+        return set_next
+    layout = (addr - base, key_at - base, ctr_at - base)
+    set_state(start & _MASK64)
+    image = words.copy()
+
+    def write(k: int) -> None:
+        image[7] = k
+        words[:] = image
+
+    if layout not in _CHECKED_LAYOUTS:
+        if any(_after_reset(rng, write, k) != _after_reset(rng, set_state, k) for k in _CHECK_KEYS):
+            return set_next
+        _CHECKED_LAYOUTS.add(layout)
+    table = np.tile(image, (count, 1))
+    table[:, 7] = np.arange(count, dtype=np.uint64) + np.uint64(start)  # wraps mod 2^64
+    # readinto fills the 96 bytes of words and steps on to the next image;
+    # past the last one it copies nothing, so a block resets exactly count rows
+    return partial(io.BytesIO(table.tobytes()).readinto, memoryview(words))
 
 
 def _draw_block(
@@ -147,18 +147,17 @@ def _draw_block(
     bit.  One Philox serves the whole block: before each row its key word 1
     becomes (start + i) mod 2^64 and its counter, buffer and cached 32-bit
     half return to their freshly built values, which is cheaper than a new
-    generator.  The reset writes those words straight into numpy's
-    ``philox_state`` through views on ``bit_gen.ctypes.state_address``;
-    the writer is used only after a self-check against the ``state``
-    setter, which serves instead wherever the check fails or the layout
-    cannot be read.  Each row only fills the family's raw draws; the
-    elementwise transform runs once per chunk of at most ``_CHUNK_ELEMS``
-    values, without overflow warnings: ``batch_statistics`` refuses rows
-    that reach inf or nan.
+    generator.  ``_row_reset`` builds the block's fresh state images once
+    and copies the next 96 bytes straight into numpy's Philox object, where
+    the layout is contiguous and passed its once-per-process check against
+    the ``state`` setter, which serves instead wherever it is not.  Each row
+    only fills the family's raw draws; the elementwise transform runs once
+    per chunk of at most ``_CHUNK_ELEMS`` values, without overflow warnings:
+    ``batch_statistics`` refuses rows that reach inf or nan.
     """
     sam = _sampler(spec)
     rng = replication_rng(seed, start)
-    reset = _stream_reset(rng)
+    reset = _row_reset(rng, start, count)
     fillers = sam.row_fillers(rng)
     rows = max(1, min(count, _CHUNK_ELEMS // n))
     raw = [np.empty((rows, n)) for _ in fillers]
@@ -168,7 +167,7 @@ def _draw_block(
     for first in range(0, count, rows):
         m = min(rows, count - first)
         for i in range(m):
-            reset((start + first + i) & _MASK64)
+            reset()
             for fill, row in jobs[i]:
                 fill(out=row)
         with np.errstate(over="ignore", invalid="ignore"):

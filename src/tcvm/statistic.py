@@ -153,7 +153,11 @@ def compute_tstar(values: Sequence[float]) -> TcvmResult:
 
         T = (1/n) sum (j+k)^2 A_j - 2 sum (j+k) B_j + C_n.
     """
-    y = _standardized_row(values)[0]
+    return _stepwise_tstar(_standardized_row(values)[0])
+
+
+def _stepwise_tstar(y: np.ndarray) -> TcvmResult:
+    """``compute_tstar`` of a standardized, ascending sample."""
     n = y.size
     a = endpoint(n).a_n
     k = int(np.count_nonzero(y <= -a))
@@ -290,15 +294,15 @@ def decide(
 
     Rejection requires a strictly greater statistic; equality accepts.
     """
+    return _decider(n, alpha, table)(statistic)
+
+
+def _decider(n: int, alpha: float, table: Optional[CriticalValueTable]):
+    """``decide`` at (n, alpha) as a function of the statistic; reads the table now."""
     tab = table if table is not None else embedded_table()
     crit, interpolated = tab.critical_value(n, alpha)
-    return TestOutcome(
-        statistic=float(statistic),
-        critical_value=crit,
-        reject=bool(statistic > crit),
-        alpha=float(alpha),
-        n=n,
-        interpolated=interpolated,
+    return lambda statistic: TestOutcome(
+        float(statistic), crit, bool(statistic > crit), float(alpha), n, interpolated
     )
 
 
@@ -311,6 +315,7 @@ def tcvm_test(
 
     Returns the decision plus the full statistic breakdown.
     """
-    result = compute_tstar(values)
-    outcome = decide(result.t_star, result.n, alpha, table)
-    return outcome, result
+    y = _standardized_row(values)[0]
+    decision = _decider(y.size, alpha, table)  # refuses before the per-interval loop
+    result = _stepwise_tstar(y)
+    return decision(result.t_star), result

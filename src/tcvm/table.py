@@ -33,6 +33,11 @@ def _check_tcvm_n(n: int, error: type = ValueError) -> None:
         )
 
 
+def _check_levels(alphas: Tuple[float, ...]) -> None:
+    if len(set(alphas)) < len(alphas) or not all(0.0 < a < 1.0 for a in alphas):
+        raise ValueError(f"levels must be distinct and inside (0, 1), got {alphas}")
+
+
 class TableCoverageError(LookupError):
     """Requested sample size is outside the table's range."""
 
@@ -85,6 +90,12 @@ class CriticalValueTable:
     provenance: str = "embedded"
     alphas: Tuple[float, ...] = ALPHA_LEVELS
 
+    def __post_init__(self) -> None:
+        _check_levels(self.alphas)
+        for row in self.rows.values():
+            if not set(self.alphas) <= set(row.critical_values):
+                raise ValueError(f"the row for n={row.n} lacks a level of {self.alphas}")
+
     @property
     def sizes(self) -> Tuple[int, ...]:
         return tuple(sorted(self.rows))
@@ -134,8 +145,7 @@ class CriticalValueTable:
         if header[0].lower() != "n" or len(header) < 4:
             raise ValueError("critical-value table must start with a header row")
         alphas = tuple(float(a) for a in header[1:-2])
-        if len(set(alphas)) < len(alphas) or not all(0.0 < a < 1.0 for a in alphas):
-            raise ValueError(f"levels must be distinct and inside (0, 1), got {alphas}")
+        _check_levels(alphas)  # before any row is read
         rows: Dict[int, CriticalValueRow] = {}
         for ln in lines[1:]:
             cells = ln.split(",")

@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -86,12 +87,33 @@ def _mixed_draws(gen):
 
 
 def _refuse_check(monkeypatch):
-    # no two results of the self-check compare equal, so the setter serves
+    # no two results of the self-check compare equal, so the setter serves;
+    # an empty cache makes the check run, however earlier tests left it
     monkeypatch.setattr(engine, "_after_reset", lambda *args: object())
+    monkeypatch.setattr(engine, "_CHECKED_LAYOUTS", set())
+
+
+def _count_checks(monkeypatch):
+    """Empties the layout cache and counts the self-check's calls."""
+    calls = []
+    check = engine._after_reset
+
+    def counted(*args):
+        calls.append(args[2])
+        return check(*args)
+
+    monkeypatch.setattr(engine, "_after_reset", counted)
+    monkeypatch.setattr(engine, "_CHECKED_LAYOUTS", set())
+    return calls
+
+
+def _path(reset):
+    # the copy is a partial of the image stream's readinto; the setter a closure
+    return "copy" if isinstance(reset, partial) else reset.__qualname__.rpartition(".")[2]
 
 
 class TestInPlaceReset:
-    """``_draw_block`` resets one Philox per row by writing its state."""
+    """``_draw_block`` resets one Philox per row by copying a fresh state image."""
 
     def test_family_specs_cover_every_family(self):
         assert {parse_spec(t).family for t in FAMILY_SPECS} == {
@@ -117,50 +139,101 @@ class TestInPlaceReset:
 
     def test_check_picks_the_writer(self):
         rng = replication_rng(3, 0)
-        reset = engine._stream_reset(rng)
-        assert reset.__qualname__.startswith("_in_place_reset")
+        reset = engine._row_reset(rng, 9, 16)
+        assert _path(reset) == "copy"
         bit_gen = rng.bit_generator
         del rng
         gc.collect()
-        # the writer's views hold the bit generator, so it outlives the Generator
+        # the copy's view holds the bit generator, so it outlives the Generator
         assert sys.getrefcount(bit_gen) > 2
-        reset(9)
+        reset()
         assert bit_gen.state["state"]["key"].tolist() == [3, 9]
 
     def test_failed_check_picks_the_setter(self, monkeypatch):
         _refuse_check(monkeypatch)
-        reset = engine._stream_reset(replication_rng(3, 0))
-        assert reset.__qualname__.startswith("_stream_reset")
+        reset = engine._row_reset(replication_rng(3, 0), 0, 4)
+        assert _path(reset) == "set_next"
 
     def test_check_catches_a_writer_that_misses_the_32_bit_half(self, monkeypatch):
-        # 56 bytes leave has_uint32 and uinteger out of the written fields
-        monkeypatch.setattr(engine, "_STATE_BYTES", 56)
-        reset = engine._stream_reset(replication_rng(3, 0))
-        assert reset.__qualname__.startswith("_stream_reset")
+        # an image copied into a detached array leaves the counter, the
+        # buffer and has_uint32/uinteger of the used state in place
+        calls = _count_checks(monkeypatch)
+        view = engine._uint64_view
+        monkeypatch.setattr(
+            engine, "_uint64_view",
+            lambda owner, address, words: view(owner, address, words).copy(),
+        )
+        reset = engine._row_reset(replication_rng(3, 0), 0, 4)
+        assert _path(reset) == "set_next"
+        assert calls and not engine._CHECKED_LAYOUTS
 
     def test_unreadable_layout_picks_the_setter(self, monkeypatch):
-        # a struct larger than the object fails the address check: no write
-        monkeypatch.setattr(engine, "_STATE_BYTES", 1 << 20)
-        reset = engine._stream_reset(replication_rng(3, 0))
-        assert reset.__qualname__.startswith("_stream_reset")
+        # an image larger than the object fails the address check: no write
+        calls = _count_checks(monkeypatch)
+        monkeypatch.setattr(engine, "_IMAGE_BYTES", 1 << 20)
+        reset = engine._row_reset(replication_rng(3, 0), 0, 4)
+        assert _path(reset) == "set_next"
+        assert not calls
+
+    def test_non_contiguous_layout_picks_the_setter(self, monkeypatch):
+        # a checked layout is used only while the key and counter follow the
+        # struct: a 72-byte struct would leave a gap before the key
+        spec, seed, start = parse_spec("Normal(1,2)"), 2**63 + 9, 2**64 - 3
+        assert _path(engine._row_reset(replication_rng(seed, start), start, 7)) == "copy"
+        monkeypatch.setattr(engine, "_STATE_BYTES", 72)
+        assert _path(engine._row_reset(replication_rng(seed, start), start, 7)) == "set_next"
+        np.testing.assert_array_equal(
+            _draw_block(spec, 20, seed, start, 7), _per_row(spec, 20, seed, start, 7)
+        )
+
+    def test_check_runs_once_per_layout(self, monkeypatch):
+        calls = _count_checks(monkeypatch)
+        first = engine._row_reset(replication_rng(3, 0), 0, 4)
+        # per key, the image copy and then the setter
+        assert calls == [k for k in engine._CHECK_KEYS for _ in range(2)]
+        # a second generator of the same type has the same offsets from its address
+        second = engine._row_reset(replication_rng(5, 2**63), 2**63, 4)
+        assert _path(first) == _path(second) == "copy"
+        assert len(calls) == 2 * len(engine._CHECK_KEYS)
+        assert len(engine._CHECKED_LAYOUTS) == 1
+
+    def test_refused_check_is_not_cached(self, monkeypatch):
+        _refuse_check(monkeypatch)
+        calls = _count_checks(monkeypatch)  # counts the refusing check
+        for _ in range(2):
+            assert _path(engine._row_reset(replication_rng(3, 0), 0, 4)) == "set_next"
+            assert not engine._CHECKED_LAYOUTS
+        assert len(calls) == 4  # both ways at the first key, both times
 
     @pytest.mark.parametrize("refused", [False, True])
     def test_reset_streams_match_fresh_ones_on_every_path(self, monkeypatch, refused):
         if refused:
             _refuse_check(monkeypatch)
-        seed = 2**63 + 1
+        seed, start = 2**63 + 1, 2**63 - 2
         rng = replication_rng(seed, 0)
-        reset = engine._stream_reset(rng)
-        for k in (1, 2**63, 2**64 - 1):
+        reset = engine._row_reset(rng, start, 4)
+        for i in range(4):
             # odd counts of 32-bit draws leave has_uint32 and uinteger set
             rng.random(3)
             rng.integers(0, 2**32, 5, dtype=np.uint32)
-            reset(k)
-            fresh = replication_rng(seed, k)
+            reset()
+            fresh = replication_rng(seed, start + i)
             assert rng.bit_generator.state["has_uint32"] == 0
             assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
             for a, b in zip(_mixed_draws(rng), _mixed_draws(fresh)):
                 np.testing.assert_array_equal(a, b)
+
+    def test_image_keys_wrap_past_2_64(self):
+        seed, start = 2**64 - 1, 2**64 - 2
+        rng = replication_rng(seed, 0)
+        reset = engine._row_reset(rng, start, 5)
+        assert _path(reset) == "copy"
+        for key in [2**64 - 2, 2**64 - 1, 0, 1, 2]:
+            reset()
+            assert rng.bit_generator.state["state"]["key"].tolist() == [seed, key]
+            np.testing.assert_array_equal(
+                rng.standard_normal(7), replication_rng(seed, key).standard_normal(7)
+            )
 
 
 class TestQuantileIndex:

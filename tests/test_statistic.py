@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 from tcvm import normal as nk
+from tcvm import statistic
 from tcvm.baselines import BaselineKind, batch_statistics
 from tcvm.statistic import (
     DegenerateSampleError,
@@ -294,6 +295,31 @@ class TestDecision:
         with pytest.raises(TableCoverageError, match="TCVM needs n >= 4") as info:
             tcvm_test([1.0, 2.5, 0.3])
         assert "simulate" not in str(info.value)
+
+    def test_uncovered_n_is_refused_before_the_per_interval_loop(self, monkeypatch, rng):
+        def unreachable(lo, hi):
+            raise AssertionError("the per-interval loop ran")
+
+        monkeypatch.setattr(statistic, "_interval_weights", unreachable)
+        x = rng.standard_normal(20_000)
+        with pytest.raises(TableCoverageError, match="n=20000 outside"):
+            tcvm_test(x)
+        with pytest.raises(UnsupportedAlphaError):
+            tcvm_test(x[:50], alpha=0.03)
+
+    @pytest.mark.parametrize(
+        "sample,error",
+        [
+            (np.r_[np.arange(19_999.0), np.nan], "non-finite"),
+            (np.ones(20_000), "constant"),
+            ([1.0, 2.0], "at least 3"),
+        ],
+        ids=["nonfinite", "constant", "two_values"],
+    )
+    def test_sample_errors_come_before_table_errors(self, sample, error):
+        # the table cannot cover n = 20,000 or n = 2, nor alpha = 0.03
+        with pytest.raises(ValueError, match=error):
+            tcvm_test(sample, alpha=0.03)
 
     def test_end_to_end_normal_accepts(self, rng):
         x = rng.standard_normal(50)

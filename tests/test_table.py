@@ -117,3 +117,25 @@ def test_row_monotonicity_enforced():
 def test_meaningless_tables_refused(text):
     with pytest.raises(ValueError):
         CriticalValueTable.from_csv(text)
+
+
+def _row(n, crits):
+    return CriticalValueRow(n=n, critical_values=crits, a_n=1.28, c_n=28.0)
+
+
+@pytest.mark.parametrize(
+    "alphas", [(1.5,), (0.0,), (0.05, 0.05), (float("nan"),)], ids=["past_one", "zero", "repeated", "nan"]
+)
+def test_direct_tables_check_their_levels(alphas):
+    rows = {10: _row(10, {a: 1.0 for a in alphas})}
+    with pytest.raises(ValueError, match="levels must be distinct and inside"):
+        CriticalValueTable(rows=rows, alphas=alphas)
+
+
+def test_direct_tables_need_every_level_in_every_row():
+    rows = {10: _row(10, {0.1: 1.0, 0.05: 1.2}), 20: _row(20, {0.05: 1.3})}
+    with pytest.raises(ValueError, match="n=20 lacks a level"):
+        CriticalValueTable(rows=rows, alphas=(0.1, 0.05))
+    # a row may hold more levels than the table
+    table = CriticalValueTable(rows=rows, alphas=(0.05,))
+    assert table.critical_value(15, 0.05)[1]
