@@ -294,15 +294,15 @@ def decide(
 
     Rejection requires a strictly greater statistic; equality accepts.
     """
-    return _decider(n, alpha, table)(statistic)
-
-
-def _decider(n: int, alpha: float, table: Optional[CriticalValueTable]):
-    """``decide`` at (n, alpha) as a function of the statistic; reads the table now."""
     tab = table if table is not None else embedded_table()
     crit, interpolated = tab.critical_value(n, alpha)
-    return lambda statistic: TestOutcome(
-        float(statistic), crit, bool(statistic > crit), float(alpha), n, interpolated
+    return TestOutcome(
+        statistic=float(statistic),
+        critical_value=crit,
+        reject=bool(statistic > crit),
+        alpha=float(alpha),
+        n=n,
+        interpolated=interpolated,
     )
 
 
@@ -316,6 +316,7 @@ def tcvm_test(
     Returns the decision plus the full statistic breakdown.
     """
     y = _standardized_row(values)[0]
-    decision = _decider(y.size, alpha, table)  # refuses before the per-interval loop
+    tab = table if table is not None else embedded_table()
+    tab.critical_value(y.size, alpha)  # refuses an uncovered n before the per-interval loop
     result = _stepwise_tstar(y)
-    return decision(result.t_star), result
+    return decide(result.t_star, result.n, alpha, tab), result

@@ -33,11 +33,6 @@ def _check_tcvm_n(n: int, error: type = ValueError) -> None:
         )
 
 
-def _check_levels(alphas: Tuple[float, ...]) -> None:
-    if len(set(alphas)) < len(alphas) or not all(0.0 < a < 1.0 for a in alphas):
-        raise ValueError(f"levels must be distinct and inside (0, 1), got {alphas}")
-
-
 class TableCoverageError(LookupError):
     """Requested sample size is outside the table's range."""
 
@@ -91,10 +86,12 @@ class CriticalValueTable:
     alphas: Tuple[float, ...] = ALPHA_LEVELS
 
     def __post_init__(self) -> None:
-        _check_levels(self.alphas)
+        alphas = self.alphas
+        if len(set(alphas)) < len(alphas) or not all(0.0 < a < 1.0 for a in alphas):
+            raise ValueError(f"levels must be distinct and inside (0, 1), got {alphas}")
         for row in self.rows.values():
-            if not set(self.alphas) <= set(row.critical_values):
-                raise ValueError(f"the row for n={row.n} lacks a level of {self.alphas}")
+            if not set(alphas) <= set(row.critical_values):
+                raise ValueError(f"the row for n={row.n} lacks a level of {alphas}")
 
     @property
     def sizes(self) -> Tuple[int, ...]:
@@ -145,7 +142,6 @@ class CriticalValueTable:
         if header[0].lower() != "n" or len(header) < 4:
             raise ValueError("critical-value table must start with a header row")
         alphas = tuple(float(a) for a in header[1:-2])
-        _check_levels(alphas)  # before any row is read
         rows: Dict[int, CriticalValueRow] = {}
         for ln in lines[1:]:
             cells = ln.split(",")

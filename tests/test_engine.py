@@ -155,14 +155,22 @@ class TestInPlaceReset:
         assert _path(reset) == "set_next"
 
     def test_check_catches_a_writer_that_misses_the_32_bit_half(self, monkeypatch):
-        # an image copied into a detached array leaves the counter, the
-        # buffer and has_uint32/uinteger of the used state in place
+        # the writer copies buffer_pos, the buffer, the key and the counter but
+        # leaves word 5 (has_uint32 and uinteger) as the used state had it
+        class Keeps32BitHalf(np.ndarray):
+            def __setitem__(self, index, value):
+                half = self[..., 5].copy()
+                super().__setitem__(index, value)
+                super().__setitem__((..., 5), half)
+
         calls = _count_checks(monkeypatch)
         view = engine._uint64_view
-        monkeypatch.setattr(
-            engine, "_uint64_view",
-            lambda owner, address, words: view(owner, address, words).copy(),
-        )
+
+        def image_view(owner, address, words):
+            got = view(owner, address, words)
+            return got.view(Keeps32BitHalf) if words == engine._IMAGE_BYTES // 8 else got
+
+        monkeypatch.setattr(engine, "_uint64_view", image_view)
         reset = engine._row_reset(replication_rng(3, 0), 0, 4)
         assert _path(reset) == "set_next"
         assert calls and not engine._CHECKED_LAYOUTS
