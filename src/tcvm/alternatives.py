@@ -38,7 +38,6 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import log_ndtr, ndtri_exp
 
 from .normal import cdf, quantile
 
@@ -155,6 +154,8 @@ def _truncn_quantile(u, params):
     if a >= 0.0:  # cdf rounds to 1 in the upper tail: draw the mirror image
         return -_truncn_quantile(1.0 - np.asarray(u, float), (-b, -a))
     if b <= 0.0:  # one lower tail, where cdf may underflow: mix in logs
+        from scipy.special import log_ndtr, ndtri_exp
+
         u = _open_unit(u)
         log_p = np.logaddexp(log_ndtr(a) + np.log1p(-u), log_ndtr(b) + np.log(u))
         return ndtri_exp(log_p)

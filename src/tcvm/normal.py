@@ -1,9 +1,12 @@
 """Standard-normal kernel: density, distribution, quantile, truncation
 endpoint, and the weight integrals against 1/phi.
 
-The quantile and a_n come from ``scipy.special.ndtri``.  Everything
-downstream integrates combinations of 1/phi(x), Phi(x)/phi(x) and
-Phi(x)^2/phi(x).  Their antiderivatives psi, H and G, all 0 at 0
+a_n comes from ``_ndtri``, a port of Cephes ``ndtri`` with the bits of
+``scipy.special.ndtri``.  ``cdf`` and ``quantile`` call ``scipy.special``,
+which they import when first called, so ``endpoint``, the tables and all
+that is built on them load no scipy module.  Everything downstream
+integrates combinations of 1/phi(x), Phi(x)/phi(x) and Phi(x)^2/phi(x).
+Their antiderivatives psi, H and G, all 0 at 0
 (``recip_pdf_antiderivative`` and friends), are read from Taylor tables and
 give every such integral: ``c_n``, ``d_n``, the folded kernel of the
 vectorised Monte Carlo path and the unchecked stepwise weights of the
@@ -32,7 +35,9 @@ D, R and V stay O(1) (D ~ 1/(2u), R ~ ln(u)/sqrt(pi), V -> ln(2)/sqrt(pi)),
 and degree-5 Taylor tables on the grid k/128 of [0, 40] (of [0, 6] for V,
 which is constant to double precision past 6) hold them to about
 an ulp, so the huge factor exp(x^2/2) is one ``np.exp`` and each point
-costs a table lookup.  The grid values of R and V integrate the Taylor
+costs a table lookup.  The tables are derived at import from the values of
+D, erfcx and erfc on that grid, which ship with the package
+(``_GRIDS_FILE``).  The grid values of R and V integrate the Taylor
 polynomials of their integrands cell by cell (``_integral``).  For x <= 0
 nothing cancels: H and G keep full absolute accuracy down to
 x = -40 sqrt(2), where psi itself has long overflowed.
@@ -41,11 +46,11 @@ x = -40 sqrt(2), where psi itself has long overflowed.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "SQRT_2PI",
@@ -85,7 +90,9 @@ def pdf(x):
 
 def cdf(x):
     """Standard normal distribution function (erfc-based, full precision)."""
-    out = _sp.ndtr(np.asarray(x, dtype=float))
+    from scipy.special import ndtr
+
+    out = ndtr(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -94,8 +101,67 @@ def quantile(p):
     arr = np.asarray(p, dtype=float)
     if np.any((arr <= 0.0) | (arr >= 1.0)) or not np.all(np.isfinite(arr)):
         raise ValueError("quantile requires probabilities strictly inside (0, 1)")
-    out = _sp.ndtri(arr)
+    from scipy.special import ndtri
+
+    out = ndtri(arr)
     return float(out) if out.ndim == 0 else out
+
+
+# Cephes ndtri: a rational function of p - 1/2 in the centre, and of
+# z = 1/sqrt(-2 ln p) in each tail (one set for z > 1/8, one below).
+# Monic denominators omit their leading 1.
+_NDTRI_CENTRE = (
+    (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+     1.39312609387279679503e1, -1.23916583867381258016e0),
+    (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+     -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+     1.59056225126211695515e1, -1.18331621121330003142e0),
+)
+_NDTRI_TAIL = (
+    (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+     4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+     -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4),
+    (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+     1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+     -3.80806407691578277194e-2, -9.33259480895457427372e-4),
+)
+_NDTRI_FAR_TAIL = (
+    (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+     1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+     3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9),
+    (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+     2.89247864745380683936e-6, 6.79019408009981274425e-9),
+)
+_EXP_M2 = 0.13533528323661269189  # exp(-2): the centre is (exp(-2), 1 - exp(-2))
+
+
+def _rational(z: float, coefficients) -> float:
+    """z P(z) / Q(z), by Horner and in the order of operations of Cephes
+    (``z * polevl(z, P) / p1evl(z, Q)``), which the bits depend on."""
+    num, den = 0.0, 1.0
+    for c in coefficients[0]:
+        num = num * z + c
+    for c in coefficients[1]:
+        den = den * z + c
+    return z * num / den
+
+
+def _ndtri(p: float) -> float:
+    """Standard normal quantile of one float 0 < p < 1, a port of Cephes
+    ``ndtri`` that has the bits of ``scipy.special.ndtri``; it gives a_n
+    without loading scipy."""
+    y, upper = p, p > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * _rational(y2, _NDTRI_CENTRE)) * 2.50662827463100050242
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    x = x - math.log(x) / x - _rational(z, _NDTRI_TAIL if x < 8.0 else _NDTRI_FAR_TAIL)
+    return x if upper else -x
 
 
 @dataclass(frozen=True)
@@ -118,8 +184,8 @@ def endpoint(n: int) -> Endpoint:
             "(exp(a_n^2/2) would lose accuracy in double precision)"
         )
     n = int(n)
-    # -quantile(1/n) keeps the tail probability 1/n exact; 1 - 1/n would round it
-    return Endpoint(n=n, a_n=0.0 if n == 2 else -quantile(1.0 / n))
+    # -ndtri(1/n) keeps the tail probability 1/n exact; 1 - 1/n would round it
+    return Endpoint(n=n, a_n=0.0 if n == 2 else -_ndtri(1.0 / n))
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +207,14 @@ _RANGE_ERROR = f"argument |x|/sqrt(2) = {{:.2f}} outside the supported range [0,
 #
 # and those of R = int erfcx and V = int erfcx erfc are their integrands'
 # (by Leibniz's rule for V).  Every table folds in the sixth-degree term
-# (``_taylor_rows``).
+# (``_taylor_rows``).  The values of D, erfcx and erfc on the grid ship in
+# ``_GRIDS_FILE``, 3 x 5121 doubles: erfcx and erfc from ``scipy.special``,
+# D from its Maclaurin series below u = 1/4 (where ``scipy.special.dawsn``
+# is off by up to 3.8e-15 relative) and from ``dawsn`` above.  The tests
+# rebuild them from scipy and check every bit.
 _STEPS = 128  # grid points per unit; a power of two keeps u * 128 exact
 _DEG = 5
+_GRIDS_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_taylor_grids.npy")
 
 
 def _derivatives(g: np.ndarray, f, df, sign: float, lag: int = 0) -> list:
@@ -219,23 +290,6 @@ def _taylor(u: np.ndarray, *tables: np.ndarray) -> list:
     return outs
 
 
-def _dawsn(g: np.ndarray) -> np.ndarray:
-    """Dawson's function; below 1/4 from its Maclaurin series.
-
-    There scipy's ``dawsn`` is off by up to 17 ulps (3.8e-15 at u = 1/64);
-    the series sum_n (-2u^2)^n u / (2n+1)!! is within an ulp in 12 terms.
-    """
-    out = _sp.dawsn(g)
-    u = g[g < 0.25]
-    term = u.copy()
-    total = u.copy()
-    for n in range(1, 12):
-        term *= -2.0 * u * u / (2 * n + 1)
-        total += term
-    out[g < 0.25] = total
-    return out
-
-
 def _tables():
     """Taylor tables of P = 2 sqrt(pi) D and S = sqrt(pi) R on [0, 40], and
     of W = (sqrt(pi)/2) V on [0, 6].
@@ -244,11 +298,10 @@ def _tables():
     H(x) = -S(u) + [x > 0] psi(x), and G(x) = -W(u) for x <= 0.
     """
     g = np.arange(int(_U_MAX * _STEPS) + 1) / _STEPS
-    d = _dawsn(g)
+    d, e, c = np.load(_GRIDS_FILE)
     d = _derivatives(g, d, 1.0 - 2.0 * g * d, -1.0)
-    e = _sp.erfcx(g)
     e = _derivatives(g, e, 2.0 * g * e - 2.0 / _SQRT_PI, 1.0)
-    c = _derivatives(g, _sp.erfc(g), (-2.0 / _SQRT_PI) * np.exp(-g * g), -1.0, lag=1)
+    c = _derivatives(g, c, (-2.0 / _SQRT_PI) * np.exp(-g * g), -1.0, lag=1)
     # S' = sqrt(pi) erfcx and W' = (sqrt(pi)/2) erfcx erfc, with sqrt(pi)
     # to twice double precision: S and W then round once, in ``_integral``
     ds = [_SQRT_PI * x + _SQRT_PI_LO * x for x in e]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 from dataclasses import dataclass, field
@@ -84,18 +85,16 @@ class CriticalValueTable:
     rows: Dict[int, CriticalValueRow] = field(repr=False)
     provenance: str = "embedded"
     alphas: Tuple[float, ...] = ALPHA_LEVELS
+    sizes: Tuple[int, ...] = field(init=False, repr=False, compare=False)  # sorted once
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sizes", tuple(sorted(self.rows)))
         alphas = self.alphas
         if len(set(alphas)) < len(alphas) or not all(0.0 < a < 1.0 for a in alphas):
             raise ValueError(f"levels must be distinct and inside (0, 1), got {alphas}")
         for row in self.rows.values():
             if not set(alphas) <= set(row.critical_values):
                 raise ValueError(f"the row for n={row.n} lacks a level of {alphas}")
-
-    @property
-    def sizes(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.rows))
 
     def critical_value(self, n: int, alpha: float) -> Tuple[float, bool]:
         """Critical value at (n, alpha); second element marks interpolation.
@@ -119,8 +118,8 @@ class CriticalValueTable:
             )
         if n in self.rows:
             return self.rows[n].critical_values[alpha], False
-        lo = max(s for s in sizes if s < n)
-        hi = min(s for s in sizes if s > n)
+        i = bisect.bisect(sizes, n)  # sizes[i - 1] < n < sizes[i]
+        lo, hi = sizes[i - 1], sizes[i]
         w = (math.log(n) - math.log(lo)) / (math.log(hi) - math.log(lo))
         v_lo = self.rows[lo].critical_values[alpha]
         v_hi = self.rows[hi].critical_values[alpha]

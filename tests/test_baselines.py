@@ -412,3 +412,28 @@ def test_import_leaves_scipy_stats_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_user_path_loads_no_scipy_module(tmp_path):
+    # a_n, the Taylor grids and the table lookup need no scipy, so a one-shot
+    # tcvm test pays for numpy alone; a subprocess, because the pytest config
+    # imports scipy.integrate for its warning filter
+    import tcvm
+
+    data = tmp_path / "sample.txt"
+    data.write_text("\n".join(str(v) for v in np.linspace(-2.0, 2.5, 60) ** 3))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tcvm.__file__)))
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import tcvm, tcvm.cli\n"
+        "tcvm.embedded_table()\n"
+        "tcvm.tcvm_test([0.3, -1.2, 0.8, 2.5, -0.4, 1.1, -0.9, 0.05, 1.7, -2.2])\n"
+        f"assert tcvm.cli.main(['test', {str(data)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

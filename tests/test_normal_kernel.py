@@ -1,4 +1,6 @@
+import fnmatch
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ from scipy import integrate, special
 
 from conftest import composite_simpson
 from tcvm import normal as nk
+from tcvm.table import embedded_table
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 EPS = np.finfo(float).eps
@@ -129,6 +132,91 @@ class TestEndpoint:
     def test_bounded_by_sqrt_two_log_n(self):
         for n in np.unique(np.logspace(math.log10(3), 6, 60).astype(int)):
             assert nk.endpoint(int(n)).a_n <= math.sqrt(2.0 * math.log(n))
+
+
+class TestNdtriPort:
+    """a_n comes from ``normal._ndtri``, a port of Cephes ndtri; it must keep
+    the bits that ``scipy.special.ndtri`` gave a_n before the port."""
+
+    @staticmethod
+    def _assert_same_bits(mine, ref):
+        mine, ref = np.asarray(mine, dtype=float), np.asarray(ref, dtype=float)
+        np.testing.assert_array_equal(mine.view(np.uint64), ref.view(np.uint64))
+
+    def test_every_n_up_to_200_000_and_of_the_embedded_table(self):
+        n = range(3, 200_001)
+        assert set(embedded_table().sizes) <= set(n)
+        self._assert_same_bits(
+            [nk.endpoint(k).a_n for k in n], -special.ndtri(1.0 / np.array(n))
+        )
+
+    def test_seeded_p_in_both_tails_and_the_centre(self):
+        rng = np.random.default_rng(26)
+        p = np.concatenate(
+            [
+                rng.random(100_000),  # mostly the centre, (exp(-2), 1 - exp(-2))
+                np.exp(-745.0 * rng.random(50_000)),  # lower tail down to subnormals
+                -np.expm1(-36.7 * rng.random(50_000)),  # upper tail up to 1 - 2^-53
+                [5e-324, 2.0**-1022, math.exp(-32.0), 0.5, 1.0 - 2.0**-53],
+                # each boundary between the rational functions, and both sides of it
+                [nk._EXP_M2, 1.0 - nk._EXP_M2],
+                [np.nextafter(b, d) for b in (nk._EXP_M2, 1.0 - nk._EXP_M2) for d in (0.0, 1.0)],
+            ]
+        )
+        p = p[(p > 0.0) & (p < 1.0)]
+        self._assert_same_bits([nk._ndtri(float(q)) for q in p], special.ndtri(p))
+
+
+def _dawsn(g):
+    """Dawson's function; below 1/4 from its Maclaurin series.
+
+    There scipy's ``dawsn`` is off by up to 3.8e-15 relative (at u = 1/64);
+    the series sum_n (-2u^2)^n u / (2n+1)!! is within 2 ulps in 12 terms.
+    """
+    out = special.dawsn(g)
+    u = g[g < 0.25]
+    term = u.copy()
+    total = u.copy()
+    for n in range(1, 12):
+        term *= -2.0 * u * u / (2 * n + 1)
+        total += term
+    out[g < 0.25] = total
+    return out
+
+
+def _source_grids():
+    """D, erfcx and erfc on the grid k/128 of [0, 40], the contents of
+    ``normal._GRIDS_FILE``; ``np.save(nk._GRIDS_FILE, _source_grids())``
+    rewrites that file."""
+    g = np.arange(int(nk._U_MAX * nk._STEPS) + 1) / nk._STEPS
+    return np.array([_dawsn(g), special.erfcx(g), special.erfc(g)])
+
+
+class TestStoredGrids:
+    def test_file_has_the_bits_of_its_source(self):
+        stored = np.load(nk._GRIDS_FILE)
+        assert stored.shape == (3, 5121) and stored.dtype == np.float64
+        np.testing.assert_array_equal(
+            stored.view(np.uint64), _source_grids().view(np.uint64)
+        )
+
+    def test_dawson_series_is_within_two_ulps(self):
+        mpmath = pytest.importorskip("mpmath")
+        g = np.arange(32) / 128.0  # the grid points below 1/4
+        d = np.load(nk._GRIDS_FILE)[0][:32]
+        with mpmath.workdps(40):
+            ref = [float(mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-u * u) * mpmath.erfi(u))
+                   for u in map(mpmath.mpf, g.tolist())]
+        assert np.all(np.abs(d - ref) <= 2.0 * np.spacing(ref))
+
+    def test_package_data_declares_the_file(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["tcvm"]
+        name = os.path.basename(nk._GRIDS_FILE)
+        assert any(fnmatch.fnmatch(name, pattern) for pattern in globs)
+        assert os.path.dirname(nk._GRIDS_FILE) == os.path.join(root, "src", "tcvm")
 
 
 def test_mills_ratio_bounds_on_grid():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,29 @@ def test_interpolation_in_log_n(table):
     assert min(lo, hi) < value < max(lo, hi)
     w = (np.log(225) - np.log(200)) / (np.log(250) - np.log(200))
     assert value == pytest.approx((1 - w) * lo + w * hi, rel=1e-12)
+
+
+def _scan(table, n):
+    """critical_value at n and every level, by linear scans over the rows."""
+    if n in table.rows:
+        return [(table.rows[n].critical_values[a], False) for a in table.alphas]
+    lo = max(s for s in table.rows if s < n)
+    hi = min(s for s in table.rows if s > n)
+    w = (math.log(n) - math.log(lo)) / (math.log(hi) - math.log(lo))
+    v_lo, v_hi = table.rows[lo].critical_values, table.rows[hi].critical_values
+    return [((1.0 - w) * v_lo[a] + w * v_hi[a], True) for a in table.alphas]
+
+
+def test_lookup_equals_a_scan_at_every_n_and_level(table):
+    first = min(table.rows)
+    for n in range(4, 10**4 + 1):
+        if n < first:
+            for a in table.alphas:
+                with pytest.raises(TableCoverageError):
+                    table.critical_value(n, a)
+            continue
+        # == on the floats: the lookup must keep every bit
+        assert [table.critical_value(n, a) for a in table.alphas] == _scan(table, n)
 
 
 def test_coverage_errors(table):
