@@ -11,6 +11,9 @@ Subcommands:
 
 Exit codes: 0 success (whether or not H0 is rejected - the decision is a
 result, not a failure), 2 usage errors, 3 data errors.
+
+The Monte Carlo handlers import the engine, the samplers and the comparison
+tests when they run, so ``tcvm test`` and ``tcvm tables`` load none of them.
 """
 
 from __future__ import annotations
@@ -21,25 +24,18 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .alternatives import SpecError, parse_spec
-from .baselines import BaselineKind
-from .engine import (
-    _check_n,
-    estimate_constant_c,
-    estimate_null_critical_values,
-    estimate_power,
-    simulate_table,
-    verify_fourth_moments,
-)
 from .statistic import tcvm_test
 from .table import (
     ALPHA_LEVELS, MIN_TCVM_N, CriticalValueTable, TableCoverageError, UnsupportedAlphaError,
     embedded_table,
 )
+
+if TYPE_CHECKING:
+    from .baselines import BaselineKind
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -136,6 +132,8 @@ def _parse_alphas(text: Optional[str]) -> Sequence[float]:
 
 
 def _parse_sizes(args: argparse.Namespace) -> Sequence[int]:
+    from .engine import _check_n
+
     if args.n_range:
         try:
             lo, hi = args.n_range.split("..")
@@ -155,6 +153,8 @@ def _parse_sizes(args: argparse.Namespace) -> Sequence[int]:
 
 
 def _parse_kinds(text: Optional[str]) -> List[BaselineKind]:
+    from .baselines import BaselineKind
+
     if not text or text.strip().lower() == "all":
         return list(BaselineKind)
     try:
@@ -205,6 +205,8 @@ def cmd_test(args: argparse.Namespace, out) -> int:
 
 
 def cmd_critvals(args: argparse.Namespace, out) -> int:
+    from .engine import simulate_table
+
     sizes = _parse_sizes(args)
     alphas = _parse_alphas(args.alphas)
     table = simulate_table(
@@ -232,6 +234,9 @@ def cmd_critvals(args: argparse.Namespace, out) -> int:
 
 
 def cmd_power(args: argparse.Namespace, out) -> int:
+    from .alternatives import SpecError, parse_spec
+    from .engine import estimate_null_critical_values, estimate_power
+
     kinds = _parse_kinds(args.tests)
     try:
         specs = [parse_spec(s) for s in args.alt]
@@ -291,6 +296,8 @@ def cmd_tables(args: argparse.Namespace, out) -> int:
 
 
 def cmd_constant_c(args: argparse.Namespace, out) -> int:
+    from .engine import estimate_constant_c
+
     est = estimate_constant_c(
         args.n, reps=args.reps, seed=_seed_from(args), workers=args.workers
     )
@@ -306,6 +313,8 @@ def cmd_constant_c(args: argparse.Namespace, out) -> int:
 
 
 def cmd_verify_moments(args: argparse.Namespace, out) -> int:
+    from .engine import verify_fourth_moments
+
     checks = verify_fourth_moments(
         [(args.x, args.y)],
         args.n,
@@ -390,7 +399,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except DataError as exc:
         print(f"tcvm: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TableCoverageError, SpecError, ValueError) as exc:
+    except (TableCoverageError, ValueError) as exc:  # SpecError is a ValueError
         print(f"tcvm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

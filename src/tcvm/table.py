@@ -7,6 +7,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Tuple
 
 from . import _table_data
@@ -50,7 +51,11 @@ def _fmt(value: float) -> str:
 
 @dataclass(frozen=True)
 class CriticalValueRow:
-    """One table row: critical values per level plus a_n and C_n."""
+    """One table row: critical values per level plus a_n and C_n.
+
+    ``critical_values`` is a read-only view of a copy taken at construction,
+    so a row, and the cached embedded table, cannot be changed in place.
+    """
 
     n: int
     critical_values: Mapping[float, float]
@@ -58,6 +63,7 @@ class CriticalValueRow:
     c_n: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "critical_values", MappingProxyType(dict(self.critical_values)))
         _check_tcvm_n(self.n)
         vals = [self.critical_values[a] for a in sorted(self.critical_values, reverse=True)]
         if not all(math.isfinite(v) for v in vals + [self.a_n, self.c_n]):
@@ -80,14 +86,16 @@ class CriticalValueTable:
 
     ``provenance`` records where the quantiles came from: the embedded
     published table or a fresh simulation (replications and seed).
+    ``rows`` is a read-only view of a copy taken at construction.
     """
 
-    rows: Dict[int, CriticalValueRow] = field(repr=False)
+    rows: Mapping[int, CriticalValueRow] = field(repr=False)
     provenance: str = "embedded"
     alphas: Tuple[float, ...] = ALPHA_LEVELS
     sizes: Tuple[int, ...] = field(init=False, repr=False, compare=False)  # sorted once
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", MappingProxyType(dict(self.rows)))
         object.__setattr__(self, "sizes", tuple(sorted(self.rows)))
         alphas = self.alphas
         if len(set(alphas)) < len(alphas) or not all(0.0 < a < 1.0 for a in alphas):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -437,3 +438,44 @@ def test_user_path_loads_no_scipy_module(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_user_path_loads_only_the_modules_it_calls(tmp_path):
+    # import tcvm binds no submodule, and a one-shot test loads neither the
+    # Monte Carlo engine, its samplers and comparison tests, nor the stdlib
+    # and numpy modules they bring
+    import tcvm
+
+    data = tmp_path / "sample.txt"
+    data.write_text("\n".join(str(v) for v in np.linspace(-2.0, 2.5, 60) ** 3))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tcvm.__file__)))
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'tcvm' or m.startswith('tcvm.'))\n"
+        "import tcvm\n"
+        "stages = [loaded()]\n"
+        "tcvm.embedded_table()\n"
+        "stages.append(loaded())\n"
+        "tcvm.tcvm_test([0.3, -1.2, 0.8, 2.5, -0.4, 1.1, -0.9, 0.05, 1.7, -2.2])\n"
+        "stages.append(loaded())\n"
+        "import tcvm.cli\n"
+        f"assert tcvm.cli.main(['test', {str(data)!r}]) == 0\n"
+        "stages.append(loaded())\n"
+        "heavy = ('numpy.random', 'concurrent.futures', 'fractions')\n"
+        "print((stages, [m for m in heavy if m in sys.modules]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    stages, heavy = ast.literal_eval(done.stdout.strip().splitlines()[-1])
+    table = ["tcvm", "tcvm._table_data", "tcvm.normal", "tcvm.table"]
+    assert stages == [
+        ["tcvm"],
+        table,
+        sorted(table + ["tcvm.statistic"]),
+        sorted(table + ["tcvm.cli", "tcvm.statistic"]),
+    ]
+    assert heavy == []

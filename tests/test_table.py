@@ -5,6 +5,7 @@ import pytest
 
 from conftest import MEANINGLESS_TABLES
 from tcvm import normal as nk
+from tcvm.statistic import tcvm_test
 from tcvm.table import (
     ALPHA_LEVELS,
     CriticalValueRow,
@@ -164,3 +165,41 @@ def test_direct_tables_need_every_level_in_every_row():
     # a row may hold more levels than the table
     table = CriticalValueTable(rows=rows, alphas=(0.05,))
     assert table.critical_value(15, 0.05)[1]
+
+
+def _set_critical_value(table):
+    table.rows[50].critical_values[0.05] = -1.0
+
+
+def _delete_row(table):
+    del table.rows[10]
+
+
+def _pop_row(table):
+    table.rows.pop(10)
+
+
+@pytest.mark.parametrize(
+    "attempt, error",
+    [(_set_critical_value, TypeError), (_delete_row, TypeError), (_pop_row, AttributeError)],
+    ids=["set_critical_value", "delete_row", "pop_row"],
+)
+def test_cached_table_cannot_be_changed_in_place(attempt, error):
+    # embedded_table() is cached, so one caller's change would reach every
+    # later tcvm_test in the process
+    x = np.linspace(-2.0, 2.5, 50) ** 3
+    samples = [x, x[:10]]
+    before = [tcvm_test(s) for s in samples]
+    with pytest.raises(error):
+        attempt(embedded_table())
+    assert [tcvm_test(s) for s in samples] == before
+
+
+def test_tables_copy_what_they_are_built_from():
+    crits = {0.1: 1.0, 0.05: 1.2}
+    rows = {10: _row(10, crits), 20: _row(20, {0.1: 1.1, 0.05: 1.3})}
+    table = CriticalValueTable(rows=rows, alphas=(0.1, 0.05))
+    crits[0.05] = 9.0
+    del rows[20]
+    assert table.rows[10].critical_values[0.05] == 1.2
+    assert table.sizes == (10, 20) and 20 in table.rows
