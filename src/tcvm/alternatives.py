@@ -20,21 +20,20 @@ methods.  Every draw consumes a caller-provided ``numpy.random.Generator``,
 so identical (spec, n, seed) triples reproduce bit-identical samples.
 
 Each family declares its parameters' names and domains, which every spec
-is checked against (an error names the parameter), and its raw generator
-calls, in order, with an elementwise transform of their arrays.
-``_sampler`` hands out calls and transform, so the engine can fill many
-rows of raw draws, each from its own stream, and transform them in one
-pass with the same bits as ``draw`` gives row by row.
+is checked against once, when it is built (an error names the parameter),
+and its raw generator calls, in order, with an elementwise transform of
+their arrays.  A spec keeps its calls and the transform, so the engine can
+fill many rows of raw draws, each from its own stream, and transform them
+in one pass with the same bits as ``draw`` gives row by row.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
-import struct
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -71,16 +70,6 @@ class ParamDomainError(SpecError):
     pass
 
 
-@dataclass(frozen=True)
-class AlternativeSpec:
-    family: str
-    params: Tuple[float, ...]
-
-    def __str__(self) -> str:
-        inner = ",".join(format(p, "g") for p in self.params)
-        return f"{self.family}({inner})"
-
-
 def _open_unit(u: np.ndarray) -> np.ndarray:
     # draws lie on a 2^-53 grid in [0, 1): 0 becomes the smallest nonzero one
     return np.clip(np.asarray(u, float), 2.0**-53, 1.0 - 2.0**-53)
@@ -105,7 +94,6 @@ def _triangle1_quantile(u, p):
 _RawCall = Tuple[str, Tuple[int, ...]]
 _U: _RawCall = ("random", ())
 _Z: _RawCall = ("standard_normal", ())
-_FILLS_IN_PLACE = frozenset({"random", "standard_normal"})  # accept out=
 
 
 # A parameter domain is a test of one value and the rule it states.  nan
@@ -288,6 +276,48 @@ _ALIASES = {
     "n": "normal",
 }
 
+
+@dataclass(frozen=True)
+class AlternativeSpec:
+    """A family and its parameters, checked once, when the spec is built.
+
+    The family may be named by any case or alias (``"t"``); the spec keeps
+    its canonical name (``"StudentT"``) and its parameters as a tuple of
+    floats, so a spec built from a list is hashable and does not follow
+    later changes to the list.  A wrong family, parameter count, nan, value
+    outside its domain or bound order raises a ``SpecError`` here, with the
+    message ``parse_spec`` gives for the same text.  Besides its two fields,
+    a spec holds its raw generator calls, ``(method, args)`` in order, and
+    its family's elementwise transform: ``draw(spec, n, rng)`` is
+    ``_transform(raw, params)``, where ``raw`` holds the array of
+    ``rng.<method>(*args, n)`` for each call.
+    """
+
+    family: str
+    params: Tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        fam = _family(self.family)
+        given = tuple(self.params)
+        if not all(isinstance(p, numbers.Real) for p in given):  # float("1") would pass
+            raise SpecError(f"{fam.name}: parameters must be real numbers, got {given!r}")
+        params = tuple(float(p) for p in given)
+        _check(fam, params)
+        calls = tuple((method, tuple(params[i] for i in idx)) for method, idx in fam.raw)
+        object.__setattr__(self, "family", fam.name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_calls", calls)
+        object.__setattr__(self, "_transform", fam.transform)
+
+    def __reduce__(self):
+        # pickle cannot store a lambda transform: keep the fields, check them again
+        return AlternativeSpec, (self.family, self.params)
+
+    def __str__(self) -> str:
+        inner = ",".join(format(p, "g") for p in self.params)
+        return f"{self.family}({inner})"
+
+
 _SPEC_RE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9 ]*?)\s*\(\s*([^()]*)\s*\)\s*$")
 
 
@@ -300,14 +330,12 @@ def parse_spec(text: str) -> AlternativeSpec:
             "parameters"
         )
     raw_name, raw_params = m.groups()
-    fam = _family(raw_name)
     parts = [p.strip() for p in raw_params.split(",")] if raw_params.strip() else []
     try:
         params = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise SpecError(f"non-numeric parameter in {text!r}") from exc
-    _check(fam, params)
-    return AlternativeSpec(family=fam.name, params=params)
+    return AlternativeSpec(raw_name, params)
 
 
 def _family(name: str) -> _Family:
@@ -333,80 +361,6 @@ def _check(fam: _Family, params: Tuple[float, ...]) -> None:
     if fam.ordered and not params[0] < params[1]:
         (low, _), (high, _) = fam.params
         raise ParamDomainError(f"{fam.name}: {low} must be < {high}, got {params}")
-
-
-@dataclass(frozen=True)
-class _Sampler:
-    """A validated spec as raw generator calls plus an elementwise transform.
-
-    ``draw(spec, n, rng)`` is ``transform`` applied to the arrays of
-    ``rng.<method>(*args, n)`` for each ``(method, args)`` in ``calls``, in
-    order.  The transform works elementwise, so callers may fill many rows
-    of raw draws, each from its own stream, and transform them at once.
-    """
-
-    calls: Tuple[Tuple[str, Tuple[float, ...]], ...]
-    transform: Callable[[Sequence[np.ndarray]], np.ndarray]
-
-    def row_fillers(self, rng: np.random.Generator) -> List[Callable[..., None]]:
-        """One callable per raw call: ``fill(out=row)`` fills a 1-d row from ``rng``.
-
-        Where the Generator method takes ``out=`` itself, it is the callable.
-        """
-        fillers = []
-        for method, args in self.calls:
-            fn = getattr(rng, method)
-            if method in _FILLS_IN_PLACE:
-                fillers.append(fn)
-            else:
-
-                def fill(out, fn=fn, args=args):
-                    out[...] = fn(*args, out.size)
-
-                fillers.append(fill)
-        return fillers
-
-
-def _sampler(spec: AlternativeSpec) -> _Sampler:
-    """The raw calls and transform of a spec, with its parameters checked."""
-    fam, params = _family(spec.family), spec.params
-    _check(fam, params)
-    return _Sampler(
-        calls=tuple((method, tuple(params[i] for i in idx)) for method, idx in fam.raw),
-        transform=lambda raw: fam.transform(raw, params),
-    )
-
-
-@lru_cache(maxsize=256)
-def _sampler_of_bits(family: str, bits: bytes) -> _Sampler:
-    # lru_cache stores no call that raises, so an invalid spec is never kept
-    return _sampler(AlternativeSpec(family, struct.unpack(f"<{len(bits) // 8}d", bits)))
-
-
-# the last (spec, sampler) pair handed out by _cached_sampler
-_last_sampler: Tuple[object, object] = (None, None)
-
-
-def _cached_sampler(spec: AlternativeSpec) -> _Sampler:
-    """``_sampler(spec)``, kept per family name and exact parameter bits.
-
-    Bits, not values, key the cache: 0.0 == -0.0 would share an entry.  A
-    spec whose parameters are not all floats is checked and built afresh.
-    The sampler of the last spec object, when its parameters are a tuple
-    of floats, is also kept by identity, which skips packing the bits on
-    the common repeat call (the spec is frozen and the tuple immutable).
-    """
-    global _last_sampler
-    last_spec, last = _last_sampler
-    if spec is last_spec:
-        return last
-    params = spec.params
-    if isinstance(spec.family, str) and all(type(p) is float for p in params):
-        sam = _sampler_of_bits(spec.family, struct.pack(f"<{len(params)}d", *params))
-        if type(params) is tuple:
-            _last_sampler = (spec, sam)
-        return sam
-    return _sampler(spec)
 
 
 class _PhiloxKey(ISeedSequence):
@@ -440,8 +394,8 @@ def draw(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n iid draws using the supplied generator."""
     if n < 1:
         raise ValueError(f"need n >= 1 draws, got {n}")
-    s = _cached_sampler(spec)
-    return s.transform([getattr(rng, method)(*args, n) for method, args in s.calls])
+    raw = [getattr(rng, method)(*args, n) for method, args in spec._calls]
+    return spec._transform(raw, spec.params)
 
 
 def sample(spec: AlternativeSpec, n: int, seed: int) -> np.ndarray:

@@ -158,9 +158,13 @@ def _parse_kinds(text: Optional[str]) -> List[BaselineKind]:
     if not text or text.strip().lower() == "all":
         return list(BaselineKind)
     try:
-        return [BaselineKind.parse(t) for t in text.split(",")]
+        kinds = [BaselineKind.parse(t) for t in text.split(",")]
     except ValueError as exc:
         raise DataError(str(exc)) from None
+    repeated = sorted({k.value for k in kinds if kinds.count(k) > 1})
+    if repeated:
+        raise DataError(f"test kind given more than once: {', '.join(repeated)}")
+    return kinds
 
 
 def _load_table(path: Optional[str]) -> Optional[CriticalValueTable]:

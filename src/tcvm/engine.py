@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .alternatives import AlternativeSpec, _sampler, replication_rng
+from .alternatives import AlternativeSpec, replication_rng
 from .baselines import _CHUNK_ELEMS, REJECTION_TAIL, BaselineKind, batch_statistics
 from .normal import MAX_ENDPOINT_N, c_n, d_n, endpoint
 from .process import MomentPoint, b_n, fourth_moment_exact
@@ -138,6 +138,13 @@ def _row_reset(rng: np.random.Generator, start: int, count: int) -> Callable[[],
     return partial(io.BytesIO(table.tobytes()).readinto, memoryview(words))
 
 
+_FILLS_IN_PLACE = frozenset({"random", "standard_normal"})  # Generator methods taking out=
+
+
+def _fill(method: Callable, args: Tuple[float, ...], out: np.ndarray) -> None:
+    out[...] = method(*args, out.size)
+
+
 def _draw_block(
     spec: AlternativeSpec, n: int, seed: int, start: int, count: int
 ) -> np.ndarray:
@@ -155,10 +162,14 @@ def _draw_block(
     per chunk of at most ``_CHUNK_ELEMS`` values, without overflow warnings:
     ``batch_statistics`` refuses rows that reach inf or nan.
     """
-    sam = _sampler(spec)
     rng = replication_rng(seed, start)
     reset = _row_reset(rng, start, count)
-    fillers = sam.row_fillers(rng)
+    # fill(out=row) per raw call: the method itself where it takes out=
+    fillers = [
+        getattr(rng, method) if method in _FILLS_IN_PLACE
+        else partial(_fill, getattr(rng, method), args)
+        for method, args in spec._calls
+    ]
     rows = max(1, min(count, _CHUNK_ELEMS // n))
     raw = [np.empty((rows, n)) for _ in fillers]
     # per row, each filler with its view into its raw buffer, made once
@@ -171,7 +182,7 @@ def _draw_block(
             for fill, row in jobs[i]:
                 fill(out=row)
         with np.errstate(over="ignore", invalid="ignore"):
-            out[first : first + m] = sam.transform([buf[:m] for buf in raw])
+            out[first : first + m] = spec._transform([buf[:m] for buf in raw], spec.params)
     return out
 
 
@@ -189,7 +200,9 @@ def _check_run(n: int, reps: int, workers: int, min_reps: int) -> None:
         raise ValueError(f"need workers >= 1, got {workers}")
 
 
-def _check_atom(n: int, kinds: Sequence[BaselineKind]) -> None:
+def _check_kinds(n: int, kinds: Sequence[BaselineKind]) -> None:
+    if not kinds:
+        raise ValueError("need at least one test kind")
     if BaselineKind.TCVM in kinds:
         _check_tcvm_n(n)
 
@@ -243,7 +256,7 @@ def _null_critical_values(
 ) -> Dict[BaselineKind, Dict[float, float]]:
     """Per kind and level, order statistic ceil((1-alpha)*reps) of the rejection tail."""
     _check_run(n, reps, workers, min_reps=100)
-    _check_atom(n, kinds)
+    _check_kinds(n, kinds)
     levels = {}  # order-statistic index -> level
     for a in alphas:
         _check_alpha(a)
@@ -347,11 +360,15 @@ def estimate_power(
     """
     kinds = list(kinds)
     _check_run(n, reps, workers, min_reps=1)
-    _check_atom(n, kinds)
+    _check_kinds(n, kinds)
     _check_alpha(alpha)
     missing = [k for k in kinds if k not in critical_values]
     if missing:
         raise ValueError(f"missing critical values for {missing}")
+    # nan would reject nothing and -inf everything, each with stderr 0
+    bad = {k.value: critical_values[k] for k in kinds if not math.isfinite(critical_values[k])}
+    if bad:
+        raise ValueError(f"critical values must be finite, got {bad}")
 
     rejects = {"upper": np.greater, "lower": np.less}
     stats = _statistics(spec, kinds, n, reps, seed, workers)
@@ -436,6 +453,8 @@ def verify_fourth_moments(
     """
     _check_run(n, reps, workers, min_reps=10_000)
     pts = [(float(x), float(y)) for x, y in points]
+    if not pts:
+        raise ValueError("need at least one moment point")
     if not all(math.isfinite(v) for pt in pts for v in pt):
         raise ValueError(f"moment points must be finite, got {pts}")
     prods = _map_blocks(NULL_SPEC, n, reps, seed, workers, partial(_fourth_products, pts))

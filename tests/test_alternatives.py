@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,17 +19,12 @@ from tcvm.alternatives import (
     _ALIASES,
     _FAMILIES,
     _PhiloxKey,
-    _cached_sampler,
     _family,
-    _sampler,
-    _sampler_of_bits,
     draw,
     parse_spec,
     replication_rng,
     sample,
 )
-from tcvm.baselines import BaselineKind
-from tcvm.engine import estimate_power
 
 
 class TestParse:
@@ -73,41 +70,41 @@ class TestParse:
         assert parse_spec(str(spec)) == spec
 
 
+def _text(family, params):
+    return f"{family}({','.join(repr(float(p)) for p in params)})"
+
+
 class TestOneSpecCheck:
-    """A spec built by hand is checked as strictly as a parsed one."""
+    """A spec built by hand is checked as strictly as a parsed one, when it is built."""
 
     @staticmethod
-    def every_path(spec):
-        yield lambda: sample(spec, 5, seed=1)
-        yield lambda: draw(spec, 5, np.random.default_rng(1))
-        yield lambda: _sampler(spec)
-        yield lambda: estimate_power(
-            [BaselineKind.AD], spec, 20, 0.05, 10, 0, {BaselineKind.AD: 1.0}
-        )
+    def every_path(family, params):
+        yield lambda: AlternativeSpec(family, params)
+        yield lambda: AlternativeSpec(family=family, params=list(params))
+        yield lambda: parse_spec(_text(family, params))
+        yield lambda: dataclasses.replace(parse_spec("Normal(0,1)"), family=family, params=params)
 
     @pytest.mark.parametrize("params", [(0.0,), (0.0, 1.0, 5.0)], ids=str)
     def test_built_spec_with_wrong_arity(self, params):
         # one parameter short ended in IndexError; one too many was ignored
-        for call in self.every_path(AlternativeSpec("Normal", params)):
+        for call in self.every_path("Normal", params):
             with pytest.raises(ArityError):
                 call()
 
     @pytest.mark.parametrize(
-        "spec",
+        "family, params",
         [
-            AlternativeSpec("Normal", (0.0, math.nan)),
-            AlternativeSpec("Tukey", (math.nan,)),
-            AlternativeSpec("Normal", (0.0, math.inf)),
-            AlternativeSpec("Unif", (0.0, math.inf)),
-            AlternativeSpec("Normal", (-math.inf, 1.0)),
+            ("Normal", (0.0, math.nan)),
+            ("Tukey", (math.nan,)),
+            ("Normal", (0.0, math.inf)),
+            ("Unif", (0.0, math.inf)),
+            ("Normal", (-math.inf, 1.0)),
         ],
-        ids=str,
+        ids=["Normal(0,nan)", "Tukey(nan)", "Normal(0,inf)", "Unif(0,inf)", "Normal(-inf,1)"],
     )
-    def test_nan_or_infinite_parameter(self, spec):
+    def test_nan_or_infinite_parameter(self, family, params):
         # each drew nan or inf: a run calibrated, then failed on its samples
-        with pytest.raises(ParamDomainError):
-            parse_spec(str(spec))
-        for call in self.every_path(spec):
+        for call in self.every_path(family, params):
             with pytest.raises(ParamDomainError):
                 call()
 
@@ -118,6 +115,19 @@ class TestOneSpecCheck:
         draws = sample(spec, 10_000, seed=3)
         assert np.isfinite(draws).all()
         assert params[0] < draws.min() and draws.max() < params[1]
+
+    def test_unknown_family_raises_when_built(self):
+        with pytest.raises(UnknownFamilyError):
+            AlternativeSpec("Zeta", (1.0, 2.0))
+
+    @pytest.mark.parametrize("params", ["12", ("1", 2.0), (1.0, 2j)], ids=str)
+    def test_non_numeric_parameter_raises_when_built(self, params):
+        # float() would read the string "12" as Normal(1,2)
+        with pytest.raises(SpecError, match="must be real numbers"):
+            AlternativeSpec("Normal", params)
+
+    def test_fields_are_family_and_params(self):
+        assert [f.name for f in dataclasses.fields(AlternativeSpec)] == ["family", "params"]
 
 
 # One out-of-domain value per parameter of every family (nan aside), and
@@ -164,6 +174,12 @@ def test_domain_error_names_the_parameter(text, label):
         parse_spec(text)
     assert str(err.value).startswith(f"{_family(text.split('(')[0]).name}: ")
     assert label in str(err.value)
+    # a spec built by hand from the same text raises the same error
+    name, inner = text[:-1].split("(")
+    with pytest.raises(ParamDomainError) as built:
+        AlternativeSpec(name, tuple(float(p) for p in inner.split(",")))
+    assert type(built.value) is type(err.value)
+    assert str(built.value) == str(err.value)
 
 
 def test_out_of_domain_cases_name_every_parameter():
@@ -180,9 +196,8 @@ _PARAM = st.floats(allow_nan=True, allow_infinity=True)
 @settings(deadline=None, max_examples=300)
 @given(st.sampled_from(_NAMES), st.lists(_PARAM, max_size=3))
 def test_any_name_and_parameters_raise_only_spec_errors(name, params):
-    spec = AlternativeSpec(name, tuple(params))
     text = f"{name}({','.join(repr(p) for p in params)})"
-    for call in (lambda: parse_spec(text), lambda: _sampler(spec)):
+    for call in (lambda: parse_spec(text), lambda: AlternativeSpec(name, tuple(params))):
         try:
             call()
         except SpecError:
@@ -245,29 +260,15 @@ def test_draws_match_pinned_digest(text):
 
 
 class TestSamplerCache:
-    """``draw`` reuses a checked sampler per family and parameter bits."""
+    """``draw`` takes the calls and parameters a spec was built with."""
 
     def test_zero_and_negative_zero_keep_their_own_entries(self):
         # LoConN(1, a) adds a to every raw normal draw; -0.0 + a shows a's sign
         raw = [np.zeros(1), np.array([-0.0])]
         for zero in (0.0, -0.0, 0.0, -0.0):
-            out = _cached_sampler(AlternativeSpec("LoConN", (1.0, zero))).transform(raw)
+            spec = AlternativeSpec("LoConN", (1.0, zero))
+            out = spec._transform(raw, spec.params)
             assert math.copysign(1.0, out[0]) == math.copysign(1.0, zero)
-
-    def test_invalid_spec_is_never_cached(self):
-        spec = AlternativeSpec("Normal", (0.0, -1.0))
-        before = _sampler_of_bits.cache_info().currsize
-        for _ in range(2):
-            with pytest.raises(ParamDomainError):
-                draw(spec, 5, np.random.default_rng(1))
-        assert _sampler_of_bits.cache_info().currsize == before
-
-    def test_cache_is_bounded(self):
-        limit = _sampler_of_bits.cache_info().maxsize
-        assert limit is not None
-        for i in range(limit + 10):
-            draw(AlternativeSpec("Normal", (float(i), 1.0)), 2, np.random.default_rng(i))
-        assert _sampler_of_bits.cache_info().currsize <= limit
 
     @pytest.mark.parametrize("params", [[1.0, 2.0], (1, 2), (np.float64(1.0), 2.0)], ids=str)
     def test_other_parameter_containers_draw_the_pinned_values(self, params):
@@ -278,22 +279,32 @@ class TestSamplerCache:
             digest.update(draw(AlternativeSpec("Normal", params), 50, replication_rng(7, r)).tobytes())
         assert digest.hexdigest() == PINNED_DRAWS["Normal(1,2)"]
 
-    def test_identity_memo_follows_the_spec_object(self):
-        a = AlternativeSpec("Normal", (1.0, 2.0))
-        b = AlternativeSpec("Normal", (3.0, 2.0))
-        assert _cached_sampler(a) is _cached_sampler(a)
-        assert _cached_sampler(b) is not _cached_sampler(a)
+    def test_built_spec_holds_canonical_name_and_floats(self):
+        spec = AlternativeSpec("t", [4])
+        assert spec == parse_spec("t(4)")
+        assert repr(spec) == "AlternativeSpec(family='StudentT', params=(4.0,))"
 
-    def test_mutable_parameters_are_not_kept_by_identity(self):
-        # a list inside the frozen spec can change between calls
+    def test_spec_built_from_a_list_is_hashable(self):
+        spec = AlternativeSpec("Normal", [1.0, 2.0])
+        assert hash(spec) == hash(parse_spec("Normal(1,2)"))
+        assert {spec: 1}[parse_spec("Normal(1,2)")] == 1
+
+    def test_changing_the_list_after_construction_changes_nothing(self):
         params = [1.0, 2.0]
         spec = AlternativeSpec("Normal", params)
-        draw(spec, 4, replication_rng(7, 0))
+        before = draw(spec, 4, replication_rng(7, 0))
         params[0] = 5.0
-        np.testing.assert_array_equal(
-            draw(spec, 4, replication_rng(7, 0)),
-            draw(AlternativeSpec("Normal", (5.0, 2.0)), 4, replication_rng(7, 0)),
-        )
+        assert spec.params == (1.0, 2.0)
+        np.testing.assert_array_equal(draw(spec, 4, replication_rng(7, 0)), before)
+
+    def test_pickle_round_trip_draws_the_same(self):
+        for text in PINNED_DRAWS:
+            spec = parse_spec(text)
+            back = pickle.loads(pickle.dumps(spec))
+            assert back == spec and repr(back) == repr(spec)
+            np.testing.assert_array_equal(
+                draw(back, 50, replication_rng(7, 1)), draw(spec, 50, replication_rng(7, 1))
+            )
 
 
 @pytest.mark.parametrize(

@@ -314,6 +314,12 @@ class TestPower:
         assert header == "alternative,tcvm,cvm,ad"
         assert float(row.split(",")[2]) == 1.0
 
+    def test_repeated_kind_exit_3(self, capsys):
+        # printed the tcvm column twice: alternative,tcvm,tcvm
+        code, text = run_cli(["power", "--alt", "Normal(0,1)", "--tests", "tcvm,TCVM"])
+        assert (code, text) == (3, "")
+        assert "more than once: tcvm" in capsys.readouterr().err
+
     def test_unknown_family_exit(self):
         code, _ = run_cli(["power", "--alt", "Nope(1)", "--reps", "100"])
         assert code == 3

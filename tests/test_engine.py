@@ -512,6 +512,38 @@ class TestPower:
                 critical_values={},
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_critical_value_refused_before_drawing(self, crits, value, monkeypatch):
+        # nan read power 0.0 and -inf read 1.0, each with stderr 0.0
+        def refuse(*args):
+            raise AssertionError("drew a block for a non-finite critical value")
+
+        monkeypatch.setattr(engine, "_draw_block", refuse)
+        with pytest.raises(ValueError, match="'cvm': " + str(value)):
+            estimate_power(
+                list(BaselineKind), NULL_SPEC, 20, 0.05, reps=100, seed=0,
+                critical_values={**crits, BaselineKind.CVM: value},
+            )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: estimate_power([], NULL_SPEC, 20, 0.05, reps=100, seed=0, critical_values={}),
+        lambda: estimate_null_critical_values([], 20, 0.05, reps=1000),
+        lambda: verify_fourth_moments([], 20, reps=200_000),
+    ],
+    ids=["estimate_power", "estimate_null_critical_values", "verify_fourth_moments"],
+)
+def test_empty_input_refused_before_drawing(call, monkeypatch):
+    # verify_fourth_moments([], 20, reps=200_000) drew every replication, then returned []
+    def refuse(*args):
+        raise AssertionError("drew a block for an empty input")
+
+    monkeypatch.setattr(engine, "_draw_block", refuse)
+    with pytest.raises(ValueError, match="at least one"):
+        call()
+
 
 def test_size_calibration_n20_full_budget():
     """Every kind holds its level at n = 20 with a full 50k calibration."""
