@@ -203,6 +203,8 @@ def _check_run(n: int, reps: int, workers: int, min_reps: int) -> None:
 def _check_kinds(n: int, kinds: Sequence[BaselineKind]) -> None:
     if not kinds:
         raise ValueError("need at least one test kind")
+    if n < 3:  # the kernel's own refusal, before a block is drawn
+        raise ValueError(f"a sample needs at least 3 observations, got {n}")
     if BaselineKind.TCVM in kinds:
         _check_tcvm_n(n)
 

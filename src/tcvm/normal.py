@@ -6,11 +6,11 @@ a_n comes from ``_ndtri``, a port of Cephes ``ndtri`` with the bits of
 which they import when first called, so ``endpoint``, the tables and all
 that is built on them load no scipy module.  Everything downstream
 integrates combinations of 1/phi(x), Phi(x)/phi(x) and Phi(x)^2/phi(x).
-Their antiderivatives psi, H and G, all 0 at 0
-(``recip_pdf_antiderivative`` and friends), are read from Taylor tables and
-give every such integral: ``c_n``, ``d_n``, the folded kernel of the
-vectorised Monte Carlo path and the unchecked stepwise weights of the
-scalar statistic (``_interval_weights``, whose bounds lie in [-a_n, a_n]).
+Their antiderivatives psi, H and G, all 0 at 0, are read from Taylor tables
+at u = |x|/sqrt(2), and ``_psi_h`` alone unfolds the signs of psi and H: the
+public antiderivatives call it behind one range check, and the stepwise
+statistic unchecked, at bounds in [-a_n, a_n].  ``c_n``, ``d_n`` and the
+folded kernel read the tables at -|x| directly.
 
 The folded kernel reflects the positive half-line onto the negative one, so
 it evaluates psi and H at non-positive points only, and G only at -a_n;
@@ -64,7 +64,6 @@ __all__ = [
     "d_n",
     "recip_pdf_antiderivative",
     "cdf_over_pdf_antiderivative",
-    "recip_and_cdf_over_pdf_antiderivatives",
     "cdf_sq_over_pdf_antiderivative",
 ]
 
@@ -189,7 +188,7 @@ def endpoint(n: int) -> Endpoint:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form antiderivatives and weights.
+# Closed-form antiderivatives.
 # ---------------------------------------------------------------------------
 
 _U_MAX = 40.0  # the tables' range of u = |x|/sqrt(2)
@@ -292,11 +291,8 @@ def _taylor(u: np.ndarray, *tables: np.ndarray) -> list:
 
 def _tables():
     """Taylor tables of P = 2 sqrt(pi) D and S = sqrt(pi) R on [0, 40], and
-    of W = (sqrt(pi)/2) V on [0, 6].
-
-    With u = |x|/sqrt(2): psi(x) = sign(x) exp(u^2) P(u),
-    H(x) = -S(u) + [x > 0] psi(x), and G(x) = -W(u) for x <= 0.
-    """
+    of W = (sqrt(pi)/2) V on [0, 6]: at x = -sqrt(2) u <= 0,
+    psi(x) = -exp(u^2) P(u), H(x) = -S(u) and G(x) = -W(u)."""
     g = np.arange(int(_U_MAX * _STEPS) + 1) / _STEPS
     d, e, c = np.load(_GRIDS_FILE)
     d = _derivatives(g, d, 1.0 - 2.0 * g * d, -1.0)
@@ -331,70 +327,49 @@ def _folded_neg_psi_h(u: np.ndarray):
     return p, s
 
 
-def _folded_at(x: np.ndarray):
-    """(x at least 1-d, u = |x|/sqrt(2), -psi(-|x|), -H(-|x|)); u beyond the
-    tables (or nan) raises ValueError, and -psi overflows to +inf silently."""
-    x = np.atleast_1d(x)
-    u = np.abs(x) / _SQRT2
-    if not np.all(u <= _U_MAX):
-        raise ValueError(_RANGE_ERROR.format(float(np.max(u))))
-    with np.errstate(over="ignore"):
-        return (x, u) + _folded_neg_psi_h(u)
-
-
-def _unfold(x: np.ndarray, p: np.ndarray, s: np.ndarray):
-    """(psi(x), H(x)) from p = -psi(-|x|), s = -H(-|x|); H(x) = psi(x) + H(-x) at x > 0."""
+def _psi_h(x: np.ndarray, u: np.ndarray):
+    """(psi(x), H(x)) at u = |x|/sqrt(2) <= 40, unchecked and with overflow
+    warnings: the one place that unfolds the signs, H(x) = psi(x) + H(-x) at x > 0."""
+    p, s = _folded_neg_psi_h(u)
     psi = np.copysign(p, x)
     return psi, np.where(x > 0.0, psi - s, -s)
 
 
-def recip_and_cdf_over_pdf_antiderivatives(x):
-    """Arrays (psi, H): the antiderivatives of 1/phi and of Phi/phi, F(0) = 0.
-
-    From the tables at u = |x|/sqrt(2) (``_tables``).  psi is +-inf
-    past the overflow of exp(u^2) (|x| > 37.7), and so is H for x > 0;
-    u > 40 raises ValueError.
-    """
-    x = np.asarray(x, dtype=float)
-    x1, _, p, s = _folded_at(x)
-    psi, h = _unfold(x1, p, s)
-    return psi.reshape(x.shape), h.reshape(x.shape)
-
-
-def _interval_weights(lo: float, hi: float):
-    """(A, B) = (psi(hi) - psi(lo), H(hi) - H(lo)), the integrals of 1/phi and
-    of Phi/phi over [lo, hi], from one table lookup at both bounds.  Unchecked:
-    ``compute_tstar`` passes neighbours of its sorted grid, so lo <= hi and
-    |x| <= a_n <= 5.33 (u <= 3.8) for every n <= 10^7."""
-    u = np.array((abs(lo) / _SQRT2, abs(hi) / _SQRT2))
-    psi, h = _unfold(np.array((lo, hi)), *_folded_neg_psi_h(u))
-    (psi_lo, psi_hi), (h_lo, h_hi) = psi.tolist(), h.tolist()
-    return psi_hi - psi_lo, h_hi - h_lo  # Python floats: cheaper than numpy for two values
+def _checked(x, f):
+    """f(x, u) at u = |x|/sqrt(2) in the shape of x, a float for a scalar, past
+    the public antiderivatives' one range check; overflow gives +-inf silently."""
+    x1 = np.atleast_1d(np.asarray(x, dtype=float))
+    u = np.abs(x1) / _SQRT2
+    if not np.all(u <= _U_MAX):
+        raise ValueError(_RANGE_ERROR.format(float(np.max(u))))
+    with np.errstate(over="ignore"):
+        out = f(x1, u).reshape(np.shape(x))
+    return float(out) if out.ndim == 0 else out
 
 
 def recip_pdf_antiderivative(x):
     """F with F' = 1/phi and F(0) = 0, i.e. pi * erfi(x/sqrt(2))."""
-    out = recip_and_cdf_over_pdf_antiderivatives(x)[0]
-    return float(out) if out.ndim == 0 else out
+    return _checked(x, lambda x, u: _psi_h(x, u)[0])
 
 
 def cdf_over_pdf_antiderivative(x):
     """F with F' = Phi/phi and F(0) = 0; finite at every x <= 0 in range."""
-    out = recip_and_cdf_over_pdf_antiderivatives(x)[1]
-    return float(out) if out.ndim == 0 else out
+    return _checked(x, lambda x, u: _psi_h(x, u)[1])
 
 
 def cdf_sq_over_pdf_antiderivative(x):
     """F with F' = Phi^2/phi and F(0) = 0; finite at every x <= 0 in range.
 
     G(x) = -(sqrt(pi)/2) V(u) at x <= 0 and psi(x) + 2 H(-x) - G(-x) at
-    x > 0, so +inf past the overflow of psi; u > 40 raises ValueError.
+    x > 0, so +inf past the overflow of psi.
     """
-    x = np.asarray(x, dtype=float)
-    x1, u, p, s = _folded_at(x)  # psi(|x|), -H(-|x|)
-    g = -_taylor(u, _W_TAYLOR)[0]  # G(-|x|)
-    out = np.where(x1 > 0.0, p - 2.0 * s - g, g).reshape(x.shape)
-    return float(out) if out.ndim == 0 else out
+
+    def unfolded(x, u):
+        p, s = _folded_neg_psi_h(u)  # psi(|x|), -H(-|x|)
+        g = -_taylor(u, _W_TAYLOR)[0]  # G(-|x|)
+        return np.where(x > 0.0, p - 2.0 * s - g, g)
+
+    return _checked(x, unfolded)
 
 
 def c_n(n: int) -> float:
@@ -409,10 +384,12 @@ def c_n(n: int) -> float:
 
 @lru_cache(maxsize=None)
 def _endpoint_terms(n: int):
-    """(a_n, psi(-a_n), H(-a_n), G(-a_n)): the folded kernel's per-n constants."""
+    """(a_n, psi(-a_n), H(-a_n), G(-a_n)): the folded kernel's per-n constants,
+    from the tables unchecked, since a_n <= 5.33 (u <= 3.8) for every n <= 10^7."""
     a = endpoint(n).a_n
-    psi, h = recip_and_cdf_over_pdf_antiderivatives(-a)
-    return a, float(psi), float(h), cdf_sq_over_pdf_antiderivative(-a)
+    u = np.array([a / _SQRT2])
+    (p,), (s,) = _folded_neg_psi_h(u)
+    return a, -float(p), -float(s), -float(_taylor(u, _W_TAYLOR)[0][0])
 
 
 def d_n(n: int) -> float:

@@ -12,9 +12,9 @@ constant one; ``_standardized_row`` is that pair for one sample.  Two
 production routes and one test oracle:
 
 * ``compute_tstar``        - the stepwise form behind ``tcvm_test`` and
-                             ``tcvm test``: delete, grid, one unchecked
-                             ``normal._interval_weights`` lookup per interval
-                             and C_n in closed form; returns the counts k, m.
+                             ``tcvm test``: delete, grid, psi and H at both
+                             bounds of each interval (``normal._psi_h``) and
+                             C_n in closed form; returns the counts k, m.
 * ``_weighted_cvm``        - the folded closed-form kernel behind
                              ``batch_statistics``: TCVM and CVM per row.
 * ``compute_tstar_direct`` - the oracle: ``scipy.integrate.quad`` of the
@@ -43,7 +43,7 @@ from .normal import (
     SQRT_2PI,
     _endpoint_terms,
     _folded_neg_psi_h,
-    _interval_weights,
+    _psi_h,
     c_n,
     d_n,
     endpoint,
@@ -148,8 +148,8 @@ def compute_tstar(values: Sequence[float]) -> TcvmResult:
 
     Deletes the k standardized observations at or below -a_n and those at
     or above a_n, grids the m retained ones between -a_n and a_n, takes the
-    weight integrals A_j, B_j in closed form (``normal._interval_weights``)
-    and assembles
+    weight integrals A_j, B_j as differences of psi and H (``normal._psi_h``,
+    one lookup per interval) and assembles
 
         T = (1/n) sum (j+k)^2 A_j - 2 sum (j+k) B_j + C_n.
     """
@@ -164,10 +164,11 @@ def _stepwise_tstar(y: np.ndarray) -> TcvmResult:
     grid = np.concatenate(([-a], y[(y > -a) & (y < a)], [a]))
     m = grid.size - 2
 
-    a_int, b_int = np.empty((2, m + 1))
-    bounds = grid.tolist()
-    for j in range(m + 1):
-        a_int[j], b_int[j] = _interval_weights(bounds[j], bounds[j + 1])
+    psi, h = np.empty((2, m + 1, 2))  # at both bounds of each interval
+    u = np.abs(grid) / _SQRT2
+    for j in range(m + 1):  # unchecked: |x| <= a_n <= 5.33 for every n <= 10^7
+        psi[j], h[j] = _psi_h(grid[j : j + 2], u[j : j + 2])
+    a_int, b_int = psi[:, 1] - psi[:, 0], h[:, 1] - h[:, 0]
 
     weights = np.arange(m + 1, dtype=float) + k
     cn = c_n(n)
@@ -292,8 +293,10 @@ def decide(
 ) -> TestOutcome:
     """Compare a statistic value with the tabulated critical value.
 
-    Rejection requires a strictly greater statistic; equality accepts.
+    Rejection requires a strictly greater statistic; equality accepts; nan raises.
     """
+    if math.isnan(statistic):
+        raise ValueError("the statistic is nan: no critical value can decide it")
     tab = table if table is not None else embedded_table()
     crit, interpolated = tab.critical_value(n, alpha)
     return TestOutcome(

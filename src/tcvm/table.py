@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -109,8 +110,10 @@ class CriticalValueTable:
 
         Sample sizes between table rows interpolate linearly in ln(n); sizes
         outside the covered range raise TableCoverageError (below MIN_TCVM_N
-        its message names that rule).
+        its message names that rule); a non-integer n raises TypeError.
         """
+        if not isinstance(n, numbers.Integral):  # int and np.integer, as in endpoint
+            raise TypeError(f"n must be an integer, got {type(n).__name__}")
         alpha = float(alpha)
         if alpha not in self.alphas:
             raise UnsupportedAlphaError(

@@ -276,7 +276,8 @@ def _plain_statistics(block: np.ndarray) -> dict:
     odd = np.where(y < 0.0, 2.0 * i - 1.0, 2.0 * (n - i) + 1.0)
 
     def folded(limit, g):
-        psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(-np.minimum(np.abs(y), limit))
+        v = -np.minimum(np.abs(y), limit)
+        psi, h = nk.recip_pdf_antiderivative(v), nk.cdf_over_pdf_antiderivative(v)
         return 2.0 * h.sum(axis=1) - (odd * psi).sum(axis=1) / n - 2.0 * n * g
 
     a = nk.endpoint(n).a_n

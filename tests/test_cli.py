@@ -320,6 +320,17 @@ class TestPower:
         assert (code, text) == (3, "")
         assert "more than once: tcvm" in capsys.readouterr().err
 
+    def test_too_short_samples_exit_2_before_drawing(self, monkeypatch, capsys):
+        from tcvm import engine
+
+        def refuse(*args):
+            raise AssertionError("drew a block for n = 2")
+
+        monkeypatch.setattr(engine, "_draw_block", refuse)
+        code, text = run_cli(["power", "--alt", "Normal(0,1)", "--n", "2", "--tests", "ad"])
+        assert (code, text) == (2, "")
+        assert "at least 3 observations, got 2" in capsys.readouterr().err
+
     def test_unknown_family_exit(self):
         code, _ = run_cli(["power", "--alt", "Nope(1)", "--reps", "100"])
         assert code == 3

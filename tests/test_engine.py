@@ -545,6 +545,29 @@ def test_empty_input_refused_before_drawing(call, monkeypatch):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: estimate_power(
+            [BaselineKind.AD], NULL_SPEC, n, 0.05, reps=100, seed=0,
+            critical_values={BaselineKind.AD: 1.0},
+        ),
+        lambda n: estimate_null_critical_values([BaselineKind.AD], n, 0.05, reps=1000),
+        lambda n: estimate_null_critical_values([BaselineKind.TCVM], n, 0.05, reps=1000),
+    ],
+    ids=["estimate_power", "estimate_null_critical_values", "tcvm"],
+)
+@pytest.mark.parametrize("n", [1, 2])
+def test_too_short_samples_refused_before_drawing(call, n, monkeypatch):
+    # estimate_null_critical_values([AD], 2, 0.05) drew a 4096-row block first
+    def refuse(*args):
+        raise AssertionError("drew a block for samples of fewer than 3 values")
+
+    monkeypatch.setattr(engine, "_draw_block", refuse)
+    with pytest.raises(ValueError, match=f"a sample needs at least 3 observations, got {n}"):
+        call(n)
+
+
 def test_size_calibration_n20_full_budget():
     """Every kind holds its level at n = 20 with a full 50k calibration."""
     crits = estimate_null_critical_values(

@@ -228,12 +228,20 @@ def test_mills_ratio_bounds_on_grid():
     assert np.all(tail <= upper)
 
 
+def _weights(lo, hi):
+    # compute_tstar's weights A and B: psi and H at both bounds from one
+    # unchecked ``_psi_h`` lookup, differenced
+    x = np.array([lo, hi])
+    psi, h = nk._psi_h(x, np.abs(x) / math.sqrt(2.0))
+    return psi[1] - psi[0], h[1] - h[0]
+
+
 def _a(lo, hi):
-    return nk._interval_weights(lo, hi)[0]
+    return _weights(lo, hi)[0]
 
 
 def _b(lo, hi):
-    return nk._interval_weights(lo, hi)[1]
+    return _weights(lo, hi)[1]
 
 
 class TestWeightIntegrals:
@@ -241,7 +249,7 @@ class TestWeightIntegrals:
 
     def test_zero_width(self):
         for c in (-2.0, 0.0, 1.7):
-            assert nk._interval_weights(c, c) == (0.0, 0.0)
+            assert _weights(c, c) == (0.0, 0.0)
 
     def test_symmetric_halves(self):
         whole = _a(-1.0, 1.0)
@@ -331,6 +339,19 @@ class TestCnDn:
     def test_d_n_matches_high_precision_reference(self, n):
         assert nk.d_n(n) == pytest.approx(float(_D_N_REFERENCE[n]), rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("n", [3, 4, 7, 10, 31, 100, 577, 10**3, 4321, 10**4, 10**5, 99_991, 10**6, 10**7])
+    def test_endpoint_terms_have_the_bits_of_the_public_antiderivatives(self, n):
+        # the per-n cache reads the tables unchecked; the checked public
+        # functions at -a_n give the same bits
+        a = nk.endpoint(n).a_n
+        expected = (
+            a,
+            nk.recip_pdf_antiderivative(-a),
+            nk.cdf_over_pdf_antiderivative(-a),
+            nk.cdf_sq_over_pdf_antiderivative(-a),
+        )
+        assert [v.hex() for v in nk._endpoint_terms(n)] == [v.hex() for v in expected]
+
     def test_d_n_degenerate(self):
         assert nk.d_n(2) == 0.0
 
@@ -410,10 +431,10 @@ class TestAntiderivatives:
         # the stepwise weights against quadrature, and against differences
         # of the vectorised antiderivatives, whose fold they share bit for bit
         grid = np.sort(rng.uniform(-2.0, 2.0, size=12))
-        psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(grid)
+        psi, h = nk.recip_pdf_antiderivative(grid), nk.cdf_over_pdf_antiderivative(grid)
         for j in range(len(grid) - 1):
             lo, hi = grid[j], grid[j + 1]
-            a, b = nk._interval_weights(lo, hi)
+            a, b = _weights(lo, hi)
             assert (a, b) == (psi[j + 1] - psi[j], h[j + 1] - h[j])
             a_ref = integrate.quad(recip_pdf, lo, hi)[0]
             b_ref = integrate.quad(cdf_over_pdf, lo, hi)[0]
@@ -506,10 +527,13 @@ def test_g_with_w_on_0_6_has_the_bits_of_a_w_on_0_40(monkeypatch):
 
 
 def test_shared_table_pair_is_bit_identical():
+    # the public antiderivatives, scalar or array, and the stepwise route's
+    # unchecked lookup all unfold through ``_psi_h``
     x = np.concatenate(
         [np.linspace(-9.0, 9.0, 2001), [0.0, -0.0, -4.25, 4.25, 30.0, -38.0, 38.0, -56.0]]
     )
-    psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(x)
+    with np.errstate(over="ignore"):
+        psi, h = nk._psi_h(x, np.abs(x) / math.sqrt(2.0))
     np.testing.assert_array_equal(psi, nk.recip_pdf_antiderivative(x))
     np.testing.assert_array_equal(h, nk.cdf_over_pdf_antiderivative(x))
     for i in (0, 1500, 2004):
@@ -518,7 +542,7 @@ def test_shared_table_pair_is_bit_identical():
     # the folded kernel evaluates the same functions at -|x|, negated
     inside = -np.abs(x[np.abs(x) <= 36.0])
     folded = nk._folded_neg_psi_h(np.abs(inside) / math.sqrt(2.0))
-    expected = nk.recip_and_cdf_over_pdf_antiderivatives(inside)
+    expected = nk.recip_pdf_antiderivative(inside), nk.cdf_over_pdf_antiderivative(inside)
     np.testing.assert_array_equal(-folded[0], expected[0])
     np.testing.assert_array_equal(-folded[1], expected[1])
 
@@ -598,7 +622,8 @@ class TestPsiHTables:
         assert abs(nk.cdf_over_pdf_antiderivative(x) - float(h_ref)) <= 2.0**-49
 
     def test_psi_overflows_to_inf_without_warning(self):
-        psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(np.array([-38.0, 38.0, 56.0]))
+        x = np.array([-38.0, 38.0, 56.0])
+        psi, h = nk.recip_pdf_antiderivative(x), nk.cdf_over_pdf_antiderivative(x)
         np.testing.assert_array_equal(psi, [-np.inf, np.inf, np.inf])
         assert np.isfinite(h[0])
         np.testing.assert_array_equal(h[1:], [np.inf, np.inf])
@@ -608,12 +633,12 @@ class TestPsiHTables:
         for fn in (
             nk.recip_pdf_antiderivative,
             nk.cdf_over_pdf_antiderivative,
-            nk.recip_and_cdf_over_pdf_antiderivatives,
             nk.cdf_sq_over_pdf_antiderivative,
         ):
             with pytest.raises(ValueError, match="supported range"):
                 fn(np.array([0.5, x]))
 
     def test_zero_at_zero(self):
-        psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(np.array([0.0]))
+        x = np.array([0.0])
+        psi, h = nk.recip_pdf_antiderivative(x), nk.cdf_over_pdf_antiderivative(x)
         assert (psi[0], h[0]) == (0.0, 0.0)

@@ -78,7 +78,7 @@ class TestComputeTstar:
         # the weights j + k count the deleted point below -a_n; the grid runs
         # from -a_n through the retained points to a_n
         grid = np.concatenate(([-res.a_n], _standardized(x)[1:-1], [res.a_n]))
-        psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(grid)
+        psi, h = nk.recip_pdf_antiderivative(grid), nk.cdf_over_pdf_antiderivative(grid)
         j = np.arange(res.m + 1) + res.k
         expected = j**2 @ np.diff(psi) / res.n - 2.0 * j @ np.diff(h) + res.c_n
         assert res.t_star == pytest.approx(expected, rel=1e-10)
@@ -87,7 +87,8 @@ class TestComputeTstar:
         res = compute_tstar([0.0, 0.0, 1.0])
         assert res.m == 0
         assert res.k == 2
-        psi, h = nk.recip_and_cdf_over_pdf_antiderivatives(np.array([-res.a_n, res.a_n]))
+        bounds = np.array([-res.a_n, res.a_n])
+        psi, h = nk.recip_pdf_antiderivative(bounds), nk.cdf_over_pdf_antiderivative(bounds)
         a_0, b_0 = np.diff(psi)[0], np.diff(h)[0]
         expected = (res.k**2 / 3.0) * a_0 - 2.0 * res.k * b_0 + res.c_n
         assert res.t_star == pytest.approx(expected, rel=1e-12)
@@ -290,6 +291,20 @@ class TestDecision:
         with pytest.raises(UnsupportedAlphaError):
             decide(1.0, 50, 0.03)
 
+    def test_nan_statistic_is_refused(self):
+        # returned reject=False, accepting normality on a meaningless number
+        with pytest.raises(ValueError, match="nan"):
+            decide(float("nan"), 50, 0.05)
+        with pytest.raises(ValueError, match="nan"):
+            decide(np.float64("nan"), 50, 0.05)
+        assert decide(math.inf, 50, 0.05).reject
+
+    def test_non_integer_n_is_refused(self):
+        # 55.5 was interpolated between the rows at 55 and 60
+        with pytest.raises(TypeError, match="n must be an integer, got float"):
+            decide(1.0, 55.5, 0.05)
+        assert decide(1.0, np.int64(55), 0.05) == decide(1.0, 55, 0.05)
+
     def test_below_four_names_the_rule_not_simulation(self):
         # critical values cannot be simulated below n = 4 either
         with pytest.raises(TableCoverageError, match="TCVM needs n >= 4") as info:
@@ -297,10 +312,10 @@ class TestDecision:
         assert "simulate" not in str(info.value)
 
     def test_uncovered_n_is_refused_before_the_per_interval_loop(self, monkeypatch, rng):
-        def unreachable(lo, hi):
+        def unreachable(x, u):
             raise AssertionError("the per-interval loop ran")
 
-        monkeypatch.setattr(statistic, "_interval_weights", unreachable)
+        monkeypatch.setattr(statistic, "_psi_h", unreachable)
         x = rng.standard_normal(20_000)
         with pytest.raises(TableCoverageError, match="n=20000 outside"):
             tcvm_test(x)

@@ -104,6 +104,18 @@ def test_coverage_error_below_four_names_the_rule(table):
     assert "simulate" not in str(info.value)
 
 
+@pytest.mark.parametrize("n", [55.5, 55.0, "55", None])
+def test_non_integer_n_is_refused(table, n):
+    # 55.5 read (1.712..., True): a value interpolated for a size no sample has
+    with pytest.raises(TypeError, match="n must be an integer"):
+        table.critical_value(n, 0.05)
+
+
+def test_numpy_integer_n_is_accepted(table):
+    for n in (55, 57):
+        assert table.critical_value(np.int64(n), 0.05) == table.critical_value(n, 0.05)
+
+
 def test_unsupported_alpha(table):
     with pytest.raises(UnsupportedAlphaError):
         table.critical_value(50, 0.07)
