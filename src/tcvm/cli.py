@@ -336,8 +336,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker threads, each on whole 4096-row blocks, at most one per core; results do "
-        "not depend on it. 2 on 2 cores ran n = 1000 1.4-1.5x and n <= 50 0.84-0.89x as fast as 1",
+        help="worker threads, each drawing whole blocks of min(4096, 2^22 // n) rows into one "
+        "reused workspace, at most one per core; results do not depend on it. 2 on 2 cores ran "
+        "n = 1000 1.4-1.5x and n <= 50 0.84-0.89x as fast as 1",
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

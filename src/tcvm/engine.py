@@ -3,11 +3,13 @@
 Reproducibility contract: replication ``r`` of a run with master seed ``s``
 draws from a counter-based Philox stream keyed by ``(s, r)``, whose fresh
 state is a fixed image that differs between streams in one key word; a
-block of ``_BLOCK`` replications resets one Philox to each row's stream by
-copying that image in.  Each block returns per-replication arrays, computed
-from each row alone, and they are joined in replication order whatever the
-worker count, so no worker writes shared arrays and every count, sort, sum
-or mean runs once over all replications.  ``batch_statistics`` computes
+block of ``_BLOCK`` replications, or fewer where that would pass
+``_BLOCK_VALUES`` values, resets one Philox to each row's stream by copying
+that image in, and each worker draws all its blocks into one workspace.
+Each block returns per-replication arrays, computed from each row alone,
+and they are joined in replication order whatever the worker count, so no
+worker writes shared arrays and every count, sort, sum or mean runs once
+over all replications.  ``batch_statistics`` computes
 each row's statistics in the same bits however the rows are sliced, so no
 result depends on the worker count, the block size or the kernel slice.
 """
@@ -18,6 +20,7 @@ import ctypes
 import io
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +51,8 @@ __all__ = [
 
 NULL_SPEC = AlternativeSpec("Normal", (0.0, 1.0))
 
-_BLOCK = 4096  # replications per work block
+_BLOCK = 4096  # replications per work block, at most
+_BLOCK_VALUES = 2**22  # values per work block, at most: 32 MB, unless one row holds more
 
 
 _MASK64 = 2**64 - 1
@@ -86,41 +90,48 @@ def _after_reset(rng: np.random.Generator, reset: Callable[[int], None], key: in
     return state, b"".join(d.tobytes() for d in draws)
 
 
-def _row_reset(rng: np.random.Generator, start: int, count: int) -> Callable[[], None]:
-    """A function whose i-th call makes ``rng`` the fresh stream keyed (key word 0, start + i).
+def _stream_resets(rng: np.random.Generator, rows: int) -> Callable[[int, int], Callable[[], None]]:
+    """A function of ``(start, count)``, count <= rows, returning a reset for count rows.
 
-    Each call copies the next 96-byte row of a table of fresh state images,
-    made from the state the setter leaves, where this generator's key and
-    counter follow its struct inside the object at offsets from
-    ``id(bit_gen)`` that passed the check once in this process: for each key
-    of ``_CHECK_KEYS``, a used generator reset both ways reads the same
-    ``state`` dict and draws the same values after.  Else the state setter.
+    The i-th call of that reset makes ``rng`` the fresh stream keyed (key
+    word 0, start + i).  Each call copies the next 96-byte row of a table
+    of ``rows`` fresh state images, made once from the state the setter
+    leaves, where this generator's key and counter follow its struct inside
+    the object at offsets from ``id(bit_gen)`` that passed the check once
+    in this process: for each key of ``_CHECK_KEYS``, a used generator
+    reset both ways reads the same ``state`` dict and draws the same values
+    after.  Else the state setter.  Each ``(start, count)`` rewrites only
+    the table's key words, in place, and rewinds the stream that reads it.
     """
     bit_gen = rng.bit_generator
     fresh = bit_gen.state  # holds copies; the setter copies them back in
     fresh_key = fresh["state"]["key"]
-    keys = iter(range(start, start + count))
 
     def set_state(k: int) -> None:
         fresh_key[1] = k
         bit_gen.state = fresh
 
-    def set_next() -> None:
-        set_state(next(keys) & _MASK64)
+    def by_setter(start: int, count: int) -> Callable[[], None]:
+        keys = iter(range(start, start + count))
+
+        def set_next() -> None:
+            set_state(next(keys) & _MASK64)
+
+        return set_next
 
     try:
         base = id(bit_gen)  # CPython: the object's address
         addr = bit_gen.ctypes.state_address
         if not base <= addr <= base + type(bit_gen).__basicsize__ - 16 - _IMAGE_BYTES:
-            return set_next
+            return by_setter
         ctr_at, key_at = (int(w) for w in _uint64_view(bit_gen, addr, 2))
         if (key_at, ctr_at) != (addr + _STATE_BYTES, addr + _STATE_BYTES + 16):
-            return set_next
+            return by_setter
         words = _uint64_view(bit_gen, addr + 16, _IMAGE_BYTES // 8)
     except (AttributeError, TypeError, ValueError):
-        return set_next
+        return by_setter
     layout = (addr - base, key_at - base, ctr_at - base)
-    set_state(start & _MASK64)
+    set_state(0)
     image = words.copy()
 
     def write(k: int) -> None:
@@ -129,13 +140,31 @@ def _row_reset(rng: np.random.Generator, start: int, count: int) -> Callable[[],
 
     if layout not in _CHECKED_LAYOUTS:
         if any(_after_reset(rng, write, k) != _after_reset(rng, set_state, k) for k in _CHECK_KEYS):
-            return set_next
+            return by_setter
         _CHECKED_LAYOUTS.add(layout)
-    table = np.tile(image, (count, 1))
-    table[:, 7] = np.arange(count, dtype=np.uint64) + np.uint64(start)  # wraps mod 2^64
     # readinto fills the 96 bytes of words and steps on to the next image;
-    # past the last one it copies nothing, so a block resets exactly count rows
-    return partial(io.BytesIO(table.tobytes()).readinto, memoryview(words))
+    # the table is the stream's own buffer, where each reset writes its keys
+    images = io.BytesIO()
+    images.write(np.tile(image, rows))
+    keys = np.frombuffer(images.getbuffer(), np.uint64).reshape(rows, image.size)[:, 7]
+    offsets = np.arange(rows, dtype=np.uint64)
+    read = partial(images.readinto, memoryview(words))
+
+    def by_copy(start: int, count: int) -> Callable[[], None]:
+        np.add(offsets[:count], np.uint64(start & _MASK64), out=keys[:count])  # wraps mod 2^64
+        images.seek(0)
+        return read
+
+    return by_copy
+
+
+def _row_reset(rng: np.random.Generator, start: int, count: int) -> Callable[[], None]:
+    """A function whose i-th call makes ``rng`` the fresh stream keyed (key word 0, start + i).
+
+    ``_stream_resets`` with a table of exactly ``count`` rows: past the
+    last one the copy reads nothing, so it resets exactly count rows.
+    """
+    return _stream_resets(rng, count)(start, count)
 
 
 _FILLS_IN_PLACE = frozenset({"random", "standard_normal"})  # Generator methods taking out=
@@ -145,8 +174,38 @@ def _fill(method: Callable, args: Tuple[float, ...], out: np.ndarray) -> None:
     out[...] = method(*args, out.size)
 
 
+class _Workspace:
+    """One worker's buffers for blocks of up to ``rows`` rows of ``spec`` at ``n``.
+
+    Holds the block output and one Philox, keyed by ``seed``, with its
+    resets for one transform chunk of at most ``_CHUNK_ELEMS`` values; per
+    raw call of the family, a filler (the generator method itself where it
+    takes ``out=``) and a raw buffer of one chunk; and, per row of the
+    chunk, the one call's row view, or each call's (filler, row view) pair.
+    Every block a worker draws reuses them, so drawing allocates only the
+    transform's temporaries.
+    """
+
+    __slots__ = ("resets", "fills", "raw", "rows", "out")
+
+    def __init__(self, spec: AlternativeSpec, n: int, seed: int, rows: int):
+        chunk = max(1, min(rows, _CHUNK_ELEMS // n))
+        rng = replication_rng(seed, 0)
+        self.resets = _stream_resets(rng, chunk)
+        self.fills = [
+            getattr(rng, method) if method in _FILLS_IN_PLACE
+            else partial(_fill, getattr(rng, method), args)
+            for method, args in spec._calls
+        ]
+        self.raw = [np.empty((chunk, n)) for _ in self.fills]
+        views = [list(buf) for buf in self.raw]
+        self.rows = views[0] if len(views) == 1 else [tuple(zip(self.fills, v)) for v in zip(*views)]
+        self.out = np.empty((rows, n))
+
+
 def _draw_block(
-    spec: AlternativeSpec, n: int, seed: int, start: int, count: int
+    spec: AlternativeSpec, n: int, seed: int, start: int, count: int,
+    workspace: _Workspace | None = None,
 ) -> np.ndarray:
     """Rows for replications start .. start + count - 1.
 
@@ -154,40 +213,44 @@ def _draw_block(
     bit.  One Philox serves the whole block: before each row its key word 1
     becomes (start + i) mod 2^64 and its counter, buffer and cached 32-bit
     half return to their freshly built values, which is cheaper than a new
-    generator.  ``_row_reset`` builds the block's fresh state images once
-    and copies the next 96 bytes straight into numpy's Philox object, where
-    the layout is contiguous and passed its once-per-process check against
-    the ``state`` setter, which serves instead wherever it is not.  Each row
-    only fills the family's raw draws; the elementwise transform runs once
-    per chunk of at most ``_CHUNK_ELEMS`` values, without overflow warnings:
-    ``batch_statistics`` refuses rows that reach inf or nan.
+    generator.  ``_stream_resets`` builds a chunk's fresh state images once
+    per workspace and copies the next 96 bytes straight into numpy's Philox
+    object, where the layout is contiguous and passed its once-per-process
+    check against the ``state`` setter, which serves instead wherever it is
+    not.  Each row only fills the family's raw draws into its prebuilt row
+    views; the elementwise transform runs once per chunk of at most
+    ``_CHUNK_ELEMS`` values, without overflow warnings: ``batch_statistics``
+    refuses rows that reach inf or nan.
+
+    The rows are a view of ``workspace.out``, which the next block drawn in
+    the same workspace overwrites; ``workspace`` must have been built for
+    this spec, n and seed, with at least ``count`` rows.  Without one, the
+    block gets a fresh workspace of its own.
     """
-    rng = replication_rng(seed, start)
-    reset = _row_reset(rng, start, count)
-    # fill(out=row) per raw call: the method itself where it takes out=
-    fillers = [
-        getattr(rng, method) if method in _FILLS_IN_PLACE
-        else partial(_fill, getattr(rng, method), args)
-        for method, args in spec._calls
-    ]
-    rows = max(1, min(count, _CHUNK_ELEMS // n))
-    raw = [np.empty((rows, n)) for _ in fillers]
-    # per row, each filler with its view into its raw buffer, made once
-    jobs = [tuple(zip(fillers, views)) for views in zip(*(list(buf) for buf in raw))]
-    out = np.empty((count, n))
-    for first in range(0, count, rows):
-        m = min(rows, count - first)
-        for i in range(m):
-            reset()
-            for fill, row in jobs[i]:
-                fill(out=row)
+    ws = workspace if workspace is not None else _Workspace(spec, n, seed, count)
+    fills, raw = ws.fills, ws.raw
+    out = ws.out[:count]
+    chunk = len(ws.rows)
+    for first in range(0, count, chunk):
+        m = min(chunk, count - first)
+        reset = ws.resets(start + first, m)
+        if len(fills) == 1:
+            fill = fills[0]
+            for view in ws.rows[:m]:
+                reset()
+                fill(out=view)
+        else:
+            for pairs in ws.rows[:m]:
+                reset()
+                for fill, view in pairs:
+                    fill(out=view)
         with np.errstate(over="ignore", invalid="ignore"):
             out[first : first + m] = spec._transform([buf[:m] for buf in raw], spec.params)
     return out
 
 
 def _check_n(n: int) -> None:
-    # before anything is drawn: a block holds up to _BLOCK rows of n values
+    # before anything is drawn: a block holds at least one row of n values
     if not 1 <= n <= MAX_ENDPOINT_N:
         raise ValueError(f"need 1 <= n <= {MAX_ENDPOINT_N:,}, got {n}")
 
@@ -214,19 +277,31 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
 
 
+def _block_rows(n: int) -> int:
+    """Rows per work block at ``n``: ``_BLOCK``, or fewer past ``_BLOCK_VALUES`` values."""
+    return min(_BLOCK, max(1, _BLOCK_VALUES // n))
+
+
 def _map_blocks(
     spec: AlternativeSpec, n: int, reps: int, seed: int, workers: int, fn: Callable
 ) -> dict:
     """Each block's dict of per-row arrays from ``fn``, joined in replication order.
 
-    At most min(workers, blocks, cores) threads run, since each holds a
-    block of up to ``_BLOCK`` rows in memory.
+    A block holds ``_block_rows(n)`` rows.  At most min(workers, blocks,
+    cores) threads run, and each draws all its blocks into one workspace of
+    its own, kept for the run, so ``fn`` must not keep the block it is
+    given (both callers return fresh arrays).
     """
+    rows = min(_block_rows(n), reps)
+    local = threading.local()
 
     def run(start: int):
-        return fn(_draw_block(spec, n, seed, start, min(_BLOCK, reps - start)))
+        ws = getattr(local, "workspace", None)
+        if ws is None:
+            ws = local.workspace = _Workspace(spec, n, seed, rows)
+        return fn(_draw_block(spec, n, seed, start, min(rows, reps - start), ws))
 
-    starts = range(0, reps, _BLOCK)
+    starts = range(0, reps, rows)
     threads = min(workers, len(starts), os.cpu_count() or 1)
     if threads <= 1:
         parts = [run(start) for start in starts]
@@ -437,7 +512,8 @@ def _fourth_products(
     points: Sequence[Tuple[float, float]], block: np.ndarray
 ) -> Dict[int, np.ndarray]:
     """b_n^2(x) * b_n^2(y) for every row of ``block``, keyed by point index."""
-    sq = {v: b_n(block, v) ** 2 for pt in points for v in pt}
+    values = dict.fromkeys(v for pt in points for v in pt)  # each distinct value once
+    sq = {v: b_n(block, v) ** 2 for v in values}
     return {j: sq[x] * sq[y] for j, (x, y) in enumerate(points)}
 
 

@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import math
 import sys
+import time
 from functools import partial
 
 import numpy as np
@@ -23,7 +25,7 @@ from tcvm.engine import (
     simulate_table,
     verify_fourth_moments,
 )
-from tcvm.process import MomentPoint, fourth_moment_exact
+from tcvm.process import MomentPoint, b_n, fourth_moment_exact
 from tcvm.table import ALPHA_LEVELS
 
 
@@ -244,6 +246,88 @@ class TestInPlaceReset:
             )
 
 
+class TestWorkspace:
+    """``_map_blocks`` draws every block of a worker into one reused workspace."""
+
+    @staticmethod
+    def _rows(spec, n, reps, seed, workers=1):
+        def keep(block):
+            time.sleep(0.002)  # lets another thread draw before this block is read
+            return {"rows": block.copy()}
+
+        return engine._map_blocks(spec, n, reps, seed, workers, keep)["rows"]
+
+    @pytest.mark.parametrize(
+        "text", ["Normal(1,2)", "LoConN(0.3,2.5)", "Beta(2,3)", "t(4)", "ChiSq(3)"]
+    )
+    def test_blocks_equal_per_row_draws(self, monkeypatch, text):
+        # 2345 reps run as blocks of 1000, 1000 and 345 rows, and a block of
+        # 1000 as transform chunks of 655 and 345 rows at n = 50
+        monkeypatch.setattr(engine, "_BLOCK", 1000)
+        spec, n, seed = parse_spec(text), 50, 2**64 - 5
+        assert engine._CHUNK_ELEMS // n == 655
+        rows = self._rows(spec, n, 2345, seed)
+        np.testing.assert_array_equal(rows, _per_row(spec, n, seed, 0, 2345))
+
+    def test_two_workers_equal_one_on_a_mixture(self, monkeypatch):
+        # each thread must draw into its own workspace: a shared one would be
+        # overwritten by the other thread while a block is still being read
+        monkeypatch.setattr(engine, "_BLOCK", 300)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        spec, n, seed = parse_spec("LoConN(0.3,2.5)"), 50, 31
+        one = self._rows(spec, n, 4321, seed)
+        np.testing.assert_array_equal(self._rows(spec, n, 4321, seed, workers=2), one)
+        np.testing.assert_array_equal(one[-21:], _per_row(spec, n, seed, 4300, 21))
+
+    def test_one_worker_reuses_one_output_buffer(self, monkeypatch):
+        monkeypatch.setattr(engine, "_BLOCK", 700)
+        addresses = []
+
+        def record(block):
+            addresses.append(block.__array_interface__["data"][0])
+            return {"first": block[:, 0].copy()}
+
+        engine._map_blocks(NULL_SPEC, 20, 2500, 3, 1, record)
+        assert len(addresses) == 4 and len(set(addresses)) == 1
+
+    def test_block_rows_cap_values(self, monkeypatch):
+        assert engine._BLOCK_VALUES == 2**22
+        assert engine._block_rows(20) == engine._block_rows(1024) == 4096
+        assert engine._block_rows(1025) == 4092
+        assert engine._block_rows(10_000) == 419
+        assert engine._block_rows(nk.MAX_ENDPOINT_N) == 1
+        counts = []
+        draw_block = engine._draw_block
+
+        def recording(*args):
+            counts.append(args[4])
+            return draw_block(*args)
+
+        monkeypatch.setattr(engine, "_draw_block", recording)
+        monkeypatch.setattr(engine, "_BLOCK_VALUES", 1000)
+        estimate_critical_values(50, reps=130, seed=0)
+        assert counts == [20] * 6 + [10]
+
+
+def test_fourth_products_evaluate_each_value_once(monkeypatch):
+    # (0, 0) and (0.3, 1.1) share nothing but 0: three b_n passes, not four
+    block = _per_row(NULL_SPEC, 20, 9, 0, 64)
+    points = [(0.0, 0.0), (0.3, 1.1)]
+    expected = {j: b_n(block, x) ** 2 * b_n(block, y) ** 2 for j, (x, y) in enumerate(points)}
+    calls = []
+
+    def counted(values, x):
+        calls.append(x)
+        return b_n(values, x)
+
+    monkeypatch.setattr(engine, "b_n", counted)
+    got = engine._fourth_products(points, block)
+    assert calls == [0.0, 0.3, 1.1]
+    assert got.keys() == expected.keys()
+    for j in expected:
+        np.testing.assert_array_equal(got[j], expected[j])
+
+
 class TestQuantileIndex:
     def test_exact_indices(self):
         # floating-point products like 0.95 * 50000 must not leak into ceil
@@ -307,11 +391,15 @@ def test_worker_pool_is_capped_by_blocks_and_cores(monkeypatch, workers, cores, 
     assert capped == serial
 
 
-@pytest.mark.parametrize("block", [1000, 1001])
-def test_results_do_not_depend_on_the_block_size(block, monkeypatch):
+@pytest.mark.parametrize(
+    "cap, block", [("_BLOCK", 1000), ("_BLOCK", 1001), ("_BLOCK_VALUES", 1000)],
+    ids=["1000", "1001", "values1000"],
+)
+def test_results_do_not_depend_on_the_block_size(cap, block, monkeypatch):
     # 2500 reps run as one block of 4096 or as three; each block's rows are
     # sliced differently inside batch_statistics.  The moment check's 12,288
-    # reps run as three blocks of 4096 or as thirteen
+    # reps run as three blocks of 4096 or as thirteen.  A cap of 1,000
+    # values makes blocks of 20 rows at n = 50, 50 at n = 20 and 10 at n = 100
     kinds = list(BaselineKind)
 
     def run():
@@ -326,7 +414,7 @@ def test_results_do_not_depend_on_the_block_size(block, monkeypatch):
 
     monkeypatch.setattr(engine, "_BLOCK", 4096)
     whole = run()
-    monkeypatch.setattr(engine, "_BLOCK", block)
+    monkeypatch.setattr(engine, cap, block)
     assert run() == whole
 
 
@@ -634,3 +722,54 @@ class TestMoments:
             verify_fourth_moments([(0.0, 0.0), point], 20, reps=10_000)
         with pytest.raises(ValueError, match="finite"):
             verify_fourth_moments([point], 20, reps=10_000)[0]
+
+
+# sha256 of the engine's outputs on the small seeded runs of scripts/parity.py,
+# digested the same way (the float.hex of each value, comma-joined); any
+# change to the bits of drawing, the kernels or the reductions shows here
+PINNED_OUTPUTS = {
+    "critvals_n5": "d6aaa69d6ccb9d215c4ae83b01e71bb40f14abe13fb277072437b706b0b524e7",
+    "critvals_n50": "3a6dca6f8f86048af907ad0f06486727b66934a335b01a88106664e6521e4d7b",
+    "critvals_table": "5fa187adf84912e2a44ab21daab7fdcdfe21a095e4b240f4873529846fb7ff4a",
+    "null_crits": "bcb3278b18c47b21b01c91d3fd410f4baf9cdee9c84f42b532bcd57c2e89d936",
+    "power_LoConN(0.5,4)": "3d3836adfd86219e30bf4b47851a8dc998ef2bc81812a3f9b02bd08d1dfbaf12",
+    "power_Lognormal(0,3)": "14ff6a211a3fe8417472b23db83628deedaf9f6d16eaa189f25ad74845fbf831",
+    "moments": "c5b43fa5687e7a5644956aab32478869224525b9f331677302b06600213ba085",
+    "constant_c": "5569e86c50368a93953a931ea1f5391f0b899a6d60d97cb5473a2b5616c8a979",
+}
+
+
+def _parity_digest(values) -> str:
+    flat = np.asarray(values, dtype=float).ravel().tolist()
+    return hashlib.sha256(",".join(v.hex() for v in flat).encode()).hexdigest()
+
+
+def _engine_outputs(workers):
+    """Each pinned output's values, computed as scripts/parity.py computes them."""
+    kinds = list(BaselineKind)
+    out = {}
+    for n, reps in ((5, 2000), (50, 9000)):
+        row = estimate_critical_values(n, reps=reps, seed=1, workers=workers)
+        out[f"critvals_n{n}"] = list(row.critical_values.values()) + [row.a_n, row.c_n]
+    table = simulate_table([10, 11, 40], reps=600, seed=2, workers=workers)
+    out["critvals_table"] = [
+        list(r.critical_values.values()) + [r.n, r.a_n, r.c_n] for r in table.rows.values()
+    ]
+    crits = estimate_null_critical_values(kinds, 50, 0.05, reps=3000, seed=3, workers=workers)
+    out["null_crits"] = [crits[kind] for kind in kinds]
+    for spec in ("LoConN(0.5,4)", "Lognormal(0,3)"):
+        rep = estimate_power(kinds, parse_spec(spec), 50, 0.05, 3000, 4, crits, workers=workers)
+        out[f"power_{spec}"] = [[rep.rates[k], rep.stderr[k]] for k in kinds]
+    checks = verify_fourth_moments(
+        [(0.0, 0.0), (0.3, 1.1)], 20, reps=20_000, seed=5, workers=workers
+    )
+    out["moments"] = [[c.empirical, c.exact, c.stderr, c.z_score] for c in checks]
+    est = estimate_constant_c(100, reps=300, seed=6, workers=workers)
+    out["constant_c"] = [est.value, est.stderr]
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_engine_outputs_match_pinned_digests(workers):
+    digests = {key: _parity_digest(v) for key, v in _engine_outputs(workers).items()}
+    assert digests == PINNED_OUTPUTS
