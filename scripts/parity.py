@@ -8,7 +8,9 @@ Imports tcvm from DIR (default: ``src`` of this checkout), so the same
 script can digest another checkout; two checkouts agree bit for bit where
 their digests agree.  Prints one JSON object, keys sorted, mapping each
 output to the sha256 of the ``float.hex`` of its values (ints and flags
-as floats):
+as floats).  ``digests(workers)`` returns that object for the tcvm already
+importable, which the tests load and pin, running the engine's outputs
+with 1 and 2 workers:
 
 * ``batch_<kinds>_n<n>``: ``batch_statistics`` with each kind alone and
   with all five, on seeded normal, t(1) and Lognormal(0, 3) rows at
@@ -68,17 +70,13 @@ def digest_runs(runs) -> str:
     return hashlib.sha256(json.dumps(runs).encode()).hexdigest()
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"))
-    args = parser.parse_args()
-
-    sys.path.insert(0, os.path.abspath(args.src))
+def digests(workers: int = 1) -> dict:
+    """Every output's digest, keys sorted, from the ``tcvm`` on ``sys.path``;
+    the engine's runs use ``workers`` workers, which must not move a bit."""
     import numpy as np
     import tcvm
     from tcvm import BaselineKind, cli, normal
 
-    t0 = time.perf_counter()
     out = {}
     rng = np.random.default_rng(20)
     kinds = list(BaselineKind)
@@ -99,20 +97,26 @@ def main() -> int:
         out[f"batch_cvm_inf_rows_n{n}"] = digest(np.isinf(together[BaselineKind.CVM]))
 
     for n, reps in ((5, 2000), (50, 9000)):
-        row = tcvm.estimate_critical_values(n, reps=reps, seed=1)
+        row = tcvm.estimate_critical_values(n, reps=reps, seed=1, workers=workers)
         out[f"critvals_n{n}"] = digest(list(row.critical_values.values()) + [row.a_n, row.c_n])
-    table = tcvm.simulate_table([10, 11, 40], reps=600, seed=2)
+    table = tcvm.simulate_table([10, 11, 40], reps=600, seed=2, workers=workers)
     out["critvals_table"] = digest(
         [list(r.critical_values.values()) + [r.n, r.a_n, r.c_n] for r in table.rows.values()]
     )
-    crits = tcvm.estimate_null_critical_values(kinds, 50, 0.05, reps=3000, seed=3)
+    crits = tcvm.estimate_null_critical_values(
+        kinds, 50, 0.05, reps=3000, seed=3, workers=workers
+    )
     out["null_crits"] = digest([crits[kind] for kind in kinds])
     for spec in ("LoConN(0.5,4)", "Lognormal(0,3)"):
-        rep = tcvm.estimate_power(kinds, tcvm.parse_spec(spec), 50, 0.05, 3000, 4, crits)
+        rep = tcvm.estimate_power(
+            kinds, tcvm.parse_spec(spec), 50, 0.05, 3000, 4, crits, workers=workers
+        )
         out[f"power_{spec}"] = digest([[rep.rates[k], rep.stderr[k]] for k in kinds])
-    checks = tcvm.verify_fourth_moments([(0.0, 0.0), (0.3, 1.1)], 20, reps=20_000, seed=5)
+    checks = tcvm.verify_fourth_moments(
+        [(0.0, 0.0), (0.3, 1.1)], 20, reps=20_000, seed=5, workers=workers
+    )
     out["moments"] = digest([[c.empirical, c.exact, c.stderr, c.z_score] for c in checks])
-    est = tcvm.estimate_constant_c(100, reps=300, seed=6)
+    est = tcvm.estimate_constant_c(100, reps=300, seed=6, workers=workers)
     out["constant_c"] = digest([est.value, est.stderr])
 
     samples = [rng.standard_normal(n) for n in (4, 5, 10, 50, 200, 2000)]
@@ -177,7 +181,18 @@ def main() -> int:
     out["sample"] = digest([tcvm.sample(spec, 50, 7) for spec in specs])
     out["replication_rng"] = digest([tcvm.replication_rng(8, r).random(5) for r in range(100)])
 
-    json.dump(dict(sorted(out.items())), sys.stdout, indent=1)
+    return dict(sorted(out.items()))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"))
+    args = parser.parse_args()
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    t0 = time.perf_counter()
+    out = digests()
+    json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
     print(f"parity: {len(out)} digests in {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     return 0

@@ -11,7 +11,9 @@ block, of:
 
 * ``draw_<spec>_n<n>``: ``engine._draw_block`` for the null at n = 50 and
   n = 20 and for each of the seven power rows of the ``power_n50``
-  benchmark workload at n = 50;
+  benchmark workload at n = 50, into one ``engine._Workspace`` per spec
+  built outside the timed loop, as ``engine._map_blocks`` reuses one per
+  worker for every block of a run;
 * ``kernels_<spec>``: ``batch_statistics`` with all five kinds on a block of
   each of the eight units of a ``power_n50`` cycle at n = 50, the null
   calibration and the seven power rows, timed in interleaved rounds;
@@ -38,11 +40,10 @@ and 2,000, best of 15 interleaved rounds, in microseconds:
 ``engine.replication_rng(seed, r)`` and one ``alternatives.draw`` per row,
 on 2048 null rows at n = 20 and n = 50 (best of 5): ``replay_rng_n<n>``,
 ``replay_draw_n<n>`` and their sum ``replay_n<n>``.  ``reset_n20`` times
-the per-row stream reset alone as ``engine._draw_block`` uses it on a
-4096-row block: ``engine._row_reset`` (its image table, and its layout
-check where that has not yet run) and one reset per row, best of 5; in a
-checkout without ``_row_reset``, ``engine._stream_reset`` (with its
-per-block check) and one reset per row instead.
+the per-row stream reset alone as ``engine._draw_block`` pays it on a
+4096-row block: the resets that ``engine._stream_resets`` built once for
+the null workspace at n = 20, re-keyed per transform chunk, and one reset
+per row, best of 5.
 
 ``ns_per_value`` holds ``kernels_all_n10000``: ``batch_statistics`` with
 all five kinds on a 256-row null block at n = 10^4 (best of 5).
@@ -110,16 +111,20 @@ def main() -> int:
     from tcvm.baselines import BaselineKind, batch_statistics
 
     def draw_ms(text: str, n: int) -> float:
-        spec = parse_spec(text)
-        return best_ms(lambda: engine._draw_block(spec, n, SEED, 0, ROWS))
+        ws = engine._Workspace(parse_spec(text), n, SEED, ROWS)
+        return best_ms(lambda: engine._draw_block(ws, 0, ROWS))
+
+    def own_block(spec, n: int, rows: int = ROWS):
+        # a workspace of its own, which no later draw overwrites
+        return engine._draw_block(engine._Workspace(spec, n, SEED, rows), 0, rows)
 
     timings = {"draw_null_n50": draw_ms("Normal(0,1)", 50)}
     for text in POWER_ROWS:
         timings[f"draw_{text}_n50"] = draw_ms(text, 50)
     timings["draw_null_n20"] = draw_ms("Normal(0,1)", 20)
 
-    null = engine._draw_block(engine.NULL_SPEC, 50, SEED, 0, ROWS)
-    null_n20 = engine._draw_block(engine.NULL_SPEC, 20, SEED, 0, ROWS)
+    null = own_block(engine.NULL_SPEC, 50)
+    null_n20 = own_block(engine.NULL_SPEC, 20)
     timings["moment_products"] = best_ms(
         lambda: engine._fourth_products(MOMENT_POINTS, null_n20)
     )
@@ -128,7 +133,7 @@ def main() -> int:
     batch_statistics(null, kinds)  # fills the per-n caches (a_n, endpoint terms, weights)
     units = {"null": null}
     for text in POWER_ROWS:
-        units[text] = engine._draw_block(parse_spec(text), 50, SEED, 0, ROWS)
+        units[text] = own_block(parse_spec(text), 50)
     unit_ms = interleaved_best_ms(
         {name: (lambda unit=unit: batch_statistics(unit, kinds)) for name, unit in units.items()}
     )
@@ -178,18 +183,16 @@ def main() -> int:
         replay[f"replay_draw_n{n}"] = 1e3 * row_ms / REPLAY_ROWS
         replay[f"replay_n{n}"] = replay[f"replay_rng_n{n}"] + replay[f"replay_draw_n{n}"]
 
-    def reset_rows():
-        rng = engine.replication_rng(SEED, 0)
-        if hasattr(engine, "_row_reset"):
-            reset = engine._row_reset(rng, 0, ROWS)
-            for _ in range(ROWS):
-                reset()
-        else:  # keyed by the replication, which is the row from start 0
-            reset = engine._stream_reset(rng)
-            for i in range(ROWS):
-                reset(i)
+    ws = engine._Workspace(engine.NULL_SPEC, 20, SEED, ROWS)
+    chunk = len(ws.rows)
 
-    reset_rows()  # runs the layout check where it is cached
+    def reset_rows():
+        for first in range(0, ROWS, chunk):
+            m = min(chunk, ROWS - first)
+            reset = ws.resets(first, m)
+            for _ in range(m):
+                reset()
+
     replay["reset_n20"] = 1e3 * best_ms(reset_rows, REPLAY_REPEAT) / ROWS
 
     tstar_samples = {n: np.random.default_rng(SEED + n).standard_normal(n) for n in TSTAR_SIZES}
@@ -201,7 +204,7 @@ def main() -> int:
         TSTAR_REPEAT,
     )
 
-    large = engine._draw_block(engine.NULL_SPEC, LARGE_N, SEED, 0, LARGE_ROWS)
+    large = own_block(engine.NULL_SPEC, LARGE_N, LARGE_ROWS)
     large_ms = best_ms(lambda: batch_statistics(large, kinds), LARGE_REPEAT)
     record = {
         "rows": ROWS,

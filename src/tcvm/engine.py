@@ -158,15 +158,6 @@ def _stream_resets(rng: np.random.Generator, rows: int) -> Callable[[int, int], 
     return by_copy
 
 
-def _row_reset(rng: np.random.Generator, start: int, count: int) -> Callable[[], None]:
-    """A function whose i-th call makes ``rng`` the fresh stream keyed (key word 0, start + i).
-
-    ``_stream_resets`` with a table of exactly ``count`` rows: past the
-    last one the copy reads nothing, so it resets exactly count rows.
-    """
-    return _stream_resets(rng, count)(start, count)
-
-
 _FILLS_IN_PLACE = frozenset({"random", "standard_normal"})  # Generator methods taking out=
 
 
@@ -177,18 +168,18 @@ def _fill(method: Callable, args: Tuple[float, ...], out: np.ndarray) -> None:
 class _Workspace:
     """One worker's buffers for blocks of up to ``rows`` rows of ``spec`` at ``n``.
 
-    Holds the block output and one Philox, keyed by ``seed``, with its
-    resets for one transform chunk of at most ``_CHUNK_ELEMS`` values; per
+    Holds ``spec``, the block output and one Philox, keyed by ``seed``, with
+    its resets for one transform chunk of at most ``_CHUNK_ELEMS`` values; per
     raw call of the family, a filler (the generator method itself where it
-    takes ``out=``) and a raw buffer of one chunk; and, per row of the
-    chunk, the one call's row view, or each call's (filler, row view) pair.
-    Every block a worker draws reuses them, so drawing allocates only the
-    transform's temporaries.
+    takes ``out=``) and a raw buffer of one chunk; and, per row of the chunk,
+    the one call's row view, or each call's (filler, row view) pair.  Every
+    block reuses them, so drawing allocates only the transform's temporaries.
     """
 
-    __slots__ = ("resets", "fills", "raw", "rows", "out")
+    __slots__ = ("spec", "resets", "fills", "raw", "rows", "out")
 
     def __init__(self, spec: AlternativeSpec, n: int, seed: int, rows: int):
+        self.spec = spec
         chunk = max(1, min(rows, _CHUNK_ELEMS // n))
         rng = replication_rng(seed, 0)
         self.resets = _stream_resets(rng, chunk)
@@ -203,32 +194,21 @@ class _Workspace:
         self.out = np.empty((rows, n))
 
 
-def _draw_block(
-    spec: AlternativeSpec, n: int, seed: int, start: int, count: int,
-    workspace: _Workspace | None = None,
-) -> np.ndarray:
-    """Rows for replications start .. start + count - 1.
+def _draw_block(ws: _Workspace, start: int, count: int) -> np.ndarray:
+    """Rows for replications start .. start + count - 1, count <= the rows of ``ws``.
 
-    Row i equals ``draw(spec, n, replication_rng(seed, start + i))`` bit for
-    bit.  One Philox serves the whole block: before each row its key word 1
-    becomes (start + i) mod 2^64 and its counter, buffer and cached 32-bit
-    half return to their freshly built values, which is cheaper than a new
-    generator.  ``_stream_resets`` builds a chunk's fresh state images once
-    per workspace and copies the next 96 bytes straight into numpy's Philox
-    object, where the layout is contiguous and passed its once-per-process
-    check against the ``state`` setter, which serves instead wherever it is
-    not.  Each row only fills the family's raw draws into its prebuilt row
-    views; the elementwise transform runs once per chunk of at most
-    ``_CHUNK_ELEMS`` values, without overflow warnings: ``batch_statistics``
-    refuses rows that reach inf or nan.
+    Row i equals ``draw(spec, n, replication_rng(seed, start + i))``, for the
+    spec, n and seed of ``ws``, bit for bit.  One Philox serves the block:
+    before each row, ``ws.resets`` makes it the fresh stream of replication
+    start + i, which is cheaper than a new generator.  Each row only fills
+    the family's raw draws into its prebuilt row views; the elementwise
+    transform runs once per chunk of at most ``_CHUNK_ELEMS`` values, without
+    overflow warnings: ``batch_statistics`` refuses rows that reach inf or nan.
 
-    The rows are a view of ``workspace.out``, which the next block drawn in
-    the same workspace overwrites; ``workspace`` must have been built for
-    this spec, n and seed, with at least ``count`` rows.  Without one, the
-    block gets a fresh workspace of its own.
+    The rows are a view of ``ws.out``, which the next block drawn in the
+    same workspace overwrites.
     """
-    ws = workspace if workspace is not None else _Workspace(spec, n, seed, count)
-    fills, raw = ws.fills, ws.raw
+    spec, fills, raw = ws.spec, ws.fills, ws.raw
     out = ws.out[:count]
     chunk = len(ws.rows)
     for first in range(0, count, chunk):
@@ -299,7 +279,7 @@ def _map_blocks(
         ws = getattr(local, "workspace", None)
         if ws is None:
             ws = local.workspace = _Workspace(spec, n, seed, rows)
-        return fn(_draw_block(spec, n, seed, start, min(rows, reps - start), ws))
+        return fn(_draw_block(ws, start, min(rows, reps - start)))
 
     starts = range(0, reps, rows)
     threads = min(workers, len(starts), os.cpu_count() or 1)
@@ -334,6 +314,8 @@ def _null_critical_values(
     """Per kind and level, order statistic ceil((1-alpha)*reps) of the rejection tail."""
     _check_run(n, reps, workers, min_reps=100)
     _check_kinds(n, kinds)
+    if not alphas:
+        raise ValueError("need at least one level")
     levels = {}  # order-statistic index -> level
     for a in alphas:
         _check_alpha(a)

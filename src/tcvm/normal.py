@@ -107,8 +107,8 @@ def quantile(p):
 
 
 # Cephes ndtri: a rational function of p - 1/2 in the centre, and of
-# z = 1/sqrt(-2 ln p) in each tail (one set for z > 1/8, one below).
-# Monic denominators omit their leading 1.
+# z = 1/sqrt(-2 ln p) in the lower tail for p > exp(-32); endpoint asks for
+# no p past that or in the upper tail.  Monic denominators omit their leading 1.
 _NDTRI_CENTRE = (
     (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
      1.39312609387279679503e1, -1.23916583867381258016e0),
@@ -123,14 +123,6 @@ _NDTRI_TAIL = (
     (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
      1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
      -3.80806407691578277194e-2, -9.33259480895457427372e-4),
-)
-_NDTRI_FAR_TAIL = (
-    (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-     1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-     3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9),
-    (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-     2.89247864745380683936e-6, 6.79019408009981274425e-9),
 )
 _EXP_M2 = 0.13533528323661269189  # exp(-2): the centre is (exp(-2), 1 - exp(-2))
 
@@ -147,20 +139,16 @@ def _rational(z: float, coefficients) -> float:
 
 
 def _ndtri(p: float) -> float:
-    """Standard normal quantile of one float 0 < p < 1, a port of Cephes
-    ``ndtri`` that has the bits of ``scipy.special.ndtri``; it gives a_n
-    without loading scipy."""
-    y, upper = p, p > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y -= 0.5
+    """Standard normal quantile of one float exp(-32) < p <= 1 - exp(-2), a port
+    of Cephes ``ndtri`` with the bits of ``scipy.special.ndtri``; it gives a_n
+    = -ndtri(1/n), 1e-7 <= 1/n <= 1/3, without loading scipy."""
+    if p > _EXP_M2:
+        y = p - 0.5
         y2 = y * y
         return (y + y * _rational(y2, _NDTRI_CENTRE)) * 2.50662827463100050242
-    x = math.sqrt(-2.0 * math.log(y))
+    x = math.sqrt(-2.0 * math.log(p))
     z = 1.0 / x
-    x = x - math.log(x) / x - _rational(z, _NDTRI_TAIL if x < 8.0 else _NDTRI_FAR_TAIL)
-    return x if upper else -x
+    return -(x - math.log(x) / x - _rational(z, _NDTRI_TAIL))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,14 @@ __all__ = [
 ]
 
 
+def _cdf(x):
+    """Phi(x) at evaluation points, refused at nan; +-inf give Phi = 0 or 1 exactly."""
+    p = cdf(x)
+    if np.isnan(p).any():
+        raise ValueError(f"evaluation points must not be nan, got {x}")
+    return p
+
+
 def b_n(values, x: float) -> float | np.ndarray:
     """Raw empirical process (#{X_i <= x} - n*Phi(x)) / sqrt(n).
 
@@ -37,7 +45,7 @@ def b_n(values, x: float) -> float | np.ndarray:
     if v.ndim not in (1, 2) or v.shape[-1] == 0:
         raise ValueError("b_n expects a non-empty sample or (R, n) matrix")
     n = v.shape[-1]
-    out = (np.count_nonzero(v <= x, axis=-1) - n * cdf(x)) / np.sqrt(n)
+    out = (np.count_nonzero(v <= x, axis=-1) - n * _cdf(x)) / np.sqrt(n)
     return float(out) if v.ndim == 1 else out
 
 
@@ -48,8 +56,7 @@ def b_hat_n(values: Sequence[float], x: float) -> float:
 
 def ebb2(x) -> float:
     """Variance Phi(x)(1 - Phi(x)) of the limiting bridge at x."""
-    p = cdf(x)
-    out = p * cdf(-np.asarray(x, dtype=float))
+    out = _cdf(x) * cdf(-np.asarray(x, dtype=float))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -65,7 +72,7 @@ class MomentPoint:
     @classmethod
     def of(cls, x: float, y: float) -> "MomentPoint":
         lo, hi = (x, y) if x <= y else (y, x)
-        return cls(x=lo, y=hi, z=float(cdf(lo)), t=float(cdf(hi)))
+        return cls(x=lo, y=hi, z=float(_cdf(lo)), t=float(_cdf(hi)))
 
 
 def cov_b2(p: MomentPoint) -> float:

@@ -99,8 +99,8 @@ class CriticalValueTable:
         object.__setattr__(self, "rows", MappingProxyType(dict(self.rows)))
         object.__setattr__(self, "sizes", tuple(sorted(self.rows)))
         alphas = self.alphas
-        if len(set(alphas)) < len(alphas) or not all(0.0 < a < 1.0 for a in alphas):
-            raise ValueError(f"levels must be distinct and inside (0, 1), got {alphas}")
+        if not alphas or len(set(alphas)) < len(alphas) or not all(0.0 < a < 1.0 for a in alphas):
+            raise ValueError(f"levels must be distinct and inside (0, 1), one or more, got {alphas}")
         for row in self.rows.values():
             if not set(alphas) <= set(row.critical_values):
                 raise ValueError(f"the row for n={row.n} lacks a level of {alphas}")

@@ -248,14 +248,14 @@ def test_every_family_is_pinned():
 
 @pytest.mark.parametrize("text", sorted(PINNED_DRAWS))
 def test_draws_match_pinned_digest(text):
-    from tcvm.engine import _draw_block, replication_rng
+    from tcvm.engine import _draw_block, _Workspace, replication_rng
 
     spec = parse_spec(text)
     digest = hashlib.sha256()
     for r in range(4):
         digest.update(draw(spec, 50, replication_rng(7, r)).tobytes())
     assert digest.hexdigest() == PINNED_DRAWS[text]
-    block = _draw_block(spec, 50, 7, 0, 4)
+    block = _draw_block(_Workspace(spec, 50, 7, 4), 0, 4)
     assert hashlib.sha256(block.tobytes()).hexdigest() == PINNED_DRAWS[text]
 
 

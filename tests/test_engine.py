@@ -1,9 +1,10 @@
 import gc
-import hashlib
+import importlib.util
 import math
 import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tcvm.baselines import BaselineKind, batch_statistics
 from tcvm.engine import (
     NULL_SPEC,
     _draw_block,
+    _Workspace,
     _upper_index,
     estimate_constant_c,
     estimate_critical_values,
@@ -46,7 +48,7 @@ class TestStreams:
         # draw of a freshly built (seed, rep) stream
         spec = parse_spec(text)
         seed, start = 2**64 - 3, 4093
-        block = _draw_block(spec, 13, seed, start, 6)
+        block = _draw_block(_Workspace(spec, 13, seed, 6), start, 6)
         for i, row in enumerate(block):
             ref = draw(spec, 13, replication_rng(seed, start + i))
             np.testing.assert_array_equal(row, ref)
@@ -58,7 +60,7 @@ class TestStreams:
         spec = parse_spec(text)
         n, seed, start = engine._CHUNK_ELEMS // 4 + 1, 2**64 - 3, 4093
         assert engine._CHUNK_ELEMS // n == 3
-        block = _draw_block(spec, n, seed, start, 7)
+        block = _draw_block(_Workspace(spec, n, seed, 7), start, 7)
         for i, row in enumerate(block):
             ref = draw(spec, n, replication_rng(seed, start + i))
             np.testing.assert_array_equal(row, ref)
@@ -127,21 +129,22 @@ class TestInPlaceReset:
     def test_block_equals_per_row_draws(self, text, n):
         spec = parse_spec(text)
         for seed, start in ((11, 0), (2**63 + 5, 2**63 - 2), (2**64 - 1, 2**64 - 2)):
-            block = _draw_block(spec, n, seed, start, 4)
+            block = _draw_block(_Workspace(spec, n, seed, 4), start, 4)
             np.testing.assert_array_equal(block, _per_row(spec, n, seed, start, 4))
 
     @pytest.mark.parametrize("text", ["Normal(1,2)", "LoConN(0.3,2.5)", "Beta(2,3)"])
     def test_setter_fallback_gives_the_same_bits(self, monkeypatch, text):
         spec, n = parse_spec(text), engine._CHUNK_ELEMS // 4 + 1  # chunks of 3 rows
         seed, start = 2**63 + 9, 2**64 - 3
-        expected = _draw_block(spec, n, seed, start, 7)
+        expected = _draw_block(_Workspace(spec, n, seed, 7), start, 7)
         _refuse_check(monkeypatch)
-        np.testing.assert_array_equal(_draw_block(spec, n, seed, start, 7), expected)
+        block = _draw_block(_Workspace(spec, n, seed, 7), start, 7)  # built after the refusal
+        np.testing.assert_array_equal(block, expected)
         np.testing.assert_array_equal(expected, _per_row(spec, n, seed, start, 7))
 
     def test_check_picks_the_writer(self):
         rng = replication_rng(3, 0)
-        reset = engine._row_reset(rng, 9, 16)
+        reset = engine._stream_resets(rng, 16)(9, 16)
         assert _path(reset) == "copy"
         bit_gen = rng.bit_generator
         del rng
@@ -153,7 +156,7 @@ class TestInPlaceReset:
 
     def test_failed_check_picks_the_setter(self, monkeypatch):
         _refuse_check(monkeypatch)
-        reset = engine._row_reset(replication_rng(3, 0), 0, 4)
+        reset = engine._stream_resets(replication_rng(3, 0), 4)(0, 4)
         assert _path(reset) == "set_next"
 
     def test_check_catches_a_writer_that_misses_the_32_bit_half(self, monkeypatch):
@@ -173,7 +176,7 @@ class TestInPlaceReset:
             return got.view(Keeps32BitHalf) if words == engine._IMAGE_BYTES // 8 else got
 
         monkeypatch.setattr(engine, "_uint64_view", image_view)
-        reset = engine._row_reset(replication_rng(3, 0), 0, 4)
+        reset = engine._stream_resets(replication_rng(3, 0), 4)(0, 4)
         assert _path(reset) == "set_next"
         assert calls and not engine._CHECKED_LAYOUTS
 
@@ -181,7 +184,7 @@ class TestInPlaceReset:
         # an image larger than the object fails the address check: no write
         calls = _count_checks(monkeypatch)
         monkeypatch.setattr(engine, "_IMAGE_BYTES", 1 << 20)
-        reset = engine._row_reset(replication_rng(3, 0), 0, 4)
+        reset = engine._stream_resets(replication_rng(3, 0), 4)(0, 4)
         assert _path(reset) == "set_next"
         assert not calls
 
@@ -189,20 +192,20 @@ class TestInPlaceReset:
         # a checked layout is used only while the key and counter follow the
         # struct: a 72-byte struct would leave a gap before the key
         spec, seed, start = parse_spec("Normal(1,2)"), 2**63 + 9, 2**64 - 3
-        assert _path(engine._row_reset(replication_rng(seed, start), start, 7)) == "copy"
+        assert _path(engine._stream_resets(replication_rng(seed, start), 7)(start, 7)) == "copy"
         monkeypatch.setattr(engine, "_STATE_BYTES", 72)
-        assert _path(engine._row_reset(replication_rng(seed, start), start, 7)) == "set_next"
+        assert _path(engine._stream_resets(replication_rng(seed, start), 7)(start, 7)) == "set_next"
         np.testing.assert_array_equal(
-            _draw_block(spec, 20, seed, start, 7), _per_row(spec, 20, seed, start, 7)
+            _draw_block(_Workspace(spec, 20, seed, 7), start, 7), _per_row(spec, 20, seed, start, 7)
         )
 
     def test_check_runs_once_per_layout(self, monkeypatch):
         calls = _count_checks(monkeypatch)
-        first = engine._row_reset(replication_rng(3, 0), 0, 4)
+        first = engine._stream_resets(replication_rng(3, 0), 4)(0, 4)
         # per key, the image copy and then the setter
         assert calls == [k for k in engine._CHECK_KEYS for _ in range(2)]
         # a second generator of the same type has the same offsets from its address
-        second = engine._row_reset(replication_rng(5, 2**63), 2**63, 4)
+        second = engine._stream_resets(replication_rng(5, 2**63), 4)(2**63, 4)
         assert _path(first) == _path(second) == "copy"
         assert len(calls) == 2 * len(engine._CHECK_KEYS)
         assert len(engine._CHECKED_LAYOUTS) == 1
@@ -211,7 +214,7 @@ class TestInPlaceReset:
         _refuse_check(monkeypatch)
         calls = _count_checks(monkeypatch)  # counts the refusing check
         for _ in range(2):
-            assert _path(engine._row_reset(replication_rng(3, 0), 0, 4)) == "set_next"
+            assert _path(engine._stream_resets(replication_rng(3, 0), 4)(0, 4)) == "set_next"
             assert not engine._CHECKED_LAYOUTS
         assert len(calls) == 4  # both ways at the first key, both times
 
@@ -221,7 +224,7 @@ class TestInPlaceReset:
             _refuse_check(monkeypatch)
         seed, start = 2**63 + 1, 2**63 - 2
         rng = replication_rng(seed, 0)
-        reset = engine._row_reset(rng, start, 4)
+        reset = engine._stream_resets(rng, 4)(start, 4)
         for i in range(4):
             # odd counts of 32-bit draws leave has_uint32 and uinteger set
             rng.random(3)
@@ -236,7 +239,7 @@ class TestInPlaceReset:
     def test_image_keys_wrap_past_2_64(self):
         seed, start = 2**64 - 1, 2**64 - 2
         rng = replication_rng(seed, 0)
-        reset = engine._row_reset(rng, start, 5)
+        reset = engine._stream_resets(rng, 5)(start, 5)
         assert _path(reset) == "copy"
         for key in [2**64 - 2, 2**64 - 1, 0, 1, 2]:
             reset()
@@ -300,7 +303,7 @@ class TestWorkspace:
         draw_block = engine._draw_block
 
         def recording(*args):
-            counts.append(args[4])
+            counts.append(args[2])
             return draw_block(*args)
 
         monkeypatch.setattr(engine, "_draw_block", recording)
@@ -620,11 +623,16 @@ class TestPower:
         lambda: estimate_power([], NULL_SPEC, 20, 0.05, reps=100, seed=0, critical_values={}),
         lambda: estimate_null_critical_values([], 20, 0.05, reps=1000),
         lambda: verify_fourth_moments([], 20, reps=200_000),
+        lambda: estimate_critical_values(20, alphas=[], reps=50_000),
     ],
-    ids=["estimate_power", "estimate_null_critical_values", "verify_fourth_moments"],
+    ids=[
+        "estimate_power", "estimate_null_critical_values", "verify_fourth_moments",
+        "estimate_critical_values",
+    ],
 )
 def test_empty_input_refused_before_drawing(call, monkeypatch):
-    # verify_fourth_moments([], 20, reps=200_000) drew every replication, then returned []
+    # verify_fourth_moments([], 20, reps=200_000) drew every replication, then
+    # returned []; estimate_critical_values with no level returned a row of none
     def refuse(*args):
         raise AssertionError("drew a block for an empty input")
 
@@ -737,39 +745,67 @@ PINNED_OUTPUTS = {
     "moments": "c5b43fa5687e7a5644956aab32478869224525b9f331677302b06600213ba085",
     "constant_c": "5569e86c50368a93953a931ea1f5391f0b899a6d60d97cb5473a2b5616c8a979",
 }
+# the rest of scripts/parity.py's digests: batch kernels, scalar statistics,
+# the CLI's test command, the normal primitives and the seeded draws
+PINNED_PARITY = {
+    "G": "3f8a7b6195b1be5ba68af0832b63a474f4a36adf25eb2373313aa7db6f2f5ffe",
+    "H": "a96b71823040a563e2d34cec0b5aa4d72a3ed7816ddc2655c277949db9372479",
+    "a_n": "2db9b865737b0d256147514fe54d9b242ed2e8d6b532f60f1478f0b577e97fcf",
+    "batch_ad_n1000": "ec7c60600b4b8cd53763ff2b9919156ae42d886b54f1b15fd4868bd413fa45e5",
+    "batch_ad_n3000": "34407c1342abe8d7225a8a9010add464c8d639fe3157fd6b914a1b54762e9be2",
+    "batch_ad_n5": "a61bcac94d9d0418eb0b0397cc9c66c9eb98d0c0206a5c4b1f7bf5816e777b39",
+    "batch_ad_n50": "439b12bf5d37f1bc9df64587c596bc8713fb7d7c1985d260b93609b7602f843a",
+    "batch_all_n1000": "21da871c68ba45056841a83f2c228c52126328e25164276e53c7d983d30c339f",
+    "batch_all_n3000": "5adff6c1911b98c481422f2bfda854d7bbd84cf4e62283ca0b2dfda95e7dabfb",
+    "batch_all_n5": "de43d2cfc1847282066d67f3e6233f7918cc06dbbf717cd885cfc87f7547e328",
+    "batch_all_n50": "705d1b0138eddf5b74a85061faf439ad388cfab57e804072d500aa70f29a3b02",
+    "batch_bcmr_n1000": "88cfcbba61254dd5551c1e1ffc54702bc8149377b585fa4b1ffc0b736304a843",
+    "batch_bcmr_n3000": "0fa59658e224fe9fe3b435bd2a0e88042d161821ddd8e6fe779c746dd2cf8565",
+    "batch_bcmr_n5": "2d26bdf9b672af3602432ea8dd26b832d454ce30de8066c73ef47338f02ce48e",
+    "batch_bcmr_n50": "378e96f58ed16ac4f3c822acfd5145a44ac98fdede33bc87d6cc489f77f5adc9",
+    "batch_cvm_inf_rows_n1000": "9143cf77faae5a703c2ba5395be1f34638bb8699186ede40c303111879b20358",
+    "batch_cvm_inf_rows_n3000": "3097bf9fdf86e99180c1210a3759e14555d54e24897f38a2a5f3f12217d3d322",
+    "batch_cvm_inf_rows_n5": "4af9ba4262a011748a0ea9a09e9b9a97c63bd0894db76c7924de1ed208f7b1df",
+    "batch_cvm_inf_rows_n50": "8c6731969868914f200ed6fa3dd9de739b08cff7e698718124b768cc2442edb9",
+    "batch_cvm_n1000": "fa0cfbd3921050dab2e66e81f8358a43e02e9bf0b7a2d9474b84bf9ac860ae50",
+    "batch_cvm_n3000": "cbd3bce17287c013bc749f895eb8b0a32ae799ba420b4e4a81df8c86b42fdcab",
+    "batch_cvm_n5": "bb513b0d5c5104346787aaee6db79e239a320fa7c0f3fdd4fa4677d6d41aaf8e",
+    "batch_cvm_n50": "dbd82855dd17f8a7ca00e59d3531876bbb4f0519e44ee72c9d3bc662ce05e9e6",
+    "batch_sw_n1000": "8737367eefa7885273662cf7f35fffa0e871a84edc0dc6f4cfee4ee706c749ff",
+    "batch_sw_n3000": "466a81b9661313971d0c4bf4380af6d96c11ad769d64f9bd9f2865cb2ae089a5",
+    "batch_sw_n5": "d0ea37c70ffb23c2009398095fbd4b24f550ae657f4031dbf799f02c3589619d",
+    "batch_sw_n50": "67b45d256bd5c3b72effafaf4b8bb4a4e17a1ee5dea9110edee51f427fca0948",
+    "batch_tcvm_n1000": "be055466e892d6b62de6ee20118860f40d7a8c95d303e4da2c34cfa6cd96de52",
+    "batch_tcvm_n3000": "dcb69a7bd1d544d1d2a10e14efff925b1069ac021044e6f6bc56c5a0192fac99",
+    "batch_tcvm_n5": "2f231a2ba3d8f56f03a0780fc06fc2f68e56e9b66b7ffac50b771b2f051d19af",
+    "batch_tcvm_n50": "3960b74e273b446f43d4dd7ce266650cb185774350ae9629e3e950dd09fc8c66",
+    "c_n": "d6ff002365362d54ad74d49b71aa68763aff42f8080a9d4d33369bc0fcc38824",
+    "cli_test": "ba174a4150928385075eb88f0121b3953a99807aeb9fd34fc43f04e316db12f1",
+    "cli_test_errors": "24e2b5e0511563303c173534845d050d2ef94ab42b2234805e040c94e8bd632c",
+    "d_n": "813325275a9e85c29a7d699ce19e317ae8272275d96feba0f080e646e6365e14",
+    "psi": "f73114af880b1e5164d5c6c0fe27bdd10777803c0bd8e0749655b964f19c2b44",
+    "replication_rng": "db24d6926f90233086b82615562541f44b46ec982ec305cbcb659138d38ebe3b",
+    "sample": "a88a0ed27ed5eb1354f7b82ce2797db6198c7fc269368751e552be7ab5f7731b",
+    "scalar_ad": "4d068a628c97cdc52ca2789f2e09b68c58a164cce882cf56f76d7c6a92bb2b8c",
+    "scalar_bcmr": "2eb48d78b503e349dd4c2ec4b253b3ec105d64c20fd8b0ec7f23ab6becb8d0bd",
+    "scalar_sf": "9562d8b9fdefc39a082d175182fd7c0018e524090685dd7a0f02744088c8886a",
+    "scalar_sw": "b4c23a76c807ebf0d5857eec78ebec54e9cac41bf0e113462df944708b1bb904",
+    "scalar_tcvm_test": "8b7d78213ec55667b44552a0847c910a9760c97e4d5efd625541f19ca039752e",
+    "scalar_tstar": "4a2ea428a7723938305b51b836d3264c4e3d54666f9f7f1e03e3f080f31c7cf2",
+    "scalar_tstar_direct": "fcecfe0c6bbdde5ecb18b3888d6050165bd0715c28c81ab7d043b00b10e92a9b",
+    "scalar_untruncated": "bc9fc6b680dcf90dfcd3ae609aa4e41cab7cc7080274505661f473d4eea7773f",
+}
 
 
-def _parity_digest(values) -> str:
-    flat = np.asarray(values, dtype=float).ravel().tolist()
-    return hashlib.sha256(",".join(v.hex() for v in flat).encode()).hexdigest()
-
-
-def _engine_outputs(workers):
-    """Each pinned output's values, computed as scripts/parity.py computes them."""
-    kinds = list(BaselineKind)
-    out = {}
-    for n, reps in ((5, 2000), (50, 9000)):
-        row = estimate_critical_values(n, reps=reps, seed=1, workers=workers)
-        out[f"critvals_n{n}"] = list(row.critical_values.values()) + [row.a_n, row.c_n]
-    table = simulate_table([10, 11, 40], reps=600, seed=2, workers=workers)
-    out["critvals_table"] = [
-        list(r.critical_values.values()) + [r.n, r.a_n, r.c_n] for r in table.rows.values()
-    ]
-    crits = estimate_null_critical_values(kinds, 50, 0.05, reps=3000, seed=3, workers=workers)
-    out["null_crits"] = [crits[kind] for kind in kinds]
-    for spec in ("LoConN(0.5,4)", "Lognormal(0,3)"):
-        rep = estimate_power(kinds, parse_spec(spec), 50, 0.05, 3000, 4, crits, workers=workers)
-        out[f"power_{spec}"] = [[rep.rates[k], rep.stderr[k]] for k in kinds]
-    checks = verify_fourth_moments(
-        [(0.0, 0.0), (0.3, 1.1)], 20, reps=20_000, seed=5, workers=workers
-    )
-    out["moments"] = [[c.empirical, c.exact, c.stderr, c.z_score] for c in checks]
-    est = estimate_constant_c(100, reps=300, seed=6, workers=workers)
-    out["constant_c"] = [est.value, est.stderr]
-    return out
+def _parity():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "parity.py"
+    spec = importlib.util.spec_from_file_location("parity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_engine_outputs_match_pinned_digests(workers):
-    digests = {key: _parity_digest(v) for key, v in _engine_outputs(workers).items()}
-    assert digests == PINNED_OUTPUTS
+    # every digest of scripts/parity.py, its engine runs with 1 and 2 workers
+    assert _parity().digests(workers) == {**PINNED_OUTPUTS, **PINNED_PARITY}

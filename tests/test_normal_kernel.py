@@ -150,20 +150,26 @@ class TestNdtriPort:
             [nk.endpoint(k).a_n for k in n], -special.ndtri(1.0 / np.array(n))
         )
 
-    def test_seeded_p_in_both_tails_and_the_centre(self):
+    def test_seeded_sizes_and_p_in_the_lower_tail_and_the_centre(self):
+        # endpoint asks only for p = 1/n, 1e-7 <= p <= 1/3, so the port keeps
+        # the centre and the lower tail down to exp(-32), not Cephes's
+        # reflection of the upper tail nor its table past exp(-32)
         rng = np.random.default_rng(26)
+        n = np.exp(rng.uniform(math.log(200_000), math.log(nk.MAX_ENDPOINT_N), 2000))
+        n = np.concatenate([n.astype(int), [10**5, 10**6, nk.MAX_ENDPOINT_N]])
+        self._assert_same_bits(
+            [nk.endpoint(int(k)).a_n for k in n], -special.ndtri(1.0 / n)
+        )
         p = np.concatenate(
             [
-                rng.random(100_000),  # mostly the centre, (exp(-2), 1 - exp(-2))
-                np.exp(-745.0 * rng.random(50_000)),  # lower tail down to subnormals
-                -np.expm1(-36.7 * rng.random(50_000)),  # upper tail up to 1 - 2^-53
-                [5e-324, 2.0**-1022, math.exp(-32.0), 0.5, 1.0 - 2.0**-53],
-                # each boundary between the rational functions, and both sides of it
-                [nk._EXP_M2, 1.0 - nk._EXP_M2],
-                [np.nextafter(b, d) for b in (nk._EXP_M2, 1.0 - nk._EXP_M2) for d in (0.0, 1.0)],
+                rng.uniform(nk._EXP_M2, 1.0 - nk._EXP_M2, 100_000),  # the centre
+                np.exp(-32.0 * rng.random(100_000)),  # the lower tail
+                [math.exp(-31.999), 0.5, 1.0 - nk._EXP_M2],
+                # the boundary between the rational functions, and both sides of it
+                [nk._EXP_M2, np.nextafter(nk._EXP_M2, 0.0), np.nextafter(nk._EXP_M2, 1.0)],
             ]
         )
-        p = p[(p > 0.0) & (p < 1.0)]
+        p = p[(p > math.exp(-32.0)) & (p <= 1.0 - nk._EXP_M2)]
         self._assert_same_bits([nk._ndtri(float(q)) for q in p], special.ndtri(p))
 
 

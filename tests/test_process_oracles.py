@@ -139,6 +139,29 @@ class TestFourthMoment:
             fourth_moment_exact(MomentPoint.of(0.0, 1.0), 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MomentPoint.of(math.nan, 0.0),
+        lambda: MomentPoint.of(0.3, math.nan),
+        lambda: b_n([0.2, -0.4, 1.1], math.nan),
+        lambda: ebb2(math.nan),
+        lambda: ebb2(np.array([0.0, math.nan])),
+    ],
+    ids=["moment_point_x", "moment_point_y", "b_n", "ebb2", "ebb2_array"],
+)
+def test_nan_point_refused(call):
+    # each returned nan with no error, and fourth_moment_exact then gave nan
+    with pytest.raises(ValueError, match="must not be nan"):
+        call()
+
+
+def test_infinite_points_give_exact_zeros():
+    assert b_n([0.2, -0.4, 1.1], math.inf) == 0.0
+    assert ebb2(math.inf) == ebb2(-math.inf) == 0.0
+    assert fourth_moment_exact(MomentPoint.of(math.inf, 0.0), 20) == 0.0
+
+
 def _cov_integral(limit: float, nodes: int = 360) -> float:
     x, w = leggauss(nodes)
     x = x * limit

@@ -162,7 +162,9 @@ def _row(n, crits):
 
 
 @pytest.mark.parametrize(
-    "alphas", [(1.5,), (0.0,), (0.05, 0.05), (float("nan"),)], ids=["past_one", "zero", "repeated", "nan"]
+    "alphas",
+    [(1.5,), (0.0,), (0.05, 0.05), (float("nan"),), ()],
+    ids=["past_one", "zero", "repeated", "nan", "none"],
 )
 def test_direct_tables_check_their_levels(alphas):
     rows = {10: _row(10, {a: 1.0 for a in alphas})}
