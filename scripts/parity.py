@@ -28,7 +28,7 @@ with 1 and 2 workers:
   refused inputs: ``--alpha 0.03`` (not a table level), a constant sample,
   n = 3 and n = 20,000 (past the table); the temporary directory is masked
   in stderr;
-* ``psi``, ``H``, ``G``: the antiderivatives on a grid of [-56, 56];
+* ``psi``, ``H``: the public antiderivatives on a grid of [-56, 56];
   ``c_n``, ``d_n``, ``a_n``: the per-n constants;
 * ``sample``, ``replication_rng``: the seeded draws.
 
@@ -99,7 +99,7 @@ def digests(workers: int = 1) -> dict:
     for n, reps in ((5, 2000), (50, 9000)):
         row = tcvm.estimate_critical_values(n, reps=reps, seed=1, workers=workers)
         out[f"critvals_n{n}"] = digest(list(row.critical_values.values()) + [row.a_n, row.c_n])
-    table = tcvm.simulate_table([10, 11, 40], reps=600, seed=2, workers=workers)
+    table = tcvm.simulate_table([10, 11, 40], reps=1000, seed=2, workers=workers)
     out["critvals_table"] = digest(
         [list(r.critical_values.values()) + [r.n, r.a_n, r.c_n] for r in table.rows.values()]
     )
@@ -171,7 +171,6 @@ def digests(workers: int = 1) -> dict:
     grid = np.concatenate([np.linspace(-56.0, 56.0, 40_001), [-0.0, 1e-300, -37.7, 37.7]])
     out["psi"] = digest(normal.recip_pdf_antiderivative(grid))
     out["H"] = digest(normal.cdf_over_pdf_antiderivative(grid))
-    out["G"] = digest(normal.cdf_sq_over_pdf_antiderivative(grid))
     sizes = list(range(2, 3000)) + [10**4, 10**5, 10**6, 10**7]
     out["a_n"] = digest([tcvm.endpoint(n).a_n for n in sizes])
     out["c_n"] = digest([tcvm.c_n(n) for n in sizes[2:]])

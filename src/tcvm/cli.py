@@ -361,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critvals", help="simulate critical values")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-range", default=None, metavar="A..B")
-    p.add_argument("--alphas", default=None, help="comma-separated levels")
+    p.add_argument(
+        "--alphas", default=None, help="comma-separated levels; each needs --reps >= 1/alpha"
+    )
     p.add_argument("--reps", type=int, default=50_000)
     _add_common(p)
     p.set_defaults(func=cmd_critvals)
@@ -370,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alt", action="append", required=True, help="e.g. LoConN(0.5,4); repeatable")
     p.add_argument("--tests", default="all", help="comma list of tcvm,cvm,bcmr,ad,sw")
     p.add_argument("--n", type=int, default=50)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument(
+        "--alpha", type=float, default=0.05, help="level; needs --cv-reps >= 1/alpha"
+    )
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--cv-reps", type=int, default=50_000, help="replications for the critical values")
     _add_common(p)

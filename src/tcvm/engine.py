@@ -320,6 +320,9 @@ def _null_critical_values(
     for a in alphas:
         _check_alpha(a)
         i = _upper_index(a, reps)
+        if i == reps:  # alpha * reps < 1: the sample maximum, at any such alpha
+            need = math.ceil(1 / Fraction(str(float(a))))
+            raise ValueError(f"alpha = {a} needs reps >= {need:,} to resolve, got {reps:,}")
         if i in levels:
             raise ValueError(
                 f"alpha = {levels[i]} and {a} both pick order statistic {i} of "

@@ -8,9 +8,9 @@ that is built on them load no scipy module.  Everything downstream
 integrates combinations of 1/phi(x), Phi(x)/phi(x) and Phi(x)^2/phi(x).
 Their antiderivatives psi, H and G, all 0 at 0, are read from Taylor tables
 at u = |x|/sqrt(2), and ``_psi_h`` alone unfolds the signs of psi and H: the
-public antiderivatives call it behind one range check, and the stepwise
-statistic unchecked, at bounds in [-a_n, a_n].  ``c_n``, ``d_n`` and the
-folded kernel read the tables at -|x| directly.
+two public antiderivatives call it behind one range check, and the stepwise
+statistic unchecked, at bounds in [-a_n, a_n].  ``_endpoint_terms`` reads
+psi, H and G at -a_n from the tables, for C_n, D_n and the folded kernel.
 
 The folded kernel reflects the positive half-line onto the negative one, so
 it evaluates psi and H at non-positive points only, and G only at -a_n;
@@ -27,9 +27,8 @@ so that, with dx = -sqrt(2) du,
     H(x)   = -sqrt(pi) R(u),        R = int_0^u erfcx,            x <= 0,
     G(x)   = -(sqrt(pi)/2) V(u),    V = int_0^u erfcx erfc,       x <= 0.
 
-Phi(x) = 1 - Phi(-x) gives the positive half-line, where no table is needed:
-
-    H(x) = psi(x) + H(-x),    G(x) = psi(x) + 2 H(-x) - G(-x).
+Phi(x) = 1 - Phi(-x) gives H on the positive half-line, where no table is
+needed: H(x) = psi(x) + H(-x).
 
 D, R and V stay O(1) (D ~ 1/(2u), R ~ ln(u)/sqrt(pi), V -> ln(2)/sqrt(pi)),
 and degree-5 Taylor tables on the grid k/128 of [0, 40] (of [0, 6] for V,
@@ -39,8 +38,8 @@ costs a table lookup.  The tables are derived at import from the values of
 D, erfcx and erfc on that grid, which ship with the package
 (``_GRIDS_FILE``).  The grid values of R and V integrate the Taylor
 polynomials of their integrands cell by cell (``_integral``).  For x <= 0
-nothing cancels: H and G keep full absolute accuracy down to
-x = -40 sqrt(2), where psi itself has long overflowed.
+nothing cancels: H keeps full absolute accuracy down to x = -40 sqrt(2),
+where psi itself has long overflowed, and so does G at -a_n.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ __all__ = [
     "d_n",
     "recip_pdf_antiderivative",
     "cdf_over_pdf_antiderivative",
-    "cdf_sq_over_pdf_antiderivative",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -258,11 +256,7 @@ def _taylor_rows(values: np.ndarray, derivatives: list, factor: float) -> np.nda
 
 
 def _taylor(u: np.ndarray, *tables: np.ndarray) -> list:
-    """Taylor tables on one grid at 0 <= u <= 40, by Horner.
-
-    Past a table's last point its last row is read: W ends at ``_V_FLAT``,
-    where that row's polynomial is V's constant to double precision.
-    """
+    """Taylor tables on one grid at 0 <= u <= 40, by Horner."""
     s = u * float(_STEPS)
     k = np.rint(s)  # nearest grid point
     s -= k  # exact: |s| <= 1/2
@@ -343,21 +337,6 @@ def recip_pdf_antiderivative(x):
 def cdf_over_pdf_antiderivative(x):
     """F with F' = Phi/phi and F(0) = 0; finite at every x <= 0 in range."""
     return _checked(x, lambda x, u: _psi_h(x, u)[1])
-
-
-def cdf_sq_over_pdf_antiderivative(x):
-    """F with F' = Phi^2/phi and F(0) = 0; finite at every x <= 0 in range.
-
-    G(x) = -(sqrt(pi)/2) V(u) at x <= 0 and psi(x) + 2 H(-x) - G(-x) at
-    x > 0, so +inf past the overflow of psi.
-    """
-
-    def unfolded(x, u):
-        p, s = _folded_neg_psi_h(u)  # psi(|x|), -H(-|x|)
-        g = -_taylor(u, _W_TAYLOR)[0]  # G(-|x|)
-        return np.where(x > 0.0, p - 2.0 * s - g, g)
-
-    return _checked(x, unfolded)
 
 
 def c_n(n: int) -> float:

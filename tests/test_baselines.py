@@ -281,7 +281,7 @@ def _plain_statistics(block: np.ndarray) -> dict:
         return 2.0 * h.sum(axis=1) - (odd * psi).sum(axis=1) / n - 2.0 * n * g
 
     a = nk.endpoint(n).a_n
-    tcvm = folded(a, nk.cdf_sq_over_pdf_antiderivative(-a))
+    tcvm = folded(a, nk._endpoint_terms(n)[3])  # G(-a_n)
     cvm = folded(_MAX_ABS_Y, -0.5 * np.log(2.0))
     cvm[np.max(np.abs(y), axis=1) > _MAX_ABS_Y] = np.inf
     return {

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import MEANINGLESS_TABLES
 from tcvm import normal as nk
-from tcvm.cli import main, read_sample_file
+from tcvm.cli import build_parser, main, read_sample_file
 from tcvm.table import ALPHA_LEVELS, embedded_table
 
 
@@ -204,7 +205,7 @@ class TestTest:
 
 class TestCritvals:
     def test_shape_and_determinism(self):
-        args = ["critvals", "--n-range", "10..12", "--reps", "400", "--seed", "3"]
+        args = ["critvals", "--n-range", "10..12", "--reps", "1000", "--seed", "3"]
         code, text = run_cli(args)
         assert code == 0
         lines = text.strip().splitlines()
@@ -217,13 +218,26 @@ class TestCritvals:
         assert text == again
 
     def test_deterministic_columns_independent_of_reps(self):
-        _, t1 = run_cli(["critvals", "--n", "15", "--reps", "200", "--seed", "1"])
-        _, t2 = run_cli(["critvals", "--n", "15", "--reps", "900", "--seed", "8"])
+        _, t1 = run_cli(["critvals", "--n", "15", "--reps", "1000", "--seed", "1"])
+        _, t2 = run_cli(["critvals", "--n", "15", "--reps", "2000", "--seed", "8"])
         a1, c1 = t1.strip().splitlines()[1].split(",")[-2:]
         a2, c2 = t2.strip().splitlines()[1].split(",")[-2:]
         assert (a1, c1) == (a2, c2)
         assert float(a1) == pytest.approx(nk.endpoint(15).a_n, rel=1e-12)
         assert float(c1) == pytest.approx(nk.c_n(15), rel=1e-12)
+
+    def test_level_finer_than_the_reps_exit_2_before_drawing(self, monkeypatch, capsys):
+        from tcvm import engine
+
+        def refuse(*args):
+            raise AssertionError("drew a block")
+
+        monkeypatch.setattr(engine, "_draw_block", refuse)
+        code, text = run_cli(["critvals", "--n", "20", "--reps", "100", "--alphas", "0.001"])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert "alpha = 0.001 needs reps >= 1,000 to resolve, got 100" in err
+        assert "Traceback" not in err
 
     def test_n0_exit_2_names_the_bound(self, capsys):
         # --n 0 read as missing: "one of --n or --n-range is required", exit 3
@@ -330,6 +344,22 @@ class TestPower:
         code, text = run_cli(["power", "--alt", "Normal(0,1)", "--n", "2", "--tests", "ad"])
         assert (code, text) == (2, "")
         assert "at least 3 observations, got 2" in capsys.readouterr().err
+
+    def test_level_finer_than_the_cv_reps_exit_2_before_drawing(self, monkeypatch, capsys):
+        from tcvm import engine
+
+        def refuse(*args):
+            raise AssertionError("drew a block")
+
+        monkeypatch.setattr(engine, "_draw_block", refuse)
+        code, text = run_cli(
+            ["power", "--alt", "Logistic(0,1)", "--n", "20", "--reps", "100",
+             "--cv-reps", "1000", "--alpha", "1e-9"]
+        )
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert "alpha = 1e-09 needs reps >= 1,000,000,000 to resolve, got 1,000" in err
+        assert "Traceback" not in err
 
     def test_unknown_family_exit(self):
         code, _ = run_cli(["power", "--alt", "Nope(1)", "--reps", "100"])
@@ -484,7 +514,7 @@ class TestOtherCommands:
 
 class TestSeedHandling:
     def test_env_seed_default(self, monkeypatch):
-        args = ["critvals", "--n", "10", "--reps", "300"]
+        args = ["critvals", "--n", "10", "--reps", "300", "--alphas", "0.1,0.05"]
         monkeypatch.setenv("TCVM_SEED", "11")
         _, with_env = run_cli(args)
         monkeypatch.setenv("TCVM_SEED", "12")
@@ -493,15 +523,17 @@ class TestSeedHandling:
 
     def test_flag_beats_env(self, monkeypatch):
         monkeypatch.setenv("TCVM_SEED", "11")
-        _, flagged = run_cli(["critvals", "--n", "10", "--reps", "300", "--seed", "7"])
+        args = ["critvals", "--n", "10", "--reps", "300", "--alphas", "0.1,0.05", "--seed", "7"]
+        _, flagged = run_cli(args)
         monkeypatch.delenv("TCVM_SEED")
-        _, bare = run_cli(["critvals", "--n", "10", "--reps", "300", "--seed", "7"])
-        assert flagged == bare
+        _, bare = run_cli(args)
+        assert flagged and flagged == bare
 
 
 # Values per option for the fuzz test below.  Every in-range value keeps a
 # run small (n <= 200, reps <= 1,000, workers <= 2); the rest are out of
-# domain or not numbers at all.
+# domain or not numbers at all.  critvals starts at 1,000 reps, the fewest
+# that resolve every default level.
 _FUZZ_VALUES = {
     "data": ["normal.txt", "flat.txt", "tiny.txt", "nan.txt", "seven.txt", "missing.txt"],
     "--n": ["0", "-3", "x", "1e9", "3", "4", "10", "57", "200"],
@@ -532,7 +564,7 @@ _COMMON = ["--seed", "--workers", "--format"]
 _FUZZ_COMMANDS = {
     "test": (["data"], [], ["--alpha", "--table", "--format"]),
     "critvals": (
-        [], ["--n", "10", "--reps", "200"], ["--n", "--n-range", "--alphas", "--reps"] + _COMMON
+        [], ["--n", "10", "--reps", "1000"], ["--n", "--n-range", "--alphas", "--reps"] + _COMMON
     ),
     "power": (
         ["--alt", "--tests"],
@@ -581,12 +613,22 @@ def fuzz_dir(tmp_path_factory):
 _SMALL_POWER = ["--tests", "sw,bcmr", "--n", "20", "--reps", "200", "--cv-reps", "200"]
 
 
+def _critvals_rows(text, fmt):
+    """Each printed critvals row as {level as printed: critical value}."""
+    if fmt == "json":
+        payload = json.loads(text)
+        return [row["critical_values"] for row in payload["rows"].values()]
+    header, *rows = [line.split(",") for line in text.strip().splitlines()]
+    return [dict(zip(header[1:-2], map(float, row[1:-2]))) for row in rows]
+
+
 @settings(deadline=None, max_examples=200)
 @given(_argv())
 @example(["power", "--alt", "Normal(5,1e-300)"] + _SMALL_POWER)
 @example(["power", "--alt", "TruncN(9,10)"] + _SMALL_POWER)
 @example(["power", "--alt", "Normal(0,1e308)"] + _SMALL_POWER)
 @example(["verify-moments", "--x", "-37", "--y", "-37", "--reps", "10000", "--format", "json"])
+@example(["critvals", "--n", "10", "--reps", "200"])
 def test_any_argv_exits_0_2_or_3_without_traceback(fuzz_dir, argv):
     argv = [str(fuzz_dir / t) if t in _FILES else t for t in argv]
     err = io.StringIO()
@@ -602,3 +644,15 @@ def test_any_argv_exits_0_2_or_3_without_traceback(fuzz_dir, argv):
     formats = [v for flag, v in zip(argv, argv[1:]) if flag == "--format"]
     if ran and code == 0 and formats[-1:] == ["json"]:
         json.loads(out.getvalue(), parse_constant=_refuse_non_json)
+    # a printed level resolves (alpha * reps >= 1), and a critvals row's
+    # values do not fall as alpha falls
+    if ran and code == 0 and argv[0] == "power":
+        args = build_parser().parse_args(argv)
+        assert Fraction(repr(args.alpha)) * args.cv_reps >= 1, argv
+    if ran and code == 0 and argv[0] == "critvals":
+        args = build_parser().parse_args(argv)
+        for row in _critvals_rows(out.getvalue(), args.format):
+            levels = sorted(row, key=Fraction, reverse=True)
+            assert all(Fraction(a) * args.reps >= 1 for a in levels), (argv, levels)
+            values = [row[a] for a in levels]
+            assert values == sorted(values), (argv, row)

@@ -308,7 +308,7 @@ class TestWorkspace:
 
         monkeypatch.setattr(engine, "_draw_block", recording)
         monkeypatch.setattr(engine, "_BLOCK_VALUES", 1000)
-        estimate_critical_values(50, reps=130, seed=0)
+        estimate_critical_values(50, (0.05,), reps=130, seed=0)
         assert counts == [20] * 6 + [10]
 
 
@@ -439,7 +439,7 @@ class TestCriticalValues:
         assert row.critical_values[0.05] == pytest.approx(1.6897, abs=0.05)
 
     def test_simulate_table_provenance(self):
-        table = simulate_table([10, 11], reps=500, seed=2)
+        table = simulate_table([10, 11], reps=1000, seed=2)
         assert "simulated" in table.provenance
         assert table.sizes == (10, 11)
 
@@ -472,7 +472,7 @@ class TestCriticalValues:
             estimate_power(kinds, NULL_SPEC, 3, 0.05, 200, 0, {k: 1.0 for k in kinds})
 
     @pytest.mark.parametrize(
-        "alphas, reps, index", [((0.001, 0.0005), 100, 100), ((0.05, 0.05), 200, 190)]
+        "alphas, reps, index", [((0.05, 0.051), 100, 95), ((0.05, 0.05), 200, 190)]
     )
     def test_levels_sharing_an_order_statistic_rejected_before_drawing(
         self, monkeypatch, alphas, reps, index
@@ -489,6 +489,24 @@ class TestCriticalValues:
             estimate_critical_values(20, alphas, reps=reps, seed=0)
         with pytest.raises(ValueError, match=match):
             simulate_table([20], alphas, reps=reps, seed=0)
+
+    @pytest.mark.parametrize(
+        "alpha, reps, need", [(0.001, 999, "1,000"), (1e-9, 50_000, "1,000,000,000")]
+    )
+    def test_levels_finer_than_the_reps_rejected_before_drawing(
+        self, monkeypatch, alpha, reps, need
+    ):
+        # alpha * reps < 1 picks order statistic reps, the sample maximum,
+        # whatever alpha is
+        def refuse(*args):
+            raise AssertionError("drew a block")
+
+        monkeypatch.setattr(engine, "_draw_block", refuse)
+        match = f"alpha = {alpha} needs reps >= {need} to resolve, got {reps:,}"
+        with pytest.raises(ValueError, match=match):
+            estimate_critical_values(20, (0.05, alpha), reps=reps, seed=0)
+        with pytest.raises(ValueError, match=match):
+            estimate_null_critical_values([BaselineKind.AD], 20, alpha, reps=reps)
 
     def test_default_levels_pick_distinct_order_statistics(self):
         # past reps = 112 the levels' smallest gap, 0.009, exceeds one index
@@ -738,7 +756,7 @@ class TestMoments:
 PINNED_OUTPUTS = {
     "critvals_n5": "d6aaa69d6ccb9d215c4ae83b01e71bb40f14abe13fb277072437b706b0b524e7",
     "critvals_n50": "3a6dca6f8f86048af907ad0f06486727b66934a335b01a88106664e6521e4d7b",
-    "critvals_table": "5fa187adf84912e2a44ab21daab7fdcdfe21a095e4b240f4873529846fb7ff4a",
+    "critvals_table": "3f0c8571a8b5c5da5cbaf4535ec7acb30ebf9861b76a6b7ab84f275d310d512d",
     "null_crits": "bcb3278b18c47b21b01c91d3fd410f4baf9cdee9c84f42b532bcd57c2e89d936",
     "power_LoConN(0.5,4)": "3d3836adfd86219e30bf4b47851a8dc998ef2bc81812a3f9b02bd08d1dfbaf12",
     "power_Lognormal(0,3)": "14ff6a211a3fe8417472b23db83628deedaf9f6d16eaa189f25ad74845fbf831",
@@ -748,7 +766,6 @@ PINNED_OUTPUTS = {
 # the rest of scripts/parity.py's digests: batch kernels, scalar statistics,
 # the CLI's test command, the normal primitives and the seeded draws
 PINNED_PARITY = {
-    "G": "3f8a7b6195b1be5ba68af0832b63a474f4a36adf25eb2373313aa7db6f2f5ffe",
     "H": "a96b71823040a563e2d34cec0b5aa4d72a3ed7816ddc2655c277949db9372479",
     "a_n": "2db9b865737b0d256147514fe54d9b242ed2e8d6b532f60f1478f0b577e97fcf",
     "batch_ad_n1000": "ec7c60600b4b8cd53763ff2b9919156ae42d886b54f1b15fd4868bd413fa45e5",

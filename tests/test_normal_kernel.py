@@ -350,13 +350,8 @@ class TestCnDn:
         # the per-n cache reads the tables unchecked; the checked public
         # functions at -a_n give the same bits
         a = nk.endpoint(n).a_n
-        expected = (
-            a,
-            nk.recip_pdf_antiderivative(-a),
-            nk.cdf_over_pdf_antiderivative(-a),
-            nk.cdf_sq_over_pdf_antiderivative(-a),
-        )
-        assert [v.hex() for v in nk._endpoint_terms(n)] == [v.hex() for v in expected]
+        expected = (a, nk.recip_pdf_antiderivative(-a), nk.cdf_over_pdf_antiderivative(-a))
+        assert [v.hex() for v in nk._endpoint_terms(n)[:3]] == [v.hex() for v in expected]
 
     def test_d_n_degenerate(self):
         assert nk.d_n(2) == 0.0
@@ -385,13 +380,6 @@ class TestAntiderivatives:
         ref = _tight_quad(lambda t: nk.cdf(t) * recip_pdf(t), 0.0, x)
         assert nk.cdf_over_pdf_antiderivative(x) == pytest.approx(ref, rel=1e-11)
 
-    @pytest.mark.parametrize("x", [-7.5, -1.2, 0.9, 3.0, 8.0])
-    def test_cdf_sq_over_pdf_antiderivative(self, x):
-        oracle = composite_simpson(
-            lambda t: nk.cdf(t) ** 2 * recip_pdf(t), 0.0, x, panels=2**19
-        )
-        assert nk.cdf_sq_over_pdf_antiderivative(x) == pytest.approx(oracle, rel=1e-9)
-
     @staticmethod
     def _upper_tail_sq(x: float) -> float:
         """int_x^inf (1-Phi)^2/phi by Simpson, stable in the far tail."""
@@ -406,32 +394,6 @@ class TestAntiderivatives:
         # int_0^inf (1-Phi)^2/phi = int_{-inf}^0 Phi^2/phi: the whole-line
         # constant of the folded kernel
         assert nk.LN2_OVER_2 == pytest.approx(self._upper_tail_sq(0.0), rel=1e-9)
-
-    def test_upper_tail_sq_matches_quadrature(self):
-        # reflected, the tail is int_{-inf}^{-x} Phi^2/phi = G(-x) + ln(2)/2
-        for x in (-2.0, 0.5, 3.0):
-            tail = nk.cdf_sq_over_pdf_antiderivative(-x) + nk.LN2_OVER_2
-            assert tail == pytest.approx(self._upper_tail_sq(x), rel=1e-9)
-
-    # G by mpmath at 40 digits: -(sqrt(pi)/2) V(|x|/sqrt(2)), where V has long
-    # reached ln(2)/sqrt(pi).  Here erfi overflows to -inf and erfc^2
-    # underflows to 0, which once made G nan.
-    @pytest.mark.parametrize(
-        "x,ref",
-        [
-            (-40.0, "-0.3465735902799726547086160607290882840378"),
-            (-45.0, "-0.3465735902799726547086160607290882840378"),
-            (-56.0, "-0.3465735902799726547086160607290882840378"),
-        ],
-    )
-    def test_cdf_sq_over_pdf_antiderivative_far_left(self, x, ref):
-        g = nk.cdf_sq_over_pdf_antiderivative(x)
-        assert abs(g - float(ref)) <= np.spacing(abs(float(ref)))
-
-    def test_cdf_sq_over_pdf_antiderivative_over_the_half_line(self):
-        # at the tables' end G is the whole-line kernel's constant -ln(2)/2
-        g = nk.cdf_sq_over_pdf_antiderivative(-40.0 * math.sqrt(2.0))
-        assert abs(g + nk.LN2_OVER_2) <= np.spacing(nk.LN2_OVER_2)
 
     def test_interval_weights_match_scalar_ops(self, rng):
         # the stepwise weights against quadrature, and against differences
@@ -517,19 +479,6 @@ class TestIntegralTables:
 
     def test_v(self):
         assert np.max(np.abs(self._errors()[1])) <= 1.1e-16
-
-
-def test_g_with_w_on_0_6_has_the_bits_of_a_w_on_0_40(monkeypatch):
-    # V is constant to double precision past u = 6, so W's table stops there
-    u = np.concatenate([np.linspace(0.0, nk._U_MAX, 400_001), np.arange(5121) / 128])
-    x = np.concatenate([-u, u]) * math.sqrt(2.0)
-    x = x[np.abs(x) / math.sqrt(2.0) <= nk._U_MAX]
-    g = nk.cdf_sq_over_pdf_antiderivative(x)
-    monkeypatch.setattr(nk, "_V_FLAT", nk._U_MAX)
-    monkeypatch.setattr(nk, "_W_TAYLOR", nk._tables()[2])
-    assert nk._W_TAYLOR.shape == (6, 5121)
-    full = nk.cdf_sq_over_pdf_antiderivative(x)
-    np.testing.assert_array_equal(full.view(np.uint64), g.view(np.uint64))
 
 
 def test_shared_table_pair_is_bit_identical():
@@ -636,11 +585,7 @@ class TestPsiHTables:
 
     @pytest.mark.parametrize("x", [57.0, -57.0, math.inf, math.nan])
     def test_outside_the_tables_raises(self, x):
-        for fn in (
-            nk.recip_pdf_antiderivative,
-            nk.cdf_over_pdf_antiderivative,
-            nk.cdf_sq_over_pdf_antiderivative,
-        ):
+        for fn in (nk.recip_pdf_antiderivative, nk.cdf_over_pdf_antiderivative):
             with pytest.raises(ValueError, match="supported range"):
                 fn(np.array([0.5, x]))
 
