@@ -28,8 +28,10 @@ block, of:
 slice of the LoConN(0.5,4) block (``_CHUNK_ELEMS // 50`` rows at n = 50),
 best of 50 interleaved rounds, in microseconds: ``sort_scale``
 (``statistic._sorted_rows``), ``moments`` (``_standardize_sorted``),
-``tcvm_cvm`` (``_weighted_cvm``, which returns both), ``ad``, ``sw`` and
-``bcmr`` (``baselines._batch_*``).
+``fold_weights`` (the folded odd weights, built once per slice when TCVM,
+CVM or AD is asked), ``tcvm_cvm`` (``_weighted_cvm``, which returns both)
+and ``ad``, both given those weights, ``sw`` and ``bcmr``
+(``baselines._batch_*``).
 
 ``us_per_call`` times ``statistic.compute_tstar``, the stepwise statistic
 behind ``tcvm_test``, on one seeded normal sample at each of n = 50, 1,000
@@ -149,12 +151,14 @@ def main() -> int:
     part = block[:rows]
     x_sorted = statistic._sorted_rows(part)
     y, ssq = statistic._standardize_sorted(x_sorted)
+    odd = np.where(y < 0.0, *statistic._rank_weights(y.shape[1]))
     stage_ms = interleaved_best_ms(
         {
             "sort_scale": lambda: statistic._sorted_rows(part),
             "moments": lambda: statistic._standardize_sorted(x_sorted),
-            "tcvm_cvm": lambda: statistic._weighted_cvm(y),
-            "ad": lambda: baselines._batch_ad(y),
+            "fold_weights": lambda: np.where(y < 0.0, *statistic._rank_weights(y.shape[1])),
+            "tcvm_cvm": lambda: statistic._weighted_cvm(y, odd),
+            "ad": lambda: baselines._batch_ad(y, odd),
             "sw": lambda: baselines._batch_sw_like(x_sorted, ssq),
             "bcmr": lambda: baselines._batch_bcmr(x_sorted, ssq),
         },

@@ -23,10 +23,8 @@ production routes and one test oracle:
                              loads scipy.integrate only when first called.
 
 The same functional over the whole real line, ``compute_untruncated``, is
-the "CVM" column of the power study: it differs only in the endpoint,
-infinity instead of a_n.  The folded kernel splits the integral at 0 and
-reflects the right half onto the left, so every observation contributes a
-bounded closed-form term; one psi/H evaluation serves both endpoints.
+the "CVM" column of the power study.  The folded kernel reflects each point
+onto its smaller tail, weighted by its rank there; AD shares that view.
 """
 
 from __future__ import annotations
@@ -226,16 +224,16 @@ def _rank_weights(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def _weighted_cvm(y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _weighted_cvm(y: np.ndarray, odd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The folded kernel: (TCVM, CVM) per row, from one psi/H evaluation.
 
     Rows must be standardized and ascending.  Folding at 0 reflects the
     right half onto the left: y_i goes to -|y_i|, and its count there is its
     rank j_i among the points of its sign, counted from the outside in
-    (j_i = i for y_i < 0, n + 1 - i otherwise).  With v_i = max(-|y_i|, -a)
-    and psi, H, G anchored at 0,
+    (j_i = i for y_i < 0, n + 1 - i otherwise).  With ``odd`` = 2 j_i - 1
+    (AD's weights too), v_i = max(-|y_i|, -a) and psi, H, G anchored at 0,
 
-        T = -(1/n) sum (2 j_i - 1) psi(v_i) + 2 sum H(v_i) - 2n G(-a),
+        T = -(1/n) sum odd_i psi(v_i) + 2 sum H(v_i) - 2n G(-a),
 
     a = a_n for TCVM and a = inf, G(-inf) = -ln(2)/2, for CVM.  Each point
     contributes O(1), so the error grows like eps * n, not with the O(n^2)
@@ -252,7 +250,6 @@ def _weighted_cvm(y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     beyond = v > a
     v /= _SQRT2
     p, s = _folded_neg_psi_h(v)
-    odd = np.where(y < 0.0, *_rank_weights(n))
 
     def total(g: float) -> np.ndarray:
         return (odd * p).sum(axis=1) / n - 2.0 * s.sum(axis=1) - 2.0 * n * g
@@ -270,7 +267,8 @@ def compute_untruncated(values: Sequence[float]) -> float:
     Integrates (N(x) - n*Phi(x))^2/(n*phi(x)) over all of R; folded, the
     two unbounded end pieces leave the constant n*ln(2).
     """
-    return float(_weighted_cvm(_standardized_row(values))[1][0])
+    y = _standardized_row(values)
+    return float(_weighted_cvm(y, np.where(y < 0.0, *_rank_weights(y.shape[1])))[1][0])
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy import stats as sstats
 
@@ -27,6 +29,8 @@ from tcvm.baselines import (
 from tcvm.statistic import (
     _MAX_ABS_Y,
     DegenerateSampleError,
+    _rank_weights,
+    _sorted_rows,
     _standardize_sorted,
     _weighted_cvm,
     compute_tstar,
@@ -217,11 +221,12 @@ class TestBatchStatistics:
         block = rng.standard_normal((200, 50))
         x_sorted = np.sort(block, axis=1)
         y_sorted, ssq = _standardize_sorted(x_sorted)
-        tcvm, cvm = _weighted_cvm(y_sorted)
+        odd = np.where(y_sorted < 0.0, *_rank_weights(50))
+        tcvm, cvm = _weighted_cvm(y_sorted, odd)
         unscaled = {
             BaselineKind.TCVM: tcvm,
             BaselineKind.CVM: cvm,
-            BaselineKind.AD: _batch_ad(y_sorted),
+            BaselineKind.AD: _batch_ad(y_sorted, odd),
             BaselineKind.SW: _batch_sw_like(x_sorted, ssq),
             BaselineKind.BCMR: _batch_bcmr(x_sorted, ssq),
         }
@@ -268,12 +273,12 @@ def _plain_statistics(block: np.ndarray) -> dict:
     xs = np.ldexp(xs, -np.frexp(np.max(np.abs(xs), axis=1, keepdims=True))[1])
     y = (xs - xs.mean(axis=1, keepdims=True)) / xs.std(axis=1, keepdims=True)
     i = np.arange(1, n + 1)
-    u = np.clip(nk.cdf(y), 1e-15, 1.0 - 1e-15)
-    ad = -n - ((np.log(u) + np.log1p(-u[:, ::-1])) * (2.0 * i - 1.0)).sum(axis=1) / n
+    odd = np.where(y < 0.0, 2.0 * i - 1.0, 2.0 * (n - i) + 1.0)
+    t = np.maximum(nk.cdf(-np.abs(y)), 1e-15)
+    ad = -n - (np.log1p(-t) * (2.0 * n - odd) + np.log(t) * odd).sum(axis=1) / n
     ssq = np.sum((xs - xs.mean(axis=1, keepdims=True)) ** 2, axis=1)
     sw = (xs * _sf_weights(n)).sum(axis=1) ** 2 / ssq
     bcmr_ = 1.0 - (xs * _bcmr_weights(n)).sum(axis=1) ** 2 / xs.var(axis=1)
-    odd = np.where(y < 0.0, 2.0 * i - 1.0, 2.0 * (n - i) + 1.0)
 
     def folded(limit, g):
         v = -np.minimum(np.abs(y), limit)
@@ -306,6 +311,52 @@ def test_kernels_have_the_bits_of_the_plain_formulas(rng, n, reps):
         np.testing.assert_array_equal(together[kind], values, err_msg=str(kind))
         alone = batch_statistics(block, [kind])[kind]
         np.testing.assert_array_equal(alone, values, err_msg=str(kind))
+
+
+def _ad_50_digits(y: np.ndarray) -> float:
+    """A^2 of one standardized ascending row in 50-digit arithmetic: the
+    kernel's per-point sum, with t = Phi(-|y|) clamped below at 1e-15 and
+    the same folded odd weights."""
+    mpmath = pytest.importorskip("mpmath")
+    n = y.size
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for i, v in enumerate(y.tolist(), start=1):
+            w = 2 * i - 1 if v < 0.0 else 2 * (n - i) + 1
+            t = max(mpmath.ncdf(-abs(mpmath.mpf(v))), mpmath.mpf(1e-15))
+            total += w * mpmath.log(t) + (2 * n - w) * mpmath.log1p(-t)
+        return float(-n - total / n)
+
+
+def _assert_ad_within_4_eps_n(block: np.ndarray) -> None:
+    n = block.shape[1]
+    y = _standardize_sorted(_sorted_rows(block))[0]
+    ad = batch_statistics(block, [BaselineKind.AD])[BaselineKind.AD]
+    errors = np.abs(ad - [_ad_50_digits(row) for row in y]) / (np.finfo(float).eps * n)
+    assert errors.max() <= 4.0, f"|AD - AD_mp| reads {errors.max():.3g} eps n at n = {n}"
+
+
+@pytest.mark.parametrize("n", [5, 10, 50, 200, 1000])
+def test_ad_is_within_4_eps_n_of_50_digits(n):
+    # of 300 seeded t(3) rows: the four reaching furthest, where the upper
+    # tail cancelled in the unfolded form, the two reaching least, three others
+    block = np.random.default_rng(35 + n).standard_t(3, size=(300, n))
+    reach = np.abs(_standardize_sorted(_sorted_rows(block))[0]).max(axis=1)
+    order = np.argsort(reach)
+    rest = np.random.default_rng(n).choice(order[2:-4], 3, replace=False)
+    picked = np.concatenate((order[-4:], order[:2], rest))
+    if n == 200:
+        assert reach[order[-1]] > 8.0  # a point past the 1e-15 clamp
+    _assert_ad_within_4_eps_n(block[picked])
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(5, 60), st.integers(0, 2**32 - 1), st.floats(0.0, 12.0))
+def test_ad_with_one_far_point_is_within_4_eps_n(n, seed, decades):
+    # one value 10^decades out: its standardized value nears sqrt(n - 1)
+    x = np.random.default_rng(seed).standard_normal(n)
+    x[0] = 10.0**decades
+    _assert_ad_within_4_eps_n(x[np.newaxis, :])
 
 
 def _row_standardizing_to(target: float, n: int, rng) -> np.ndarray:
@@ -374,7 +425,7 @@ def _batch_of(kind):
 
 
 def test_weight_caches_stay_bounded(rng):
-    from tcvm.statistic import _WEIGHT_CACHE_SIZE, _rank_weights
+    from tcvm.statistic import _WEIGHT_CACHE_SIZE
 
     caches = (_rank_weights, _sf_weights, _bcmr_weights)
     for n in range(4, 204):

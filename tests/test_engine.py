@@ -757,7 +757,7 @@ PINNED_OUTPUTS = {
     "critvals_n5": "d6aaa69d6ccb9d215c4ae83b01e71bb40f14abe13fb277072437b706b0b524e7",
     "critvals_n50": "3a6dca6f8f86048af907ad0f06486727b66934a335b01a88106664e6521e4d7b",
     "critvals_table": "3f0c8571a8b5c5da5cbaf4535ec7acb30ebf9861b76a6b7ab84f275d310d512d",
-    "null_crits": "bcb3278b18c47b21b01c91d3fd410f4baf9cdee9c84f42b532bcd57c2e89d936",
+    "null_crits": "9516f46ca01d289448837d09e9913b2a0514c9c86d59c61d4fad38364acf4a54",
     "power_LoConN(0.5,4)": "3d3836adfd86219e30bf4b47851a8dc998ef2bc81812a3f9b02bd08d1dfbaf12",
     "power_Lognormal(0,3)": "14ff6a211a3fe8417472b23db83628deedaf9f6d16eaa189f25ad74845fbf831",
     "moments": "c5b43fa5687e7a5644956aab32478869224525b9f331677302b06600213ba085",
@@ -768,14 +768,14 @@ PINNED_OUTPUTS = {
 PINNED_PARITY = {
     "H": "a96b71823040a563e2d34cec0b5aa4d72a3ed7816ddc2655c277949db9372479",
     "a_n": "2db9b865737b0d256147514fe54d9b242ed2e8d6b532f60f1478f0b577e97fcf",
-    "batch_ad_n1000": "ec7c60600b4b8cd53763ff2b9919156ae42d886b54f1b15fd4868bd413fa45e5",
-    "batch_ad_n3000": "34407c1342abe8d7225a8a9010add464c8d639fe3157fd6b914a1b54762e9be2",
-    "batch_ad_n5": "a61bcac94d9d0418eb0b0397cc9c66c9eb98d0c0206a5c4b1f7bf5816e777b39",
-    "batch_ad_n50": "439b12bf5d37f1bc9df64587c596bc8713fb7d7c1985d260b93609b7602f843a",
-    "batch_all_n1000": "21da871c68ba45056841a83f2c228c52126328e25164276e53c7d983d30c339f",
-    "batch_all_n3000": "5adff6c1911b98c481422f2bfda854d7bbd84cf4e62283ca0b2dfda95e7dabfb",
-    "batch_all_n5": "de43d2cfc1847282066d67f3e6233f7918cc06dbbf717cd885cfc87f7547e328",
-    "batch_all_n50": "705d1b0138eddf5b74a85061faf439ad388cfab57e804072d500aa70f29a3b02",
+    "batch_ad_n1000": "8ad8860dcb2bad416fc53a7b6574d9cd0036ea1a3dc3d03a219e8cbda0f948d2",
+    "batch_ad_n3000": "7c3b69780961b31d64336f93f4ca412f1f9f4ae715109da8c3f0f0222e44b8c1",
+    "batch_ad_n5": "88953f8b6ea9d3921b2099847ce82b03997fe55fa36b143bc9b7508db1d048c9",
+    "batch_ad_n50": "16ceab358c120949cad36d17cc07eb3659a1fa98ef95f0faa57942f8f3930a07",
+    "batch_all_n1000": "b45cc21836dc1f354b845d2154612b6c8b78da915bab9e6664e777783927230b",
+    "batch_all_n3000": "6d968ef288feeb0ac9195965b912e3c827e46a5cedc692b7e89819188d0c907a",
+    "batch_all_n5": "25c7f95722ee2014654e155aaaf6804ef531fe1f8ae7c4b758fe828cbf7f7563",
+    "batch_all_n50": "7e9337f307fa80f70f5e8dc238231078510a88e6e2977c80b78b77d55c229bb6",
     "batch_bcmr_n1000": "88cfcbba61254dd5551c1e1ffc54702bc8149377b585fa4b1ffc0b736304a843",
     "batch_bcmr_n3000": "0fa59658e224fe9fe3b435bd2a0e88042d161821ddd8e6fe779c746dd2cf8565",
     "batch_bcmr_n5": "2d26bdf9b672af3602432ea8dd26b832d454ce30de8066c73ef47338f02ce48e",
@@ -803,7 +803,7 @@ PINNED_PARITY = {
     "psi": "f73114af880b1e5164d5c6c0fe27bdd10777803c0bd8e0749655b964f19c2b44",
     "replication_rng": "db24d6926f90233086b82615562541f44b46ec982ec305cbcb659138d38ebe3b",
     "sample": "a88a0ed27ed5eb1354f7b82ce2797db6198c7fc269368751e552be7ab5f7731b",
-    "scalar_ad": "4d068a628c97cdc52ca2789f2e09b68c58a164cce882cf56f76d7c6a92bb2b8c",
+    "scalar_ad": "8baf10da7c3008faf7c7dcb231615f6daa918c30a6632243707e6fdedc14fd89",
     "scalar_bcmr": "2eb48d78b503e349dd4c2ec4b253b3ec105d64c20fd8b0ec7f23ab6becb8d0bd",
     "scalar_sf": "9562d8b9fdefc39a082d175182fd7c0018e524090685dd7a0f02744088c8886a",
     "scalar_sw": "b4c23a76c807ebf0d5857eec78ebec54e9cac41bf0e113462df944708b1bb904",
