@@ -34,9 +34,10 @@ and ``ad``, both given those weights, ``sw`` and ``bcmr``
 (``baselines._batch_*``).
 
 ``us_per_call`` times ``statistic.compute_tstar``, the stepwise statistic
-behind ``tcvm_test``, on one seeded normal sample at each of n = 50, 1,000
-and 2,000, best of 15 interleaved rounds, in microseconds:
-``compute_tstar_n<n>``.
+behind ``tcvm_test``, and ``statistic.tcvm_test`` itself (table lookup,
+statistic and decision) on one seeded normal sample at each of n = 50,
+1,000 and 2,000, best of 15 interleaved rounds, in microseconds:
+``compute_tstar_n<n>`` and ``tcvm_test_n<n>``.
 
 ``us_per_row`` times the traced benchmark replay's way of drawing, one
 ``engine.replication_rng(seed, r)`` and one ``alternatives.draw`` per row,
@@ -200,13 +201,11 @@ def main() -> int:
     replay["reset_n20"] = 1e3 * best_ms(reset_rows, REPLAY_REPEAT) / ROWS
 
     tstar_samples = {n: np.random.default_rng(SEED + n).standard_normal(n) for n in TSTAR_SIZES}
-    call_ms = interleaved_best_ms(
-        {
-            f"compute_tstar_n{n}": (lambda x=x: statistic.compute_tstar(x))
-            for n, x in tstar_samples.items()
-        },
-        TSTAR_REPEAT,
-    )
+    calls = {}
+    for n, x in tstar_samples.items():
+        calls[f"compute_tstar_n{n}"] = lambda x=x: statistic.compute_tstar(x)
+        calls[f"tcvm_test_n{n}"] = lambda x=x: statistic.tcvm_test(x)
+    call_ms = interleaved_best_ms(calls, TSTAR_REPEAT)
 
     large = own_block(engine.NULL_SPEC, LARGE_N, LARGE_ROWS)
     large_ms = best_ms(lambda: batch_statistics(large, kinds), LARGE_REPEAT)

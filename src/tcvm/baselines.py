@@ -84,7 +84,7 @@ REJECTION_TAIL: Dict[BaselineKind, str] = {
 def _sf_weights(n: int) -> np.ndarray:
     """Normal scores m_i = quantile((i - 3/8)/(n + 1/4)), scaled to unit length."""
     m = quantile((np.arange(1, n + 1) - 0.375) / (n + 0.25))
-    return m / np.sqrt(float(m @ m))
+    return m / np.sqrt((m * m).sum())
 
 
 @lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
@@ -132,9 +132,9 @@ def bcmr(values: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorised kernels for the Monte Carlo engine.  Every row reduction is a
-# multiply-then-sum along the row: unlike ``@`` (BLAS gemv groups rows) and
-# ``einsum``, its rounding does not depend on the other rows of the array.
+# Vectorised kernels for the Monte Carlo engine.  Every reduction follows
+# README's reduction rule, multiply then numpy ``sum`` along the row: unlike
+# ``@`` or ``einsum``, its rounding depends on neither other rows nor BLAS.
 # ---------------------------------------------------------------------------
 
 

@@ -41,6 +41,8 @@ def b_n(values, x: float) -> float | np.ndarray:
     same bits.  The limiting covariance Phi(x^y)(1 - Phi(xvy)) presumes the
     values are standard-normal draws; the evaluation works for any sample.
     """
+    if np.iscomplexobj(values):
+        raise ValueError("sample is complex: its imaginary part would be dropped")
     v = np.asarray(values, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] == 0:
         raise ValueError("b_n expects a non-empty sample or (R, n) matrix")

@@ -22,9 +22,9 @@ production routes and one test oracle:
                              The package's only numerical integration; it
                              loads scipy.integrate only when first called.
 
-The same functional over the whole real line, ``compute_untruncated``, is
-the "CVM" column of the power study.  The folded kernel reflects each point
-onto its smaller tail, weighted by its rank there; AD shares that view.
+The whole-line functional, ``compute_untruncated``, is the "CVM" column;
+the folded kernel and AD weight each point by its rank in its smaller tail.
+Every route reduces by README's rule: multiply, then numpy ``sum``, no BLAS.
 """
 
 from __future__ import annotations
@@ -70,7 +70,9 @@ class DegenerateSampleError(ValueError):
 
 
 def _sample_matrix(samples: np.ndarray) -> np.ndarray:
-    """Validate a (R, n) sample matrix: n >= 3 and every value finite."""
+    """Validate a (R, n) sample matrix: real, n >= 3 and every value finite."""
+    if np.iscomplexobj(samples):
+        raise ValueError("sample is complex: its imaginary part would be dropped")
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a (replications, n) matrix, got shape {x.shape}")
@@ -101,6 +103,8 @@ def _sorted_rows(x: np.ndarray) -> np.ndarray:
 
 def _sample_row(values: Sequence[float]) -> np.ndarray:
     """A validated one-dimensional sample as a one-row matrix, shape (1, n)."""
+    if np.iscomplexobj(values):
+        raise ValueError("sample is complex: its imaginary part would be dropped")
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"sample must be one-dimensional, got shape {x.shape}")
@@ -157,10 +161,10 @@ def compute_tstar(values: Sequence[float]) -> TcvmResult:
 def _stepwise_tstar(y: np.ndarray) -> TcvmResult:
     """``compute_tstar`` of a standardized, ascending sample."""
     n = y.size
-    a = endpoint(n).a_n
-    k = int(np.count_nonzero(y <= -a))
-    grid = np.concatenate(([-a], y[(y > -a) & (y < a)], [a]))
-    m = grid.size - 2
+    a = _endpoint_terms(n)[0]
+    k, hi = int(np.searchsorted(y, -a, "right")), int(np.searchsorted(y, a, "left"))
+    grid = np.concatenate(([-a], y[k:hi], [a]))
+    m = hi - k
 
     psi, h = np.empty((2, m + 1, 2))  # at both bounds of each interval
     u = np.abs(grid) / _SQRT2
@@ -170,7 +174,7 @@ def _stepwise_tstar(y: np.ndarray) -> TcvmResult:
 
     weights = np.arange(m + 1, dtype=float) + k
     cn = c_n(n)
-    t_star = float(weights**2 @ a_int / n - 2.0 * weights @ b_int + cn)
+    t_star = float((weights**2 * a_int).sum() / n - 2.0 * (weights * b_int).sum() + cn)
     return TcvmResult(
         t_star=t_star, t_centered=t_star - d_n(n), n=n, a_n=a, c_n=cn, k=k, m=m
     )

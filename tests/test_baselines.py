@@ -313,6 +313,14 @@ def test_kernels_have_the_bits_of_the_plain_formulas(rng, n, reps):
         np.testing.assert_array_equal(alone, values, err_msg=str(kind))
 
 
+@pytest.mark.parametrize("n", [50, 1000, 3000])
+def test_sf_weights_are_normalised_by_a_numpy_sum(n):
+    # the scores' squared length is summed along the row, like every kernel's
+    # reduction, not by a BLAS dot product whose rounding the CPU picks
+    m = nk.quantile((np.arange(1, n + 1) - 0.375) / (n + 0.25))
+    np.testing.assert_array_equal(_sf_weights(n), m / np.sqrt((m * m).sum()))
+
+
 def _ad_50_digits(y: np.ndarray) -> float:
     """A^2 of one standardized ascending row in 50-digit arithmetic: the
     kernel's per-point sum, with t = Phi(-|y|) clamped below at 1e-15 and

@@ -773,7 +773,7 @@ PINNED_PARITY = {
     "batch_ad_n5": "88953f8b6ea9d3921b2099847ce82b03997fe55fa36b143bc9b7508db1d048c9",
     "batch_ad_n50": "16ceab358c120949cad36d17cc07eb3659a1fa98ef95f0faa57942f8f3930a07",
     "batch_all_n1000": "b45cc21836dc1f354b845d2154612b6c8b78da915bab9e6664e777783927230b",
-    "batch_all_n3000": "6d968ef288feeb0ac9195965b912e3c827e46a5cedc692b7e89819188d0c907a",
+    "batch_all_n3000": "b971e6ac4212bc73b2d5c8f4762d509beebb42b5162f9471a2bac7ee6933136b",
     "batch_all_n5": "25c7f95722ee2014654e155aaaf6804ef531fe1f8ae7c4b758fe828cbf7f7563",
     "batch_all_n50": "7e9337f307fa80f70f5e8dc238231078510a88e6e2977c80b78b77d55c229bb6",
     "batch_bcmr_n1000": "88cfcbba61254dd5551c1e1ffc54702bc8149377b585fa4b1ffc0b736304a843",
@@ -789,7 +789,7 @@ PINNED_PARITY = {
     "batch_cvm_n5": "bb513b0d5c5104346787aaee6db79e239a320fa7c0f3fdd4fa4677d6d41aaf8e",
     "batch_cvm_n50": "dbd82855dd17f8a7ca00e59d3531876bbb4f0519e44ee72c9d3bc662ce05e9e6",
     "batch_sw_n1000": "8737367eefa7885273662cf7f35fffa0e871a84edc0dc6f4cfee4ee706c749ff",
-    "batch_sw_n3000": "466a81b9661313971d0c4bf4380af6d96c11ad769d64f9bd9f2865cb2ae089a5",
+    "batch_sw_n3000": "719202755bb0d7fd0b4f7022f4fcfc2affeea9ef0ea663f9bd5b272ec6bac5a9",
     "batch_sw_n5": "d0ea37c70ffb23c2009398095fbd4b24f550ae657f4031dbf799f02c3589619d",
     "batch_sw_n50": "67b45d256bd5c3b72effafaf4b8bb4a4e17a1ee5dea9110edee51f427fca0948",
     "batch_tcvm_n1000": "be055466e892d6b62de6ee20118860f40d7a8c95d303e4da2c34cfa6cd96de52",
@@ -797,7 +797,7 @@ PINNED_PARITY = {
     "batch_tcvm_n5": "2f231a2ba3d8f56f03a0780fc06fc2f68e56e9b66b7ffac50b771b2f051d19af",
     "batch_tcvm_n50": "3960b74e273b446f43d4dd7ce266650cb185774350ae9629e3e950dd09fc8c66",
     "c_n": "d6ff002365362d54ad74d49b71aa68763aff42f8080a9d4d33369bc0fcc38824",
-    "cli_test": "ba174a4150928385075eb88f0121b3953a99807aeb9fd34fc43f04e316db12f1",
+    "cli_test": "af594c1b0dff568f03c212cf54857920b82ad8ebd036caeb3e38da544f525e89",
     "cli_test_errors": "24e2b5e0511563303c173534845d050d2ef94ab42b2234805e040c94e8bd632c",
     "d_n": "813325275a9e85c29a7d699ce19e317ae8272275d96feba0f080e646e6365e14",
     "psi": "f73114af880b1e5164d5c6c0fe27bdd10777803c0bd8e0749655b964f19c2b44",
@@ -805,10 +805,10 @@ PINNED_PARITY = {
     "sample": "a88a0ed27ed5eb1354f7b82ce2797db6198c7fc269368751e552be7ab5f7731b",
     "scalar_ad": "8baf10da7c3008faf7c7dcb231615f6daa918c30a6632243707e6fdedc14fd89",
     "scalar_bcmr": "2eb48d78b503e349dd4c2ec4b253b3ec105d64c20fd8b0ec7f23ab6becb8d0bd",
-    "scalar_sf": "9562d8b9fdefc39a082d175182fd7c0018e524090685dd7a0f02744088c8886a",
+    "scalar_sf": "dd714ed5fd4b38904a3f645034b3217cf56c9fbd7084cce1bd18cc484cf03e50",
     "scalar_sw": "b4c23a76c807ebf0d5857eec78ebec54e9cac41bf0e113462df944708b1bb904",
-    "scalar_tcvm_test": "8b7d78213ec55667b44552a0847c910a9760c97e4d5efd625541f19ca039752e",
-    "scalar_tstar": "4a2ea428a7723938305b51b836d3264c4e3d54666f9f7f1e03e3f080f31c7cf2",
+    "scalar_tcvm_test": "c31e415fcc04c15b9373fcaca078ee8de8e9b080dd43e82567288d0e6a325b69",
+    "scalar_tstar": "c4c02ef4b2ed07eebdab159d2521bba9a9478ecf4f0bd45e50c69376ec735e7d",
     "scalar_tstar_direct": "fcecfe0c6bbdde5ecb18b3888d6050165bd0715c28c81ab7d043b00b10e92a9b",
     "scalar_untruncated": "bc9fc6b680dcf90dfcd3ae609aa4e41cab7cc7080274505661f473d4eea7773f",
 }

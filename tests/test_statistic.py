@@ -6,13 +6,22 @@ from scipy import special
 
 from tcvm import normal as nk
 from tcvm import statistic
-from tcvm.baselines import BaselineKind, batch_statistics
+from tcvm.baselines import (
+    BaselineKind,
+    anderson_darling,
+    batch_statistics,
+    bcmr,
+    shapiro_francia,
+    shapiro_wilk,
+)
+from tcvm.process import b_hat_n, b_n
 from tcvm.statistic import (
     DegenerateSampleError,
     compute_tstar,
     compute_tstar_direct,
     compute_untruncated,
     _standardized_row,
+    _stepwise_tstar,
     decide,
     tcvm_test,
 )
@@ -57,6 +66,32 @@ class TestStandardize:
             _standardized([[1.0, 2.0, 3.0]])
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(tcvm_test, id="tcvm_test"),
+        pytest.param(compute_tstar, id="compute_tstar"),
+        pytest.param(compute_tstar_direct, id="compute_tstar_direct"),
+        pytest.param(compute_untruncated, id="compute_untruncated"),
+        pytest.param(anderson_darling, id="anderson_darling"),
+        pytest.param(shapiro_francia, id="shapiro_francia"),
+        pytest.param(shapiro_wilk, id="shapiro_wilk"),
+        pytest.param(bcmr, id="bcmr"),
+        pytest.param(lambda x: batch_statistics(np.stack([x, x]), list(BaselineKind)), id="batch"),
+        pytest.param(lambda x: b_n(x, 0.5), id="b_n"),
+        pytest.param(lambda x: b_n(np.stack([x, x]), 0.5), id="b_n_matrix"),
+        pytest.param(lambda x: b_hat_n(x, 0.5), id="b_hat_n"),
+        pytest.param(lambda x: tcvm_test(x.tolist()), id="tcvm_test_list"),
+    ],
+)
+@pytest.mark.parametrize("imag", [0.0, 0.25])
+def test_complex_samples_are_refused(entry, imag):
+    # a real-part cast would test data the caller never passed; a complex
+    # dtype is refused even when every imaginary part is zero
+    with pytest.raises(ValueError, match="complex"):
+        entry(np.linspace(-1.0, 2.0, 20) + 1j * imag)
+
+
 class TestComputeTstar:
     def test_affine_invariance(self, rng):
         x = rng.standard_normal(30)
@@ -92,6 +127,35 @@ class TestComputeTstar:
         a_0, b_0 = np.diff(psi)[0], np.diff(h)[0]
         expected = (res.k**2 / 3.0) * a_0 - 2.0 * res.k * b_0 + res.c_n
         assert res.t_star == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [10, 50, 200, 2000])
+    def test_has_the_bits_of_the_plain_sums(self, n):
+        # psi and H at the grid, differenced, weighted and summed along the
+        # row by numpy, as every kernel reduces: no BLAS dot product
+        x = np.random.default_rng(n).standard_t(4, n)
+        y = _standardized(x)
+        a = nk.endpoint(n).a_n
+        grid = np.concatenate(([-a], y[(y > -a) & (y < a)], [a]))
+        psi, h = nk._psi_h(grid, np.abs(grid) / math.sqrt(2.0))
+        w = np.arange(grid.size - 1, dtype=float) + np.count_nonzero(y <= -a)
+        t = (w**2 * np.diff(psi)).sum() / n - 2.0 * (w * np.diff(h)).sum() + nk.c_n(n)
+        assert compute_tstar(x).t_star == t
+
+    @pytest.mark.parametrize(
+        "n, inner",
+        [(10, []), (10, [-0.5, 0.0, 0.5]), (50, np.linspace(-3.0, 3.0, 38)), (200, [])],
+    )
+    def test_counts_at_the_endpoints(self, n, inner):
+        # points exactly at -a_n and a_n, tied, and one ulp inside either;
+        # the rest of the row sits at the ends of the line
+        a = nk.endpoint(n).a_n
+        edges = [-a, -a, np.nextafter(-a, 0.0), np.nextafter(a, 0.0), a, a, a]
+        fill = n - len(edges) - len(inner)
+        y = np.sort(np.concatenate((edges, inner, [-9.0] * (fill // 2), [9.0] * (fill - fill // 2))))
+        res = _stepwise_tstar(y)
+        assert res.k == sum(v <= -a for v in y.tolist())
+        assert res.m == sum(-a < v < a for v in y.tolist())
+        assert (res.a_n, res.n) == (a, n)
 
     def test_centered_offset(self, rng):
         x = rng.standard_normal(20)
